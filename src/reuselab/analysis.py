@@ -1,7 +1,8 @@
 """Redundancy diagnostics and FLOP accounting over generation traces.
 
 Similarity matrices quantify how little activations move across steps or
-layers; the drift histogram shows the score mass a threshold splits; and the
+layers; the drift histogram (``histogram_from_scores`` over
+``drift_scores_for_layer``) shows the score mass a threshold splits; and the
 cost model turns reuse decisions into exact integer FLOP counts. Everything
 here is pure post-processing over immutable traces, emitted as CSV with a
 one-line JSON metadata header for external plotting.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import drift_score
+from .drift import row_drift
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .model import ModelConfig
 
@@ -154,22 +155,17 @@ def drift_scores_for_layer(trace, layer: int) -> tuple[np.ndarray, int]:
     Returns the scores plus the count of row pairs skipped because one side
     was exactly zero. Pairs never cross block boundaries.
     """
-    scores = []
-    skipped = 0
+    parts = []
     for trajectory in trace.q_trajectories():
         if layer < 0 or (trajectory and layer >= len(trajectory[0])):
             raise DimensionError(f"layer {layer} out of range")
         for prev, cur in zip(trajectory, trajectory[1:]):
-            prev_q = prev[layer]
-            cur_q = cur[layer]
-            for i in range(cur_q.shape[0]):
-                if not prev_q[i].any() or not cur_q[i].any():
-                    skipped += 1
-                    continue
-                scores.append(drift_score(cur_q[i], prev_q[i]))
-    if not scores:
+            parts.append(row_drift(cur[layer], prev[layer]))
+    s = np.concatenate(parts) if parts else np.empty(0)
+    scores = s[np.isfinite(s)]
+    if not scores.size:
         raise DegenerateInputError("trace has no comparable step pairs")
-    return np.asarray(scores), skipped
+    return scores, int(s.size - scores.size)
 
 
 def histogram_from_scores(scores, layer: int, tau=None,
@@ -192,12 +188,6 @@ def histogram_from_scores(scores, layer: int, tau=None,
         skipped_rows=skipped_rows,
         tau=tau,
     )
-
-
-def drift_histogram(trace, layer: int, tau=None) -> DriftHistogram:
-    """Histogram of one layer's query drift across a whole trace."""
-    scores, skipped = drift_scores_for_layer(trace, layer)
-    return histogram_from_scores(scores, layer, tau=tau, skipped_rows=skipped)
 
 
 @dataclass(frozen=True)

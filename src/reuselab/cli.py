@@ -36,9 +36,9 @@ from .analysis import (
 from .drift import (
     DriftProfile,
     allocate_quantiles,
-    drift_score,
     layerwise_drift,
     quantile_threshold,
+    row_drift,
 )
 from .errors import ConfigError
 from .linalg import condition_kappa
@@ -57,21 +57,13 @@ SCORES_FILENAME = "calibration_scores.json"
 class DriftSettings:
     """Budget and temperature for threshold calibration.
 
-    ``tau_override`` bypasses calibration with one flat threshold.
-    ``per_head`` is reserved; only head-0 scoring exists, so True is
-    rejected.
+    ``tau_override`` bypasses calibration with one flat threshold. Drift is
+    always scored on head 0.
     """
 
     phi_bar: float = 0.5
     epsilon: float = 1.0
     tau_override: float | None = None
-    per_head: bool = False
-
-    def __post_init__(self) -> None:
-        if self.per_head:
-            raise ConfigError(
-                "per_head scoring is not implemented; drift is scored on head 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -241,41 +233,46 @@ def _calibration_traces(weights, sampler: SamplerConfig,
 
 def _pooled_layer_scores(traces, L: int):
     """Per-layer flat drift-score arrays across all traces and blocks."""
-    per_layer = []
-    for ell in range(L):
-        scores = []
-        for trace in traces:
-            got, _ = drift_scores_for_layer(trace, ell)
-            scores.extend(float(s) for s in got)
-        per_layer.append(np.asarray(scores))
-    return per_layer
+    return [np.concatenate([drift_scores_for_layer(trace, ell)[0]
+                            for trace in traces])
+            for ell in range(L)]
 
 
-def _fit_profile(weights, sampler: SamplerConfig, drift_cfg: DriftSettings,
-                 prompts: int = CALIBRATION_PROMPTS):
-    """Calibration pipeline: runs, pooled scores, allocation, thresholds."""
+def _calibration_scores(weights, sampler: SamplerConfig,
+                        prompts: int = CALIBRATION_PROMPTS):
+    """Scoring step of calibration: runs, layer means and pooled scores.
+
+    Returns (s_layer, skipped_pairs, layer_scores); every reuse budget is
+    then fitted from these by ``_budget_profile``.
+    """
     traces = _calibration_traces(weights, sampler, prompts)
     raw = [traj for trace in traces for traj in trace.q_trajectories()]
     s_layer, skipped = layerwise_drift(raw)
-    phi = allocate_quantiles(s_layer, drift_cfg.phi_bar, drift_cfg.epsilon)
-    layer_scores = _pooled_layer_scores(traces, weights.config.L)
+    return s_layer, skipped, _pooled_layer_scores(traces, weights.config.L)
+
+
+def _budget_profile(s_layer, skipped: int, layer_scores, phi_bar: float,
+                    epsilon: float) -> DriftProfile:
+    """Allocation and thresholds for one global budget phi_bar."""
+    phi = allocate_quantiles(s_layer, phi_bar, epsilon)
     tau = tuple(quantile_threshold(scores, float(p))
                 for scores, p in zip(layer_scores, phi))
-    profile = DriftProfile(
+    return DriftProfile(
         s_layer=tuple(float(s) for s in s_layer),
         phi_layer=tuple(float(p) for p in phi),
         tau_layer=tau,
-        phi_bar=drift_cfg.phi_bar,
-        epsilon=drift_cfg.epsilon,
+        phi_bar=phi_bar,
+        epsilon=epsilon,
         skipped_pairs=skipped,
     )
-    return profile, layer_scores
 
 
 def cmd_calibrate(config: RunConfig, prompts: int = CALIBRATION_PROMPTS) -> int:
     weights = _load_run_weights(config)
-    profile, layer_scores = _fit_profile(weights, config.sampler,
-                                         config.drift, prompts)
+    s_layer, skipped, layer_scores = _calibration_scores(
+        weights, config.sampler, prompts)
+    profile = _budget_profile(s_layer, skipped, layer_scores,
+                              config.drift.phi_bar, config.drift.epsilon)
     out = _output_dir(config)
     (out / PROFILE_FILENAME).write_text(profile.to_json() + "\n",
                                         encoding="utf-8")
@@ -433,23 +430,13 @@ def _frozen_block_scores(trace, L: int):
     """Per block, the step-indexed frozen drift scores a replay needs.
 
     Entry 0 of every block is None (no previous queries); exactly zero
-    rows become inf so the replay never reuses them.
+    rows score inf so the replay never reuses them.
     """
     blocks = []
     for trajectory in trace.q_trajectories():
-        scores = [None]
-        for prev, cur in zip(trajectory, trajectory[1:]):
-            step_scores = []
-            for ell in range(L):
-                row = np.empty(cur[ell].shape[0])
-                for i in range(cur[ell].shape[0]):
-                    if not prev[ell][i].any() or not cur[ell][i].any():
-                        row[i] = np.inf
-                    else:
-                        row[i] = drift_score(cur[ell][i], prev[ell][i])
-                step_scores.append(row)
-            scores.append(step_scores)
-        blocks.append(scores)
+        steps = [[row_drift(cur[ell], prev[ell]) for ell in range(L)]
+                 for prev, cur in zip(trajectory, trajectory[1:])]
+        blocks.append([None] + steps)
     return blocks
 
 
@@ -467,10 +454,7 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
 
     # One calibration pass and one frozen reference trajectory feed every
     # grid point; per-point numbers then differ only through tau.
-    traces = _calibration_traces(weights, config.sampler)
-    raw = [traj for trace in traces for traj in trace.q_trajectories()]
-    s_layer, _ = layerwise_drift(raw)
-    layer_scores = _pooled_layer_scores(traces, cfg.L)
+    calibration = _calibration_scores(weights, config.sampler)
     _, reference = diffusion_generate(weights, config.sampler, None, "full")
     block_scores = _frozen_block_scores(reference, cfg.L)
     layer_steps = sum(len(t) for t in reference.q_trajectories()) * cfg.L
@@ -483,26 +467,21 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
                                       block_size=cfg.B)
     rows = []
     for phi_bar in phi_grid:
-        phi = allocate_quantiles(s_layer, phi_bar, config.drift.epsilon)
-        tau = tuple(quantile_threshold(scores, float(p))
-                    for scores, p in zip(layer_scores, phi))
+        profile = _budget_profile(*calibration, phi_bar,
+                                  config.drift.epsilon)
         total_reused = 0
         eligible = 0
         for scores in block_scores:
             if len(scores) < 2:
                 continue  # single-step block: gate forces a full refresh
             replay = simulate_reuse_counterfactual(
-                scores, tau, config.reuse.skip_first_layers,
+                scores, profile.tau_layer, config.reuse.skip_first_layers,
                 config.reuse.refresh_interval)
             total_reused += replay.total_reused
             eligible += replay.eligible_slots
         reuse_fraction = (total_reused / (eligible * cfg.B)
                           if eligible else 0.0)
         saved_fraction = per_token_saving * total_reused / full_flops
-        profile = DriftProfile(
-            s_layer=tuple(float(s) for s in s_layer),
-            phi_layer=tuple(float(p) for p in phi),
-            tau_layer=tau, phi_bar=phi_bar, epsilon=config.drift.epsilon)
         pair = coupled_generate(
             weights, coupled_cfg, profile, mode,
             skip_first_layers=config.reuse.skip_first_layers,

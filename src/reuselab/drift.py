@@ -1,9 +1,12 @@
 """Drift scoring, layerwise statistics, and reuse-budget allocation.
 
 A token's drift between consecutive denoising steps is one minus the cosine
-of its head-0 query vectors. Layers with low average drift get a larger
-share of the global reuse budget phi_bar via a temperature softmax, and
-each layer's threshold tau is an order statistic of its calibration scores.
+of its head-0 query vectors. ``row_drift`` is the one kernel that scores it:
+every caller (the reuse gate, calibration, histograms and the bench replay)
+scores whole query matrices through it, and rows that are exactly zero get
+an infinite score. Layers with low average drift get a larger share of the
+global reuse budget phi_bar via a temperature softmax, and each layer's
+threshold tau is an order statistic of its calibration scores.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .linalg import cosine, softmax_rows
+from .linalg import _norm_is_safe, cosine, softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +76,40 @@ def drift_score(x_t, x_prev) -> float:
     return 1.0 - cosine(x_t, x_prev)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products, each taken by numpy's 1-D dot as in cosine."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_drift(cur, prev) -> np.ndarray:
+    """Drift of every row pair: 1 - cosine(cur[i], prev[i]) as a vector.
+
+    Each finite entry is bitwise equal to ``drift_score(cur[i], prev[i])``;
+    the entry is inf where either row is exactly zero (drift undefined).
+    Rows whose plain norm would under- or overflow take the scalar path.
+    """
+    cur = np.asarray(cur, dtype=np.float64)
+    prev = np.asarray(prev, dtype=np.float64)
+    if cur.ndim != 2 or cur.shape != prev.shape:
+        raise DimensionError(
+            f"query shape mismatch: {cur.shape} vs {prev.shape}")
+    zero = ~(cur.any(axis=1) & prev.any(axis=1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        n_cur = np.sqrt(_row_dots(cur, cur))
+        n_prev = np.sqrt(_row_dots(prev, prev))
+        safe = _norm_is_safe(n_cur) & _norm_is_safe(n_prev)
+        c = _row_dots(cur / n_cur[:, None], prev / n_prev[:, None])
+    c = np.clip(c, -1.0, 1.0)
+    # As in cosine: bitwise-equal rows have cosine exactly 1.
+    c[(cur == prev).all(axis=1)] = 1.0
+    s = 1.0 - c
+    s[zero] = np.inf
+    for i in np.flatnonzero(~(safe | zero)):
+        s[i] = drift_score(cur[i], prev[i])
+    return s
+
+
 def layerwise_drift(calibration_traces):
     """Mean drift per layer over all (step, token) pairs of all traces.
 
@@ -92,37 +129,30 @@ def layerwise_drift(calibration_traces):
     traces = list(calibration_traces)
     if not traces:
         raise DegenerateInputError("calibration requires at least one trace")
-    n_layers = None
-    totals = None
-    counts = None
-    skipped = 0
+    if any(len(trace) < 2 for trace in traces):
+        raise DegenerateInputError("calibration traces need >= 2 timesteps")
+    n_layers = len(traces[0][0])
+    per_layer = [[] for _ in range(n_layers)]
     for trace in traces:
-        if len(trace) < 2:
-            raise DegenerateInputError(
-                "calibration traces need >= 2 timesteps")
-        if n_layers is None:
-            n_layers = len(trace[0])
-            totals = np.zeros(n_layers)
-            counts = np.zeros(n_layers, dtype=np.int64)
         for prev_layers, cur_layers in zip(trace, trace[1:]):
             if len(cur_layers) != n_layers or len(prev_layers) != n_layers:
                 raise DimensionError("inconsistent layer count in trace")
             for ell in range(n_layers):
-                q_prev = np.asarray(prev_layers[ell], dtype=np.float64)
-                q_cur = np.asarray(cur_layers[ell], dtype=np.float64)
-                if q_prev.shape != q_cur.shape:
-                    raise DimensionError(
-                        "query shape changed between steps")
-                for i in range(q_cur.shape[0]):
-                    if not q_cur[i].any() or not q_prev[i].any():
-                        skipped += 1
-                        continue
-                    totals[ell] += drift_score(q_cur[i], q_prev[i])
-                    counts[ell] += 1
-    if np.any(counts == 0):
-        raise DegenerateInputError(
-            "a layer had no usable (step, token) pairs")
-    return totals / counts, skipped
+                per_layer[ell].append(row_drift(cur_layers[ell],
+                                                prev_layers[ell]))
+    s_layer = np.empty(n_layers)
+    skipped = 0
+    for ell, parts in enumerate(per_layer):
+        s = np.concatenate(parts)
+        scores = s[np.isfinite(s)]
+        skipped += s.size - scores.size
+        if not scores.size:
+            raise DegenerateInputError(
+                "a layer had no usable (step, token) pairs")
+        # Summed left to right (cumsum, not sum): the mean is part of
+        # profile.json and must not depend on pairwise rounding.
+        s_layer[ell] = np.cumsum(scores)[-1] / scores.size
+    return s_layer, skipped
 
 
 def allocate_quantiles(s_layer, phi_bar: float, epsilon: float,
@@ -173,19 +203,9 @@ def reuse_set(q_t, q_prev, tau) -> np.ndarray:
 
     Returns an empty set when tau is the disabled sentinel (None) or when
     there is no previous step yet. Rows that are exactly zero on either
-    side are never reused (their drift is undefined).
+    side are never reused (their drift is undefined), whatever tau is.
     """
     if tau is None or q_prev is None:
         return np.empty(0, dtype=np.int64)
-    cur = np.asarray(q_t, dtype=np.float64)
-    prev = np.asarray(q_prev, dtype=np.float64)
-    if cur.shape != prev.shape:
-        raise DimensionError(
-            f"query shape mismatch: {cur.shape} vs {prev.shape}")
-    keep = []
-    for i in range(cur.shape[0]):
-        if not cur[i].any() or not prev[i].any():
-            continue
-        if drift_score(cur[i], prev[i]) <= tau:
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
+    s = row_drift(q_t, q_prev)
+    return np.flatnonzero(np.isfinite(s) & (s <= tau))

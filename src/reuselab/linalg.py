@@ -4,12 +4,10 @@ All computation is float64. The heavy lifting (products, reductions) is
 delegated to numpy; the spectral-norm routine is a hand-rolled power
 iteration so its tolerance and determinism are under our control.
 
-Two layers of API live here:
-
-* array kernels (``softmax_rows``, ``normalize_rows_sqrt_d``) operating on
-  plain ``np.ndarray``; the model and reuse code call these directly.
-* ``Matrix``-level operations (``matmul``, ``row_softmax``, ...) that
-  validate shapes/finiteness on the way in and out.
+The array kernels (``softmax_rows``, ``normalize_rows_sqrt_d``, ``cosine``)
+operate on plain ``np.ndarray``; the model, drift and reuse code call them
+directly. ``cosine`` and ``normalize_rows_sqrt_d`` rescale by an exact
+power of two where a plain norm would under- or overflow.
 """
 
 from __future__ import annotations
@@ -36,53 +34,8 @@ _SAFE_NORM_MAX = 1e140
 _RANK_RTOL = 1e-12
 
 
-class Matrix:
-    """Dense real matrix, row-major, 64-bit floats, all entries finite."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values) -> None:
-        a = np.ascontiguousarray(values, dtype=np.float64)
-        if a.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-        if a.size and not np.isfinite(a).all():
-            raise DegenerateInputError("matrix entries must be finite")
-        self._a = a
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def array(self) -> np.ndarray:
-        """The underlying 2-D float64 array (read as shared, do not mutate)."""
-        return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self._a.reshape(-1)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
 def _as_array(m) -> np.ndarray:
-    """Accept a Matrix or anything array-like; return a float64 2-D array."""
-    if isinstance(m, Matrix):
-        return m.array
+    """Accept anything array-like; return a float64 2-D array."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
@@ -135,29 +88,6 @@ def normalize_rows_sqrt_d(a: np.ndarray) -> np.ndarray:
         a[unsafe] = rows = _power_of_two_scale(rows, axis=1)
         norms[unsafe] = np.linalg.norm(rows, axis=1)
     return a * (math.sqrt(a.shape[1]) / norms)[:, None]
-
-
-# ---------------------------------------------------------------------------
-# Matrix-level operations
-# ---------------------------------------------------------------------------
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product a @ b."""
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    return Matrix(a.array @ b.array)
-
-
-def row_softmax(m: Matrix) -> Matrix:
-    """Softmax applied to each row; rows of the result sum to 1."""
-    return Matrix(softmax_rows(m.array))
-
-
-def row_normalize_sqrt_d(m: Matrix) -> Matrix:
-    """Rescale each row of m to norm sqrt(m.cols)."""
-    return Matrix(normalize_rows_sqrt_d(m.array))
 
 
 def _scaled_with_norm(a: np.ndarray):

@@ -74,11 +74,11 @@ class ReuseState:
     tau_layer: tuple
     skip_first_layers: int = 0
     refresh_interval: int = 1
-    prev_q_head0: list = field(default_factory=list)
-    prev_k: list = field(default_factory=list)
-    prev_v: list = field(default_factory=list)
-    prev_o_pre: list = field(default_factory=list)
-    delta: np.ndarray = field(default_factory=lambda: np.empty(0))
+    prev_q_head0: list = field(init=False)
+    prev_k: list = field(init=False)
+    prev_v: list = field(init=False)
+    prev_o_pre: list = field(init=False)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -91,13 +91,7 @@ class ReuseState:
             raise DimensionError(
                 f"tau_layer has {len(self.tau_layer)} entries for "
                 f"{self.config.L} layers")
-        if not self.prev_q_head0:
-            L = self.config.L
-            self.prev_q_head0 = [None] * L
-            self.prev_k = [None] * L
-            self.prev_v = [None] * L
-            self.prev_o_pre = [None] * L
-            self.delta = np.zeros((L, self.config.B), dtype=np.int64)
+        self.reset_block()
 
     def reset_block(self) -> None:
         """Drop all caches and staleness at a block boundary."""

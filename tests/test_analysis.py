@@ -14,7 +14,6 @@ from reuselab.analysis import (
     DriftHistogram,
     SimilarityMatrix,
     cross_layer_similarity,
-    drift_histogram,
     drift_scores_for_layer,
     flops_for_trace,
     histogram_csv,
@@ -203,7 +202,8 @@ def test_similarity_invariants_on_model_value_caches():
 def test_histogram_unchanged_queries_are_pure_zero_mode():
     q = [np.random.default_rng(1).normal(size=(4, 2))]
     trace = synthetic_trace([[], [], []], q_step_arrays=[q, q, q])
-    hist = drift_histogram(trace, layer=0)
+    scores, skipped = drift_scores_for_layer(trace, 0)
+    hist = histogram_from_scores(scores, 0, skipped_rows=skipped)
     assert hist.zero_mode_count == hist.total == 8
     assert all(c == 0 for c in hist.counts)
     assert hist.zero_mode_fraction == 1.0
@@ -211,7 +211,8 @@ def test_histogram_unchanged_queries_are_pure_zero_mode():
 
 def test_histogram_conservation_on_generated_trace():
     _, trace = generate_trace(mode="full", steps=4)
-    hist = drift_histogram(trace, layer=0, tau=None)
+    scores, skipped = drift_scores_for_layer(trace, 0)
+    hist = histogram_from_scores(scores, 0, tau=None, skipped_rows=skipped)
     assert hist.zero_mode_count + sum(hist.counts) == hist.total
     pair_count = sum(
         (len(traj) - 1) * traj[0][0].shape[0]
@@ -256,7 +257,7 @@ def test_histogram_input_validation():
         histogram_from_scores(np.array([-0.1]), layer=0)
     trace = synthetic_trace([[], []], q_step_arrays=None)
     with pytest.raises(DimensionError):
-        drift_histogram(trace, layer=3)
+        drift_scores_for_layer(trace, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from reuselab.drift import (
     layerwise_drift,
     quantile_threshold,
     reuse_set,
+    row_drift,
 )
-from reuselab.errors import DegenerateInputError
+from reuselab.errors import DegenerateInputError, DimensionError
 from reuselab.model import ModelConfig, embed_tokens, init_weights
 
 
@@ -57,6 +58,59 @@ def test_drift_score_scale_invariant_and_bounded(u, v, scale):
     assert 0.0 <= s <= 2.0
     assert abs(s - drift_score(scale * u, v)) < 1e-12
     assert abs(s - drift_score(u, scale * v)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# row_drift
+# ---------------------------------------------------------------------------
+
+def query_pair(rng, B, d, heads):
+    """Head-0 column views (cur, prev) of two (B, heads * d) matrices.
+
+    Each row pair is one of: a random pair at a random scale between
+    1e-300 and 1e300, subnormal rows, a zero row on one side, equal rows,
+    an antipodal pair, or a nearly equal pair.
+    """
+    cur = np.empty((B, heads * d))
+    prev = np.empty((B, heads * d))
+    for i in range(B):
+        kind = rng.integers(6)
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        a = rng.standard_normal(heads * d) * scale
+        a[rng.random(heads * d) < 0.3] = 0.0
+        b = rng.standard_normal(heads * d) * 10.0 ** rng.uniform(-300.0, 300.0)
+        if kind == 1:
+            a = rng.integers(-4, 5, heads * d) * 5e-324
+            b = rng.integers(-4, 5, heads * d) * 5e-324
+        elif kind == 2:
+            (a if rng.random() < 0.5 else b)[:] = 0.0
+        elif kind == 3:
+            b = a.copy()
+        elif kind == 4:
+            b = -a * 2.0 ** rng.integers(-60, 5)
+        elif kind == 5:
+            b = a * (1.0 + 1e-15 * rng.standard_normal(heads * d))
+        cur[i], prev[i] = a, b
+    return cur[:, :d], prev[:, :d]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 128), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_row_drift_is_bitwise_drift_score(B, d, heads, seed):
+    cur, prev = query_pair(np.random.default_rng(seed), B, d, heads)
+    want = np.array([drift_score(c, p) if c.any() and p.any() else np.inf
+                     for c, p in zip(cur, prev)])
+    got = row_drift(cur, prev)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_drift_rejects_mismatched_shapes():
+    with pytest.raises(DimensionError):
+        row_drift(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(DimensionError):
+        row_drift(np.ones(3), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +157,22 @@ def test_layerwise_drift_matches_flat_loop_oracle():
                 vals.append(1.0 - float(a @ b)
                             / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert abs(s[ell] - np.mean(vals)) < 1e-12
+
+
+def test_layerwise_drift_sums_left_to_right():
+    # profile.json stores s_layer, so the mean must be the left-to-right
+    # fold of drift_score over traces, steps and tokens, bit for bit.
+    rng = np.random.default_rng(29)
+    traces = [[[rng.standard_normal((16, 5))] for _ in range(4)]
+              for _ in range(3)]
+    total, count = 0.0, 0
+    for trace in traces:
+        for prev, cur in zip(trace, trace[1:]):
+            for i in range(16):
+                total += drift_score(cur[0][i], prev[0][i])
+                count += 1
+    s, _ = layerwise_drift(traces)
+    assert s[0] == total / count
 
 
 def test_layerwise_drift_pools_traces():
@@ -247,7 +317,8 @@ def test_reuse_set_mixed_drifts():
 def test_reuse_set_skips_zero_rows():
     prev = np.array([[1.0, 0.0], [0.0, 0.0]])
     cur = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert list(reuse_set(cur, prev, tau=1.0)) == [0]
+    for tau in (1.0, math.inf):
+        assert list(reuse_set(cur, prev, tau=tau)) == [0]
 
 
 def test_reuse_set_monotone_in_tau():

@@ -1,8 +1,8 @@
 """Tests for the dense linear-algebra layer.
 
 The spectral quantities are checked against an independent one-sided
-Jacobi SVD written here in the test, and matmul against a naive triple
-loop, so library and oracle share no code path.
+Jacobi SVD written here in the test, so library and oracle share no code
+path.
 """
 
 import math
@@ -19,17 +19,14 @@ from reuselab.errors import (
     SingularMatrixError,
 )
 from reuselab.linalg import (
-    Matrix,
     condition_kappa,
     cosine,
     frobenius_norm,
-    matmul,
     min_singular,
     norm_2_to_1_upper,
     norm_2_to_inf,
     normalize_rows_sqrt_d,
-    row_normalize_sqrt_d,
-    row_softmax,
+    softmax_rows,
     spectral_norm,
 )
 
@@ -38,21 +35,6 @@ def all_nonzero_entries_normal(*vectors):
     """True when no vector holds a subnormal entry."""
     tiny = np.finfo(np.float64).tiny
     return all((np.abs(x[x != 0.0]) >= tiny).all() for x in vectors)
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product, no numpy dot involved."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def jacobi_singular_values(a, tol=1e-14, max_sweeps=100):
@@ -92,63 +74,16 @@ def jacobi_singular_values(a, tol=1e-14, max_sweeps=100):
 
 
 # ---------------------------------------------------------------------------
-# Matrix carrier type
-# ---------------------------------------------------------------------------
-
-def test_matrix_shape_and_data_layout():
-    m = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert (m.rows, m.cols) == (3, 2)
-    assert m.data.shape == (6,)
-    assert list(m.data) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-
-def test_matrix_rejects_non_2d_and_non_finite():
-    with pytest.raises(DimensionError):
-        Matrix([1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateInputError):
-        Matrix([[1.0, float("nan")]])
-    with pytest.raises(DegenerateInputError):
-        Matrix([[float("inf"), 0.0]])
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity_and_zeros():
-    rng = np.random.default_rng(7)
-    m = Matrix(rng.standard_normal((3, 3)))
-    out = matmul(Matrix.identity(3), m)
-    assert np.array_equal(out.array, m.array)
-    out = matmul(m, Matrix.zeros(3, 4))
-    assert np.array_equal(out.array, np.zeros((3, 4)))
-
-
-def test_matmul_matches_naive_triple_loop():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((4, 5))
-    b = rng.standard_normal((5, 3))
-    got = matmul(Matrix(a), Matrix(b)).array
-    want = naive_matmul(a, b)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(Matrix.zeros(2, 3), Matrix.zeros(4, 2))
-
-
-# ---------------------------------------------------------------------------
 # row_softmax
 # ---------------------------------------------------------------------------
 
 def test_row_softmax_symmetric_row():
-    out = row_softmax(Matrix([[0.0, 0.0]]))
-    assert np.allclose(out.array, [[0.5, 0.5]], atol=1e-15)
+    out = softmax_rows(np.array([[0.0, 0.0]]))
+    assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_row_softmax_extreme_logits_no_overflow():
-    out = row_softmax(Matrix([[1000.0, 0.0]])).array
+    out = softmax_rows(np.array([[1000.0, 0.0]]))
     assert np.isfinite(out).all()
     assert out[0, 0] > 1.0 - 1e-12
     assert out[0, 1] < 1e-12
@@ -159,7 +94,7 @@ def test_row_softmax_matches_scalar_oracle():
     logits = [1.0, 2.0, 3.0]
     den = sum(math.exp(v) for v in logits)
     want = [math.exp(v) / den for v in logits]
-    got = row_softmax(Matrix([logits])).array[0]
+    got = softmax_rows(np.array([logits]))[0]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -167,7 +102,7 @@ def test_row_softmax_matches_scalar_oracle():
 @given(hnp.arrays(np.float64, (3, 4),
                   elements=st.floats(-50.0, 50.0)))
 def test_row_softmax_rows_are_distributions(a):
-    out = row_softmax(Matrix(a)).array
+    out = softmax_rows(a)
     assert (out >= 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
@@ -177,20 +112,20 @@ def test_row_softmax_rows_are_distributions(a):
 # ---------------------------------------------------------------------------
 
 def test_row_normalize_three_four():
-    out = row_normalize_sqrt_d(Matrix([[3.0, 4.0]])).array[0]
+    out = normalize_rows_sqrt_d(np.array([[3.0, 4.0]]))[0]
     want = np.array([3.0 / 5.0, 4.0 / 5.0]) * math.sqrt(2.0)
     assert np.max(np.abs(out - want)) < 1e-15
 
 
 def test_row_normalize_idempotent_on_normalized_row():
     row = np.array([[1.0, 1.0, 1.0, 1.0]])  # norm 2 = sqrt(4)
-    out = row_normalize_sqrt_d(Matrix(row)).array
+    out = normalize_rows_sqrt_d(row)
     assert np.max(np.abs(out - row)) < 1e-15
 
 
 def test_row_normalize_rejects_zero_row():
     with pytest.raises(DegenerateInputError):
-        row_normalize_sqrt_d(Matrix([[1.0, 0.0], [0.0, 0.0]]))
+        normalize_rows_sqrt_d(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 @settings(max_examples=200)
@@ -199,9 +134,9 @@ def test_row_normalize_rejects_zero_row():
 def test_row_normalize_norms_and_direction(a):
     if not a.any(axis=1).all():
         with pytest.raises(DegenerateInputError):
-            row_normalize_sqrt_d(Matrix(a))
+            normalize_rows_sqrt_d(a)
         return
-    out = row_normalize_sqrt_d(Matrix(a)).array
+    out = normalize_rows_sqrt_d(a)
     assert np.max(np.abs(np.linalg.norm(out, axis=1)
                          - math.sqrt(5.0))) < 1e-12
     for row_in, row_out in zip(a, out):
@@ -310,22 +245,22 @@ def test_normalize_rows_extremes_still_reject_exact_zero():
 # ---------------------------------------------------------------------------
 
 def test_spectral_identity_and_diagonal():
-    assert abs(spectral_norm(Matrix.identity(4)) - 1.0) < 1e-10
-    diag = Matrix([[3.0, 0.0], [0.0, 1.0]])
+    assert abs(spectral_norm(np.eye(4)) - 1.0) < 1e-10
+    diag = np.array([[3.0, 0.0], [0.0, 1.0]])
     assert abs(spectral_norm(diag) - 3.0) < 1e-10
     assert abs(min_singular(diag) - 1.0) < 1e-10
     assert abs(condition_kappa(diag) - 3.0) < 1e-9
-    assert abs(condition_kappa(Matrix.identity(4)) - 1.0) < 1e-9
+    assert abs(condition_kappa(np.eye(4)) - 1.0) < 1e-9
 
 
 def test_spectral_zero_matrix():
-    assert spectral_norm(Matrix.zeros(3, 3)) == 0.0
+    assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_spectral_known_closed_form():
     # Singular values of [[1,1],[0,1]] are the golden ratio and its inverse.
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    m = Matrix([[1.0, 1.0], [0.0, 1.0]])
+    m = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert abs(spectral_norm(m) - phi) < 1e-10
     assert abs(min_singular(m) - 1.0 / phi) < 1e-10
 
@@ -337,25 +272,25 @@ def test_spectral_matches_jacobi_oracle(seed, shape):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(shape)
     svals = jacobi_singular_values(a)
-    assert abs(spectral_norm(Matrix(a)) - svals[0]) < 1e-8
+    assert abs(spectral_norm(a) - svals[0]) < 1e-8
     if shape[0] >= shape[1]:
-        assert abs(min_singular(Matrix(a)) - svals[-1]) < 1e-8
+        assert abs(min_singular(a) - svals[-1]) < 1e-8
 
 
 def test_min_singular_rejects_wide_and_rank_deficient():
     with pytest.raises(SingularMatrixError):
-        min_singular(Matrix.zeros(2, 3))
+        min_singular(np.zeros((2, 3)))
     rank1 = np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     with pytest.raises(SingularMatrixError):
-        min_singular(Matrix(rank1))
+        min_singular(rank1)
     with pytest.raises(SingularMatrixError):
-        condition_kappa(Matrix(rank1))
+        condition_kappa(rank1)
 
 
 def test_spectral_dominates_random_unit_vectors():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((8, 8))
-    sigma = spectral_norm(Matrix(a))
+    sigma = spectral_norm(a)
     vs = rng.standard_normal((1000, 8))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     stretch = np.linalg.norm(vs @ a.T, axis=1)
@@ -367,18 +302,18 @@ def test_spectral_dominates_random_unit_vectors():
 # ---------------------------------------------------------------------------
 
 def test_row_norm_operators_identity():
-    assert norm_2_to_inf(Matrix.identity(3)) == 1.0
-    assert norm_2_to_1_upper(Matrix.identity(3)) == 3.0
+    assert norm_2_to_inf(np.eye(3)) == 1.0
+    assert norm_2_to_1_upper(np.eye(3)) == 3.0
 
 
 def test_row_norm_operators_single_row():
-    m = Matrix([[3.0, 4.0]])
+    m = np.array([[3.0, 4.0]])
     assert norm_2_to_inf(m) == 5.0
     assert norm_2_to_1_upper(m) == 5.0
 
 
 def test_row_norm_operators_two_rows():
-    m = Matrix([[3.0, 4.0], [0.0, 5.0]])
+    m = np.array([[3.0, 4.0], [0.0, 5.0]])
     assert norm_2_to_inf(m) == 5.0
     assert norm_2_to_1_upper(m) == 10.0
 
@@ -389,13 +324,13 @@ def test_norm_2_to_inf_attained_by_worst_row():
     norms = np.linalg.norm(a, axis=1)
     worst = a[int(np.argmax(norms))]
     v = worst / np.linalg.norm(worst)
-    assert abs(np.max(np.abs(a @ v)) - norm_2_to_inf(Matrix(a))) < 1e-12
+    assert abs(np.max(np.abs(a @ v)) - norm_2_to_inf(a)) < 1e-12
 
 
 def test_norm_2_to_1_upper_dominates_random_unit_vectors():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((6, 4))
-    bound = norm_2_to_1_upper(Matrix(a))
+    bound = norm_2_to_1_upper(a)
     vs = rng.standard_normal((1000, 4))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     l1 = np.abs(vs @ a.T).sum(axis=1)
@@ -403,4 +338,4 @@ def test_norm_2_to_1_upper_dominates_random_unit_vectors():
 
 
 def test_frobenius_norm_simple():
-    assert abs(frobenius_norm(Matrix([[3.0, 4.0]])) - 5.0) < 1e-15
+    assert abs(frobenius_norm(np.array([[3.0, 4.0]])) - 5.0) < 1e-15

@@ -339,6 +339,9 @@ def test_state_validation():
                    refresh_interval=0)
     with pytest.raises(DimensionError):
         ReuseState(config=cfg, mode="kv", tau_layer=(0.1, 0.2))
+    with pytest.raises(TypeError):  # caches are not constructor arguments
+        ReuseState(config=cfg, mode="kv", tau_layer=(None,),
+                   delta=np.zeros((1, cfg.B), dtype=np.int64))
 
 
 def test_state_reset_block():
