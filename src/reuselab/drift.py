@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .linalg import _norm_is_safe, cosine, softmax_rows
+from .linalg import (
+    _SAFE_NORM_MAX,
+    _SAFE_NORM_MIN,
+    _norm_is_safe,
+    cosine,
+    softmax_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -84,29 +90,38 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_drift(cur, prev) -> np.ndarray:
     """Drift of every row pair: 1 - cosine(cur[i], prev[i]) as a vector.
 
-    Each finite entry is bitwise equal to ``drift_score(cur[i], prev[i])``;
-    the entry is inf where either row is exactly zero (drift undefined).
-    Rows whose plain norm would under- or overflow take the scalar path.
+    Each finite entry is bitwise equal to ``drift_score(cur[i], prev[i])``
+    for rows whose entries are adjacent in memory, as in the head-0 column
+    views the program passes (a strided row's dot, in ``drift_score``, can
+    round differently); the entry is inf where either row is exactly zero
+    (drift undefined). Rows whose plain norm would under- or overflow take
+    the scalar path.
     """
     cur = np.asarray(cur, dtype=np.float64)
     prev = np.asarray(prev, dtype=np.float64)
     if cur.ndim != 2 or cur.shape != prev.shape:
         raise DimensionError(
             f"query shape mismatch: {cur.shape} vs {prev.shape}")
-    zero = ~(cur.any(axis=1) & prev.any(axis=1))
+    both = np.concatenate((cur, prev))
+    n_rows = len(cur)
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
-        n_cur = np.sqrt(_row_dots(cur, cur))
-        n_prev = np.sqrt(_row_dots(prev, prev))
-        safe = _norm_is_safe(n_cur) & _norm_is_safe(n_prev)
-        c = _row_dots(cur / n_cur[:, None], prev / n_prev[:, None])
-    c = np.clip(c, -1.0, 1.0)
+        norms = np.sqrt(_row_dots(both, both))
+        unit = both / norms[:, None]
+        c = _row_dots(unit[:n_rows], unit[n_rows:])
+    np.clip(c, -1.0, 1.0, out=c)
     # As in cosine: bitwise-equal rows have cosine exactly 1.
     c[(cur == prev).all(axis=1)] = 1.0
     s = 1.0 - c
-    s[zero] = np.inf
-    for i in np.flatnonzero(~(safe | zero)):
-        s[i] = drift_score(cur[i], prev[i])
+    # A zero row has norm 0, so one range test on all norms finds every
+    # zero row as well as every row whose norm under- or overflowed.
+    if norms.size and not (_SAFE_NORM_MIN < norms.min()
+                           and norms.max() < _SAFE_NORM_MAX):
+        zero = ~(cur.any(axis=1) & prev.any(axis=1))
+        safe = _norm_is_safe(norms[:n_rows]) & _norm_is_safe(norms[n_rows:])
+        s[zero] = np.inf
+        for i in np.flatnonzero(~(safe | zero)):
+            s[i] = drift_score(cur[i], prev[i])
     return s
 
 

@@ -6,8 +6,10 @@ iteration so its tolerance and determinism are under our control.
 
 The array kernels (``softmax_rows``, ``normalize_rows_sqrt_d``, ``cosine``)
 operate on plain ``np.ndarray``; the model, drift and reuse code call them
-directly. ``cosine`` and ``normalize_rows_sqrt_d`` rescale by an exact
-power of two where a plain norm would under- or overflow.
+directly. Every routine that takes a Euclidean norm (the kernels above and
+the matrix norms below) rescales by an exact power of two where the plain
+norm would under- or overflow, and keeps the plain result bit for bit
+where it would not.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _power_of_two_scale(a: np.ndarray, axis=None) -> np.ndarray:
-    """Scale by the power of two that brings max |a| into [0.5, 1).
+def _power_of_two_scale(a: np.ndarray, axis=None):
+    """(a * 2**-e, e) for the power of two e that brings max |a| into
+    [0.5, 1), over the whole array or along ``axis`` (e keeps that axis).
 
     Exact, so directions are unchanged. Meant for nonzero finite input;
-    non-finite input comes back as it was.
+    zero and non-finite input come back as they were, with e = 0.
     """
     _, exp = np.frexp(np.abs(a).max(axis=axis, keepdims=axis is not None))
-    return np.ldexp(a, -exp)
+    return np.ldexp(a, -exp), exp
 
 
 def _norm_is_safe(norm):
@@ -85,9 +88,22 @@ def normalize_rows_sqrt_d(a: np.ndarray) -> np.ndarray:
         if not rows.any(axis=1).all():
             raise DegenerateInputError("cannot normalize a zero row")
         a = a.copy()
-        a[unsafe] = rows = _power_of_two_scale(rows, axis=1)
+        a[unsafe] = rows = _power_of_two_scale(rows, axis=1)[0]
         norms[unsafe] = np.linalg.norm(rows, axis=1)
     return a * (math.sqrt(a.shape[1]) / norms)[:, None]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row; a row whose plain norm would under- or
+    overflow is scaled exactly by a power of two first, and the power is
+    put back on its norm. Zero rows have norm 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    unsafe = ~_norm_is_safe(norms)
+    if unsafe.any():
+        rows, exp = _power_of_two_scale(a[unsafe], axis=1)
+        norms[unsafe] = np.ldexp(np.linalg.norm(rows, axis=1), exp[:, 0])
+    return norms
 
 
 def _scaled_with_norm(a: np.ndarray):
@@ -97,7 +113,7 @@ def _scaled_with_norm(a: np.ndarray):
         return a, norm
     if not a.any():
         raise DegenerateInputError("cosine of a zero vector is undefined")
-    a = _power_of_two_scale(a)
+    a = _power_of_two_scale(a)[0]
     return a, math.sqrt(a.dot(a))
 
 
@@ -137,6 +153,14 @@ def spectral_norm(m) -> float:
     a = _as_array(m)
     if a.size == 0:
         return 0.0
+    # The Gram matrix squares the entries: where that would under- or
+    # overflow, work on a * 2**-exp and scale sigma back at the end.
+    exp = 0
+    with np.errstate(over="ignore", under="ignore"):
+        unsafe = not _norm_is_safe(np.linalg.norm(a))
+    if unsafe and a.any():
+        a, e = _power_of_two_scale(a)
+        exp = int(e)
     # Work on the smaller Gram matrix of the two.
     g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
     n = g.shape[0]
@@ -152,9 +176,9 @@ def spectral_norm(m) -> float:
         v_new = w / nw
         lam_new = float(v_new @ (g @ v_new))
         if abs(lam_new - lam) <= _POWER_ITER_RTOL * max(lam_new, 1e-300):
-            return math.sqrt(max(lam_new, 0.0))
+            return math.ldexp(math.sqrt(max(lam_new, 0.0)), exp)
         v, lam = v_new, lam_new
-    return math.sqrt(max(lam, 0.0))
+    return math.ldexp(math.sqrt(max(lam, 0.0)), exp)
 
 
 def min_singular(m) -> float:
@@ -197,7 +221,7 @@ def norm_2_to_inf(m) -> float:
     a = _as_array(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, axis=1).max())
+    return float(_row_norms(a).max())
 
 
 def norm_2_to_1_upper(m) -> float:
@@ -209,9 +233,15 @@ def norm_2_to_1_upper(m) -> float:
     a = _as_array(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, axis=1).sum())
+    return float(_row_norms(a).sum())
 
 
 def frobenius_norm(m) -> float:
     """Frobenius norm (plumbing helper for the bound constants)."""
-    return float(np.linalg.norm(_as_array(m)))
+    a = _as_array(m)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(a)
+    if _norm_is_safe(norm) or not a.any():
+        return float(norm)
+    scaled, exp = _power_of_two_scale(a)
+    return float(np.ldexp(np.linalg.norm(scaled), exp))

@@ -4,12 +4,17 @@ Both mechanisms score each token's head-0 query drift between consecutive
 denoising steps and, where the drift is at most the layer threshold, splice
 the previous step's cached activations instead of recomputing:
 
-* kv mode keeps a hybrid key/value cache: refreshed rows are recomputed
-  from the current input, reused rows are copied forward from the cache
-  (stale rows stay stale, so staleness can exceed 1).
+* kv mode keeps a hybrid key/value cache: only refreshed rows are
+  projected from the current input, and they are written into the cache in
+  place; reused rows stay as cached (stale rows stay stale, so staleness
+  can exceed 1).
 * o mode computes Q/K/V fully but evaluates attention rows only for
-  refreshed tokens; reused rows are copied from the cached pre-projection
-  attention output, and W_O is applied after splicing.
+  refreshed tokens, written in place into the cached pre-projection
+  attention output whose other rows are reused; W_O is applied after
+  splicing.
+
+The caches are owned by ``ReuseState`` alone (nothing returned to a caller
+aliases them), which is what makes the in-place updates safe.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
 """
@@ -161,9 +166,10 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
                        ell: int, t: int):
     """One layer step with hybrid key/value reuse.
 
-    Queries are always fresh. Key/value rows of reused tokens are copied
-    from the cache (including rows that were themselves stale), the rest
-    are recomputed, and attention runs over the hybrid cache.
+    Queries are always fresh. Key/value rows of reused tokens stay as
+    cached (including rows that were themselves stale), only the refreshed
+    rows are projected, into the cache in place, and attention runs over
+    the hybrid cache.
 
     Returns:
         (o, decision): the post-W_O attention output and the slot decision.
@@ -176,16 +182,24 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     q0 = _head0(q, cfg.H)
     reused, eligible = _decide(state, ell, t, q0)
 
-    # Fresh rows are computed for every position and reused rows are then
-    # overwritten from the cache; only the refreshed rows' cost is charged
-    # by the cost model.
-    k = x_t @ lw.w_k
-    v = x_t @ lw.w_v
-    if reused.size:
-        k = k.copy()
-        v = v.copy()
-        k[reused] = state.prev_k[ell][reused]
-        v[reused] = state.prev_v[ell][reused]
+    refreshed = _complement(cfg.B, reused)
+    if not reused.size:
+        k = x_t @ lw.w_k
+        v = x_t @ lw.w_v
+    else:
+        # Only refreshed rows are projected, into the cache in place. A
+        # one-row product goes through gemv, whose bits differ from the
+        # gemm row of the full product, so one row is taken from the full
+        # product; from two rows on, a row subset's gemm gives the same bits.
+        k = state.prev_k[ell]
+        v = state.prev_v[ell]
+        if refreshed.size == 1:
+            k[refreshed] = (x_t @ lw.w_k)[refreshed]
+            v[refreshed] = (x_t @ lw.w_v)[refreshed]
+        elif refreshed.size:
+            x_r = x_t[refreshed]
+            k[refreshed] = x_r @ lw.w_k
+            v[refreshed] = x_r @ lw.w_v
     o_pre = attention_rows(q, k, v, cfg.H)
     o = o_pre @ lw.w_o
 
@@ -194,8 +208,8 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     state.prev_v[ell] = v
     state.delta[ell] = update_staleness(state.delta[ell], reused)
     decision = ReuseDecision(
-        layer=ell, step=t, reused=reused,
-        refreshed=_complement(cfg.B, reused), eligible=eligible,
+        layer=ell, step=t, reused=reused, refreshed=refreshed,
+        eligible=eligible,
         staleness_l2=float(np.linalg.norm(state.delta[ell])))
     return o, decision
 
@@ -220,7 +234,7 @@ def dare_o_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     refreshed = _complement(cfg.B, reused)
 
     if reused.size:
-        o_pre = state.prev_o_pre[ell].copy()
+        o_pre = state.prev_o_pre[ell]  # updated in place: no one else holds it
         if refreshed.size:
             o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
     else:

@@ -1,9 +1,11 @@
 """Blockwise masked-diffusion generation and the coupled paired sampler.
 
 ``diffusion_generate`` is the practical decode loop: all positions of a
-block start masked, every denoising step samples candidates for the still
-masked positions, and the highest-confidence candidates are committed
-(unmasked) until the block is fully resolved.
+block start masked, every denoising step samples candidates for all still
+masked positions in one batched draw (the same draws, bit for bit, as one
+inverse-CDF draw per position in position order), and the
+highest-confidence candidates are committed (unmasked) until the block is
+fully resolved.
 
 ``coupled_generate`` is the measurement loop: it evolves a reuse branch and
 a reuse-free reference branch in lockstep, resampling every position each
@@ -160,21 +162,30 @@ def maximal_coupling_sample(p, q, rng):
     return j, jhat
 
 
-def _sample_candidate(p: np.ndarray, temperature: float, rng):
-    """Sample one token; returns (token, confidence = model prob of it).
+def _sample_candidates(p: np.ndarray, temperature: float, rng):
+    """Sample one token per row of p; returns (tokens, confidences), where
+    a confidence is the model probability of the sampled token.
 
-    temperature 0 is greedy (no randomness consumed); otherwise the
-    distribution is reshaped as p^(1/temperature) in log space.
+    temperature 0 is greedy (no randomness consumed); otherwise each row is
+    reshaped as p^(1/temperature) in log space and drawn from by inverse
+    CDF with one ``rng.random`` value per row, in row order. Every step is
+    the row-wise form of one row's draw and gives the same bits:
+    ``rng.random(m)`` continues the stream as m scalar calls would, row
+    reductions and ``cumsum(axis=1)`` add in the 1-D order, and counting
+    ``cdf <= u`` is ``bisect_right`` on a nondecreasing CDF.
     """
+    rows = np.arange(p.shape[0])
     if temperature == 0.0:
-        j = int(np.argmax(p))
-        return j, float(p[j])
+        tokens = p.argmax(axis=1)
+        return tokens, p[rows, tokens]
     with np.errstate(divide="ignore"):
         z = np.log(p) / temperature
-    z -= z.max()
+    z -= z.max(axis=1, keepdims=True)
     w = np.exp(z)
-    j = _draw_index(w / w.sum(), rng)
-    return j, float(p[j])
+    cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    u = rng.random(p.shape[0]) * cdf[:, -1]
+    tokens = np.minimum((cdf <= u[:, None]).sum(axis=1), p.shape[1] - 1)
+    return tokens, p[rows, tokens]
 
 
 def _resolve_taus(drift_profile, L: int, mode: str):
@@ -232,12 +243,11 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                 break
             x = embed_tokens(weights, block)
             probs, decisions, q_head0 = model_step(weights, state, x, t)
+            m_idx = np.flatnonzero(masked)
             cand = np.full(cfg.B, -1, dtype=np.int64)
             conf = np.full(cfg.B, -np.inf)
-            for i in np.flatnonzero(masked):
-                cand[i], conf[i] = _sample_candidate(
-                    probs[i], config.temperature, rng)
-            m_idx = np.flatnonzero(masked)
+            cand[m_idx], conf[m_idx] = _sample_candidates(
+                probs[m_idx], config.temperature, rng)
             order = m_idx[np.argsort(-conf[m_idx], kind="stable")]
             chosen = order[:config.tokens_unmasked_per_step]
             input_copy = block.copy()

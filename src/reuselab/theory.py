@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,85 @@ def kv_step_constant(weights: ModelWeights, config: ModelConfig | None = None) -
     return math.sqrt(2.0) * cfg.B * prefactor
 
 
+class _StepBounds:
+    """The per-step reuse bounds of one model and config.
+
+    The weight-only constants (kappa_q, C_W, the o-mode scale and the
+    Frobenius norms) are computed on first use and then kept, so a caller
+    that evaluates many bounds for one model, as ``verify_run`` does, pays
+    for the norms once. Each bound's formula lives here only.
+    """
+
+    def __init__(self, weights: ModelWeights, config: ModelConfig | None) -> None:
+        self.weights = weights
+        self.cfg = _theory_config(weights, config)
+
+    @cached_property
+    def kappa_q(self) -> float:
+        return condition_kappa(self.weights.layers[0].w_q)
+
+    @cached_property
+    def C_W(self) -> float:
+        return kv_step_constant(self.weights, self.cfg)
+
+    @cached_property
+    def o_scale(self) -> float:
+        lw = self.weights.layers[0]
+        return (
+            norm_2_to_inf(self.weights.emb)
+            * spectral_norm(lw.w_d)
+            * G_SIGMA[self.cfg.activation]
+            * spectral_norm(lw.w_u)
+        )
+
+    @cached_property
+    def frobenius_ovkq(self) -> tuple:
+        """Frobenius norms of W_O, W_V, W_K and W_Q, in that order."""
+        lw = self.weights.layers[0]
+        return tuple(frobenius_norm(m) for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
+
+    def kv(self, tau: float | None, delta_l2: float) -> float:
+        if tau is None or tau == 0.0 or delta_l2 == 0.0:
+            return 0.0
+        if delta_l2 < 0.0:
+            raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
+        tt = tau_tilde(tau, self.cfg.d, self.kappa_q)
+        return self.C_W * math.sqrt(tt) * float(delta_l2)
+
+    def o_terms(self, displacement: float, delta) -> float:
+        cfg = _theory_config(self.weights, None)
+        if displacement < 0.0:
+            raise DegenerateInputError(
+                f"displacement must be >= 0, got {displacement}")
+        delta = np.asarray(delta)
+        if delta.shape != (cfg.B,):
+            raise DegenerateInputError(
+                f"delta must have one entry per block token ({cfg.B}), "
+                f"got {delta.shape}"
+            )
+        f_o, f_v, f_k, f_q = self.frobenius_ovkq
+        four = f_o * f_v * f_k * f_q
+        b = cfg.B
+        d = cfg.d
+        total = 0.0
+        for delta_i in delta:
+            if delta_i == 0:
+                continue
+            move = float(delta_i) * displacement
+            query_term = b * math.sqrt(d) * four * move
+            keys_term = math.sqrt(b * d) * four * math.sqrt(b) * move
+            values_term = f_o * f_v * math.sqrt(b) * move
+            total += query_term + keys_term + values_term
+        return total
+
+    def o(self, tau: float | None, delta) -> float:
+        delta = np.asarray(delta)
+        if tau is None or tau == 0.0 or not np.any(delta > 0):
+            return 0.0
+        tt = tau_tilde(tau, self.cfg.d, self.kappa_q)
+        return self.o_scale * self.o_terms(math.sqrt(2.0 * tt), delta)
+
+
 def kv_step_bound(
     weights: ModelWeights,
     config: ModelConfig | None,
@@ -117,14 +197,7 @@ def kv_step_bound(
     """Bound on the summed per-token L1 output gap opened by one step of
     key/value reuse with staleness vector of Euclidean norm ``delta_l2``.
     """
-    cfg = _theory_config(weights, config)
-    if tau is None or tau == 0.0 or delta_l2 == 0.0:
-        return 0.0
-    if delta_l2 < 0.0:
-        raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
-    kappa = condition_kappa(weights.layers[0].w_q)
-    tt = tau_tilde(tau, cfg.d, kappa)
-    return kv_step_constant(weights, cfg) * math.sqrt(tt) * float(delta_l2)
+    return _StepBounds(weights, config).kv(tau, delta_l2)
 
 
 def o_step_terms(
@@ -140,32 +213,7 @@ def o_step_terms(
     ``displacement``; the keys/values terms spread that movement across the
     whole block, hence the extra sqrt(B) factors.
     """
-    cfg = _theory_config(weights, None)
-    lw = weights.layers[0]
-    if displacement < 0.0:
-        raise DegenerateInputError(f"displacement must be >= 0, got {displacement}")
-    delta = np.asarray(delta)
-    if delta.shape != (cfg.B,):
-        raise DegenerateInputError(
-            f"delta must have one entry per block token ({cfg.B}), got {delta.shape}"
-        )
-    f_o = frobenius_norm(lw.w_o)
-    f_v = frobenius_norm(lw.w_v)
-    f_k = frobenius_norm(lw.w_k)
-    f_q = frobenius_norm(lw.w_q)
-    four = f_o * f_v * f_k * f_q
-    b = cfg.B
-    d = cfg.d
-    total = 0.0
-    for delta_i in delta:
-        if delta_i == 0:
-            continue
-        move = float(delta_i) * displacement
-        query_term = b * math.sqrt(d) * four * move
-        keys_term = math.sqrt(b * d) * four * math.sqrt(b) * move
-        values_term = f_o * f_v * math.sqrt(b) * move
-        total += query_term + keys_term + values_term
-    return total
+    return _StepBounds(weights, None).o_terms(displacement, delta)
 
 
 def o_step_bound(
@@ -177,20 +225,7 @@ def o_step_bound(
     """Bound on the summed per-token L1 output gap opened by one step of
     attention-output reuse with per-token staleness counts ``delta``.
     """
-    cfg = _theory_config(weights, config)
-    delta = np.asarray(delta)
-    if tau is None or tau == 0.0 or not np.any(delta > 0):
-        return 0.0
-    lw = weights.layers[0]
-    kappa = condition_kappa(lw.w_q)
-    tt = tau_tilde(tau, cfg.d, kappa)
-    scale = (
-        norm_2_to_inf(weights.emb)
-        * spectral_norm(lw.w_d)
-        * G_SIGMA[cfg.activation]
-        * spectral_norm(lw.w_u)
-    )
-    return scale * o_step_terms(weights, math.sqrt(2.0 * tt), delta)
+    return _StepBounds(weights, config).o(tau, delta)
 
 
 def cumulative_series(G: float, per_step_bounds) -> np.ndarray:
@@ -320,6 +355,7 @@ def verify_run(
     gaps = np.zeros((trials, T))
     embed_errors = np.zeros((trials, T + 1))
     violations = 0
+    step_bounds = _StepBounds(weights, cfg)
 
     for k in range(trials):
         trial_config = dataclasses.replace(run_config, seed=int(trial_seeds[k]))
@@ -333,9 +369,9 @@ def verify_run(
         )
         for t in range(T):
             if mode == "kv":
-                b = kv_step_bound(weights, cfg, tau, pair.per_step_delta_l2[t])
+                b = step_bounds.kv(tau, pair.per_step_delta_l2[t])
             else:
-                b = o_step_bound(weights, cfg, tau, pair.per_step_delta[t][0])
+                b = step_bounds.o(tau, pair.per_step_delta[t][0])
             if debug_zero_bounds:
                 b = 0.0
             bounds[k, t] = b
@@ -363,12 +399,12 @@ def verify_run(
         if l1 > linf + SOFTMAX_CHECK_SLACK:
             violations += 1
 
-    kappa = condition_kappa(weights.layers[0].w_q)
+    kappa = step_bounds.kappa_q
     return TheoryReport(
         G=G,
         kappa_q=kappa,
         tau_tilde=tau_tilde(0.0 if tau is None else tau, cfg.d, kappa),
-        C_W=kv_step_constant(weights, cfg),
+        C_W=step_bounds.C_W,
         mode=mode,
         tau=tau,
         trials=trials,

@@ -5,6 +5,7 @@ Jacobi SVD written here in the test, so library and oracle share no code
 path.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -339,3 +340,53 @@ def test_norm_2_to_1_upper_dominates_random_unit_vectors():
 
 def test_frobenius_norm_simple():
     assert abs(frobenius_norm(np.array([[3.0, 4.0]])) - 5.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# matrix norms at float64 extremes
+# ---------------------------------------------------------------------------
+
+MATRIX_NORMS = (norm_2_to_inf, norm_2_to_1_upper, frobenius_norm,
+                spectral_norm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", MATRIX_NORMS)
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e160, 1e200,
+                                   1e300])
+def test_matrix_norms_at_float64_extremes(norm, scale):
+    # One row [s, s]: every one of these norms is sqrt(2) * s.
+    got = norm(np.array([[scale, scale]]))
+    assert got == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_matrix_norms_of_mixed_magnitudes():
+    # Rows far apart in scale: each row norm comes out whole.
+    approx = functools.partial(pytest.approx, rel=1e-15)
+    a = np.array([[3e200, 4e200], [3e-170, 4e-170], [5e-324, 0.0]])
+    assert norm_2_to_inf(a) == approx(5e200)
+    assert norm_2_to_1_upper(a) == approx(5e200)
+    assert frobenius_norm(a) == approx(5e200)
+    assert spectral_norm(a) == pytest.approx(5e200, rel=1e-10)
+    tiny = np.array([[3e-170, 0.0], [0.0, 4e-170], [5e-324, 0.0]])
+    assert norm_2_to_inf(tiny) == approx(4e-170)
+    assert norm_2_to_1_upper(tiny) == approx(7e-170)
+    assert frobenius_norm(tiny) == approx(5e-170)
+    assert spectral_norm(tiny) == pytest.approx(4e-170, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", MATRIX_NORMS)
+def test_matrix_norms_of_zero_matrix(norm):
+    assert norm(np.zeros((3, 2))) == 0.0
+
+
+def test_matrix_norms_keep_plain_bits_in_safe_range():
+    rng = np.random.default_rng(8)
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        a = rng.standard_normal((7, 5)) * scale
+        rows = np.linalg.norm(a, axis=1)
+        assert norm_2_to_inf(a) == float(rows.max())
+        assert norm_2_to_1_upper(a) == float(rows.sum())
+        assert frobenius_norm(a) == float(np.linalg.norm(a))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from reuselab import sampler
+from reuselab.drift import DriftProfile
 from reuselab.errors import ConfigError, DimensionError, StateError
 from reuselab.model import (
     ModelConfig,
@@ -252,6 +254,108 @@ def test_o_fresh_rows_see_fresh_keys():
                                   x_cur @ lw.w_v, [0, 2])
     assert np.max(np.abs(state.prev_o_pre[0][0] - fresh[0])) < 1e-12
     assert np.max(np.abs(state.prev_o_pre[0][2] - fresh[2])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# in-place caches at benchmark size
+# ---------------------------------------------------------------------------
+
+MID = ModelConfig(L=4, H=2, d=64, d_int=128, n_vocab=32, B=32,
+                  activation="relu", seed=1)
+
+
+def changing_inputs(w, n_changed, n_steps, seed):
+    """Embedded blocks where each step changes the tokens at n_changed
+    random positions and keeps the rest."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, MID.n_vocab, MID.B)
+    xs = [embed_tokens(w, tokens)]
+    for _ in range(1, n_steps):
+        tokens = tokens.copy()
+        idx = rng.choice(MID.B, n_changed, replace=False)
+        tokens[idx] = (tokens[idx]
+                       + rng.integers(1, MID.n_vocab, n_changed)) % MID.n_vocab
+        xs.append(embed_tokens(w, tokens))
+    return xs
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# tau 0 reuses exactly the unchanged rows, so every step after the first
+# refreshes n_changed rows; one row is the gemv case, two or more gemm.
+@pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
+def test_kv_cache_rows_are_bitwise_source_projections(n_changed):
+    w = init_weights(MID)
+    state = ReuseState(config=MID, mode="kv", tau_layer=(0.0,) * MID.L,
+                       refresh_interval=100)
+    xs = changing_inputs(w, n_changed, 4, seed=n_changed)
+    rows = np.arange(MID.B)
+    for t, x in enumerate(xs):
+        for ell, lw in enumerate(w.layers):
+            _, decision = dare_kv_layer_step(lw, x, state, ell, t)
+            if t:
+                assert decision.refreshed_count == n_changed
+            source = t - state.delta[ell]
+            want_k = np.stack([xs[s] @ lw.w_k for s in range(t + 1)])
+            want_v = np.stack([xs[s] @ lw.w_v for s in range(t + 1)])
+            assert np.array_equal(bits(state.prev_k[ell]),
+                                  bits(want_k[source, rows]))
+            assert np.array_equal(bits(state.prev_v[ell]),
+                                  bits(want_v[source, rows]))
+
+
+@pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
+def test_o_reused_rows_are_bitwise_cached_rows(n_changed):
+    w = init_weights(MID)
+    state = ReuseState(config=MID, mode="o", tau_layer=(0.0,) * MID.L,
+                       refresh_interval=100)
+    for t, x in enumerate(changing_inputs(w, n_changed, 4, seed=n_changed)):
+        for ell, lw in enumerate(w.layers):
+            cached = None if t == 0 else state.prev_o_pre[ell].copy()
+            o, decision = dare_o_layer_step(lw, x, state, ell, t)
+            o_pre = state.prev_o_pre[ell]
+            assert np.array_equal(bits(o), bits(o_pre @ lw.w_o))
+            if t:
+                assert decision.refreshed_count == n_changed
+                r = decision.reused
+                assert np.array_equal(bits(o_pre[r]), bits(cached[r]))
+
+
+@pytest.mark.parametrize("mode", ["full", "kv", "o"])
+def test_trace_steps_are_not_changed_by_later_steps(mode, monkeypatch):
+    # The caches are updated in place; nothing a step hands to the trace
+    # may alias them.
+    w = init_weights(MID)
+    fed_tokens, step_queries = [], []
+
+    def recording_embed(weights, tokens):
+        fed_tokens.append(np.array(tokens))
+        return embed_tokens(weights, tokens)
+
+    def recording_step(weights, state, x, t):
+        out = model_step(weights, state, x, t)
+        step_queries.append([q.copy() for q in out[2]])
+        return out
+
+    monkeypatch.setattr(sampler, "embed_tokens", recording_embed)
+    monkeypatch.setattr(sampler, "model_step", recording_step)
+    profile = None if mode == "full" else DriftProfile(
+        s_layer=(0.0,) * MID.L, phi_layer=(1.0,) * MID.L,
+        tau_layer=(0.002,) * MID.L, phi_bar=1.0, epsilon=1.0)
+    sc = sampler.SamplerConfig(gen_length=2 * MID.B, block_size=MID.B,
+                               steps_per_block=MID.B // 2,
+                               tokens_unmasked_per_step=2, temperature=1.0,
+                               seed=3)
+    _, trace = sampler.diffusion_generate(w, sc, profile, mode)
+    assert len(trace.records) == len(fed_tokens) == len(step_queries)
+    if mode != "full":
+        assert sum(d.reused_count for d in trace.decisions_flat()) > 0
+    for rec, tokens, queries in zip(trace.records, fed_tokens, step_queries):
+        assert np.array_equal(rec.input_tokens, tokens)
+        for got, want in zip(rec.q_head0, queries):
+            assert np.array_equal(bits(got), bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Tests for the decode loop and the coupled paired sampler."""
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuselab.drift import DriftProfile, drift_score
 from reuselab.errors import ConfigError, DegenerateInputError, DimensionError
@@ -9,6 +14,7 @@ from reuselab.model import ModelConfig, init_weights
 from reuselab.sampler import (
     CoupledPair,
     SamplerConfig,
+    _sample_candidates,
     coupled_generate,
     diffusion_generate,
     maximal_coupling_sample,
@@ -157,6 +163,122 @@ def test_coupling_draw_stream_is_pinned():
         for name, (a, b) in (("equal", (p, p.copy())), ("differ", differ)):
             got = [maximal_coupling_sample(a, b, rng) for _ in range(12)]
             assert got == PINNED_COUPLING_DRAWS[n, name], (n, name)
+
+
+# ---------------------------------------------------------------------------
+# batched candidate draws
+# ---------------------------------------------------------------------------
+
+def scalar_candidate(p, temperature, rng):
+    """The per-position draw the decode loop made before draws were
+    batched: one inverse-CDF draw on Python floats per masked row."""
+    if temperature == 0.0:
+        j = int(np.argmax(p))
+        return j, float(p[j])
+    with np.errstate(divide="ignore"):
+        z = np.log(p) / temperature
+    z -= z.max()
+    w = np.exp(z)
+    weights = w / w.sum()
+    cdf = list(accumulate(weights.tolist()))
+    j = min(bisect_right(cdf, rng.random() * cdf[-1]), weights.size - 1)
+    return j, float(p[j])
+
+
+def candidate_rows(rng, m, V):
+    """m probability rows over V tokens: softmax rows at random scales,
+    rows with exact zeros, one-hot rows and rows with tied maxima."""
+    rows = np.empty((m, V))
+    for i in range(m):
+        w = np.exp(rng.standard_normal(V) * 10.0 ** rng.uniform(-1.0, 1.5))
+        kind = rng.integers(4)
+        if kind == 1:
+            w[rng.random(V) < 0.5] = 0.0
+            w[rng.integers(V)] = 1.0
+        elif kind == 2:
+            w = np.zeros(V)
+            w[rng.integers(V)] = 1.0
+        elif kind == 3:
+            w[rng.choice(V, size=rng.integers(2, V + 1), replace=False)] = \
+                w.max()
+        rows[i] = w / w.sum()
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(2, 300),
+       st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.integers(0, 2 ** 32 - 1))
+def test_batched_candidates_match_scalar_draws(m, V, temperature, seed):
+    probs = candidate_rows(np.random.default_rng(seed), m, V)
+    rng_ref = np.random.default_rng(seed + 1)
+    want = [scalar_candidate(p, temperature, rng_ref) for p in probs]
+    rng = np.random.default_rng(seed + 1)
+    tokens, conf = _sample_candidates(probs, temperature, rng)
+    assert tokens.tolist() == [j for j, _ in want]
+    assert np.array_equal(conf.view(np.int64),
+                          np.array([c for _, c in want]).view(np.int64))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+PIN_CONFIGS = {
+    "default": ModelConfig(),
+    "l2h2-gelu": ModelConfig(L=2, H=2, d=16, d_int=32, B=8,
+                             activation="gelu", seed=1),
+}
+
+# Two blocks per decode, one token committed per step, seed 5, flat tau
+# 0.05; recorded before candidate draws were batched. Each entry is the
+# final token sequence and, for kv and o, the reused count of every
+# (step, layer) slot in step order.
+PINNED_DECODES = {
+    ("default", 1.0, "full"): ([1, 12, 31, 9, 2, 26, 20, 31], None),
+    ("default", 1.0, "kv"): ([1, 12, 31, 9, 2, 26, 20, 31],
+                             [0, 3, 0, 3, 0, 4, 0, 3]),
+    ("default", 1.0, "o"): ([1, 31, 12, 9, 2, 26, 20, 31],
+                            [0, 3, 0, 3, 0, 4, 0, 3]),
+    ("default", 0.7, "full"): ([1, 31, 16, 12, 2, 26, 20, 31], None),
+    ("default", 0.7, "kv"): ([1, 31, 16, 12, 2, 26, 20, 31],
+                             [0, 3, 0, 3, 0, 4, 0, 3]),
+    ("default", 0.7, "o"): ([1, 31, 16, 12, 4, 26, 20, 31],
+                            [0, 3, 0, 3, 0, 4, 0, 3]),
+    ("l2h2-gelu", 1.0, "full"): (
+        [27, 9, 15, 0, 27, 11, 29, 0, 27, 20, 25, 23, 4, 0, 13, 16], None),
+    ("l2h2-gelu", 1.0, "kv"): (
+        [0, 10, 10, 16, 29, 6, 16, 0, 27, 20, 24, 23, 20, 0, 25, 13],
+        [0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 3, 0, 0, 7, 2,
+         0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 1, 0, 0, 7, 3]),
+    ("l2h2-gelu", 1.0, "o"): (
+        [0, 10, 10, 16, 29, 6, 16, 0, 27, 25, 24, 23, 20, 0, 12, 13],
+        [0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7,
+         0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7]),
+    ("l2h2-gelu", 0.7, "full"): (
+        [27, 0, 15, 0, 17, 27, 12, 27, 27, 27, 20, 5, 4, 0, 25, 16], None),
+    ("l2h2-gelu", 0.7, "kv"): (
+        [27, 0, 10, 15, 17, 11, 16, 0, 27, 27, 20, 5, 4, 0, 25, 16],
+        [0, 0, 7, 8, 0, 0, 7, 6, 0, 0, 7, 3, 0, 0, 7, 3,
+         0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 1, 0, 0, 7, 4]),
+    ("l2h2-gelu", 0.7, "o"): (
+        [27, 0, 10, 15, 17, 12, 16, 0, 27, 27, 20, 5, 4, 0, 25, 16],
+        [0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7,
+         0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DECODES))
+def test_decode_stream_is_pinned(key):
+    name, temperature, mode = key
+    cfg = PIN_CONFIGS[name]
+    w = init_weights(cfg)
+    sc = SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
+                       steps_per_block=cfg.B, tokens_unmasked_per_step=1,
+                       temperature=temperature, seed=5)
+    profile = None if mode == "full" else flat_profile(0.05, L=cfg.L)
+    tokens, trace = diffusion_generate(w, sc, profile, mode)
+    want_tokens, want_reused = PINNED_DECODES[key]
+    assert tokens.tolist() == want_tokens
+    if want_reused is not None:
+        assert [d.reused_count for d in trace.decisions_flat()] \
+            == want_reused
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the closed-form reuse error bounds and the verify harness."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from reuselab import theory
 from reuselab.drift import DriftProfile
 from reuselab.errors import ConfigError, DegenerateInputError, RegimeError
 from reuselab.linalg import condition_kappa
@@ -368,6 +370,34 @@ def test_verify_run_is_deterministic():
     payload = json.loads(a.to_json())
     assert payload["violations"] == 0
     assert len(payload["per_step_bound"]) == 4
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
+    # kappa_q and the spectral norms depend on the weights only, so their
+    # count must not grow with the number of trials.
+    _, w = theory_model()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(theory, "condition_kappa",
+                        counted("kappa", theory.condition_kappa))
+    monkeypatch.setattr(theory, "spectral_norm",
+                        counted("spectral", theory.spectral_norm))
+    counts = []
+    for trials in (2, 6):
+        calls.clear()
+        report = verify_run(w, run_config(seed=23), flat_profile(0.05), mode,
+                            trials=trials)
+        assert max(report.per_step_bound) > 0.0
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["kappa"] == 1
 
 
 def test_verify_run_report_rows_align_with_series():
