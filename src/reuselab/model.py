@@ -10,8 +10,9 @@ residual connections:
     p_i = Softmax(h_i E^T)
 
 The input X is the row-normalized embedding of the current token string
-(every row has norm sqrt(d)); for L > 1 the hidden output of each layer
-feeds the next one unchanged and the last layer's H produces the logits.
+(every row has norm sqrt(d); rows are gathered from a table normalized once
+per model); for L > 1 the hidden output of each layer feeds the next one
+unchanged and the last layer's H produces the logits.
 
 Weights are persisted in a small self-describing binary format, see
 ``save_weights`` / ``load_weights``.
@@ -19,13 +20,13 @@ Weights are persisted in a small self-describing binary format, see
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DegenerateInputError, DimensionError, FormatError
 from .linalg import norm_2_to_inf, normalize_rows_sqrt_d, softmax_rows
@@ -108,6 +109,21 @@ class ModelWeights:
     mask_token: int
     r_emb: float
 
+    @functools.cached_property
+    def _input_table(self):
+        """(table, zero rows): ``emb`` with every row normalized to norm
+        sqrt(d), read-only, and the indices of its exactly-zero rows, which
+        ``embed_tokens`` refuses. Normalization works row by row, so a
+        gathered row has the bits of normalizing that row alone."""
+        zero_rows = np.flatnonzero(~self.emb.any(axis=1))
+        rows = self.emb
+        if zero_rows.size:
+            rows = rows.copy()
+            rows[zero_rows] = 1.0  # placeholder; never handed out
+        table = normalize_rows_sqrt_d(rows)
+        table.flags.writeable = False
+        return table, zero_rows
+
 
 @dataclass
 class LayerActivations:
@@ -132,10 +148,14 @@ class LayerActivations:
         return a[:, head * dh:(head + 1) * dh]
 
 
+@functools.cache
 def activation_fn(kind: str):
+    """The activation function of one kind, built once. scipy is imported
+    only for GELU, so ReLU models never pay for it."""
     if kind == "relu":
         return lambda a: np.maximum(a, 0.0)
     if kind == "gelu":
+        from scipy.special import erf
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         return lambda a: a * 0.5 * (1.0 + erf(a * inv_sqrt2))
     raise DimensionError(f"unknown activation {kind!r}")
@@ -183,6 +203,10 @@ def embed_tokens(weights: ModelWeights, tokens) -> np.ndarray:
 
     Every output row has Euclidean norm sqrt(d). Masked positions simply
     carry the mask token's index.
+
+    Raises:
+        DegenerateInputError: if an index is out of range or names an
+            exactly-zero embedding row.
     """
     idx = np.asarray(tokens, dtype=np.int64)
     if idx.ndim != 1:
@@ -192,21 +216,34 @@ def embed_tokens(weights: ModelWeights, tokens) -> np.ndarray:
         raise DegenerateInputError(
             f"token index out of range [0, {n_vocab})"
         )
-    return normalize_rows_sqrt_d(weights.emb[idx])
+    table, zero_rows = weights._input_table
+    if zero_rows.size and np.isin(idx, zero_rows).any():
+        raise DegenerateInputError("cannot normalize a zero row")
+    return table[idx]
 
 
 def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
                    n_heads: int) -> np.ndarray:
     """Pre-W_O attention output for the given query rows against a full
-    key/value set, head by head."""
-    d = k.shape[1]
+    key/value set.
+
+    All heads go through one stacked product: the heads are strided views
+    of the same columns a per-head slice would take, so every head's
+    product is the same BLAS call on the same memory, and the softmax
+    keeps ``softmax_rows``' order of operations (max shift, exp, sum,
+    divide). The result is bitwise the per-head computation.
+    """
+    n, d = q_rows.shape
     dh = d // n_heads
-    out = np.empty((q_rows.shape[0], d))
-    for h in range(n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = (q_rows[:, cols] @ k[:, cols].T) / math.sqrt(dh)
-        out[:, cols] = softmax_rows(scores) @ v[:, cols]
-    return out
+    q = q_rows.reshape(n, n_heads, dh).transpose(1, 0, 2)      # H x n x dh
+    k_t = k.reshape(-1, n_heads, dh).transpose(1, 2, 0)        # H x dh x B
+    v_h = v.reshape(-1, n_heads, dh).transpose(1, 0, 2)        # H x B x dh
+    scores = q @ k_t
+    scores /= math.sqrt(dh)
+    scores -= scores.max(axis=2, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=2, keepdims=True)
+    return (scores @ v_h).transpose(1, 0, 2).reshape(n, d)
 
 
 def mlp(lw: LayerWeights, o: np.ndarray, activation: str) -> np.ndarray:

@@ -21,6 +21,7 @@ Step 0 of a block and gated (layer, step) slots always recompute in full.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,10 @@ from .errors import ConfigError, DimensionError, StateError
 from .model import LayerWeights, ModelConfig, attention_rows, mlp, unembed
 
 MODES = ("full", "kv", "o")
+
+# Shared by every decision that reuses nothing; never written to.
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class ReuseState:
     """Single-owner mutable state of one generation (one block at a time).
 
     Caches are per layer; entries are None until the layer has run once.
+    ``all_rows`` is the read-only index array 0..B-1 that decisions
+    refreshing every row share.
     """
 
     config: ModelConfig
@@ -84,6 +91,7 @@ class ReuseState:
     prev_v: list = field(init=False)
     prev_o_pre: list = field(init=False)
     delta: np.ndarray = field(init=False)
+    all_rows: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -96,6 +104,8 @@ class ReuseState:
             raise DimensionError(
                 f"tau_layer has {len(self.tau_layer)} entries for "
                 f"{self.config.L} layers")
+        self.all_rows = np.arange(self.config.B, dtype=np.int64)
+        self.all_rows.flags.writeable = False
         self.reset_block()
 
     def reset_block(self) -> None:
@@ -126,23 +136,36 @@ def gate(layer: int, step: int, skip_first_layers: int,
 
 
 def update_staleness(delta_row: np.ndarray, reused) -> np.ndarray:
-    """Consecutive-reuse counters: reused tokens age by one, refreshed
-    tokens drop to zero."""
-    out = np.zeros_like(np.asarray(delta_row, dtype=np.int64))
-    idx = np.asarray(reused, dtype=np.int64)
-    if idx.size:
-        out[idx] = np.asarray(delta_row, dtype=np.int64)[idx] + 1
-    return out
+    """Consecutive-reuse counters, updated in place: reused tokens age by
+    one, refreshed tokens drop to zero.
+
+    ``delta_row`` is an int64 row; ``reused`` indexes it (an index array
+    or a boolean mask). Returns ``delta_row``.
+    """
+    aged = delta_row[reused] + 1
+    delta_row[:] = 0
+    delta_row[reused] = aged
+    return delta_row
 
 
 def _head0(q: np.ndarray, n_heads: int) -> np.ndarray:
     return q[:, : q.shape[1] // n_heads]
 
 
-def _complement(n: int, idx: np.ndarray) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False
-    return np.flatnonzero(mask)
+def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
+    """Age layer ell's staleness row in place for one slot.
+
+    One boolean mask of the reused rows drives both the staleness update
+    and the refreshed set. Returns (refreshed rows, norm of the row).
+    """
+    row = state.delta[ell]
+    if not reused.size:
+        row[:] = 0
+        return state.all_rows, 0.0
+    mask = np.zeros(row.size, dtype=bool)
+    mask[reused] = True
+    update_staleness(row, mask)
+    return np.flatnonzero(~mask), math.sqrt(row.dot(row))
 
 
 def _decide(state: ReuseState, ell: int, t: int,
@@ -150,7 +173,7 @@ def _decide(state: ReuseState, ell: int, t: int,
     """Reuse set for this slot (empty unless gated on with prior state)."""
     eligible = gate(ell, t, state.skip_first_layers, state.refresh_interval)
     if not eligible:
-        return np.empty(0, dtype=np.int64), False
+        return _NO_ROWS, False
     reused = reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
     return reused, True
 
@@ -181,21 +204,24 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     q = x_t @ lw.w_q
     q0 = _head0(q, cfg.H)
     reused, eligible = _decide(state, ell, t, q0)
+    refreshed, staleness_l2 = _age_staleness(state, ell, reused)
 
-    refreshed = _complement(cfg.B, reused)
     if not reused.size:
         k = x_t @ lw.w_k
         v = x_t @ lw.w_v
     else:
         # Only refreshed rows are projected, into the cache in place. A
         # one-row product goes through gemv, whose bits differ from the
-        # gemm row of the full product, so one row is taken from the full
-        # product; from two rows on, a row subset's gemm gives the same bits.
+        # gemm row of the full product, so one row i is taken from the
+        # two-row gemm of rows i and i + 1 (mod B); from two rows on, a row
+        # subset's gemm gives the same bits as the full product.
         k = state.prev_k[ell]
         v = state.prev_v[ell]
         if refreshed.size == 1:
-            k[refreshed] = (x_t @ lw.w_k)[refreshed]
-            v[refreshed] = (x_t @ lw.w_v)[refreshed]
+            i = refreshed[0]
+            x_r = x_t[[i, (i + 1) % cfg.B]]
+            k[i] = (x_r @ lw.w_k)[0]
+            v[i] = (x_r @ lw.w_v)[0]
         elif refreshed.size:
             x_r = x_t[refreshed]
             k[refreshed] = x_r @ lw.w_k
@@ -206,11 +232,9 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     state.prev_q_head0[ell] = q0
     state.prev_k[ell] = k
     state.prev_v[ell] = v
-    state.delta[ell] = update_staleness(state.delta[ell], reused)
     decision = ReuseDecision(
         layer=ell, step=t, reused=reused, refreshed=refreshed,
-        eligible=eligible,
-        staleness_l2=float(np.linalg.norm(state.delta[ell])))
+        eligible=eligible, staleness_l2=staleness_l2)
     return o, decision
 
 
@@ -231,7 +255,7 @@ def dare_o_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     v = x_t @ lw.w_v
     q0 = _head0(q, cfg.H)
     reused, eligible = _decide(state, ell, t, q0)
-    refreshed = _complement(cfg.B, reused)
+    refreshed, staleness_l2 = _age_staleness(state, ell, reused)
 
     if reused.size:
         o_pre = state.prev_o_pre[ell]  # updated in place: no one else holds it
@@ -243,11 +267,9 @@ def dare_o_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
 
     state.prev_q_head0[ell] = q0
     state.prev_o_pre[ell] = o_pre
-    state.delta[ell] = update_staleness(state.delta[ell], reused)
     decision = ReuseDecision(
         layer=ell, step=t, reused=reused, refreshed=refreshed,
-        eligible=eligible,
-        staleness_l2=float(np.linalg.norm(state.delta[ell])))
+        eligible=eligible, staleness_l2=staleness_l2)
     return o, decision
 
 
@@ -262,9 +284,8 @@ def full_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     o = o_pre @ lw.w_o
     state.prev_q_head0[ell] = _head0(q, cfg.H)
     decision = ReuseDecision(
-        layer=ell, step=t, reused=np.empty(0, dtype=np.int64),
-        refreshed=np.arange(cfg.B, dtype=np.int64), eligible=False,
-        staleness_l2=0.0)
+        layer=ell, step=t, reused=_NO_ROWS, refreshed=state.all_rows,
+        eligible=False, staleness_l2=0.0)
     return o, decision
 
 
@@ -370,9 +391,9 @@ def simulate_reuse_counterfactual(scores, tau_layer, skip_first_layers: int,
                 s = np.asarray(scores[t][ell], dtype=np.float64)
                 reused = np.flatnonzero(s <= tau)
             else:
-                reused = np.empty(0, dtype=np.int64)
+                reused = _NO_ROWS
             reused_per_slot[t, ell] = reused.size
-            delta[ell] = update_staleness(delta[ell], reused)
+            update_staleness(delta[ell], reused)
         delta_l2[t] = float(np.linalg.norm(delta.astype(np.float64)))
     return CounterfactualReuse(
         reused_per_slot=reused_per_slot,

@@ -44,7 +44,8 @@ class SamplerConfig:
         if min(self.gen_length, self.block_size, self.steps_per_block,
                self.tokens_unmasked_per_step) < 1:
             raise ConfigError("all sampler counts must be >= 1")
-        if self.temperature < 0.0:
+        # Negated so that NaN, for which every comparison is False, fails.
+        if not self.temperature >= 0.0:
             raise ConfigError("temperature must be >= 0")
         if self.gen_length % self.block_size != 0:
             raise ConfigError("gen_length must be a multiple of block_size")

@@ -9,11 +9,15 @@ and byte-level comparison of rerun outputs.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reuselab
 from reuselab.analysis import read_csv_with_metadata
 from reuselab.cli import RunConfig, main
 from reuselab.drift import allocate_quantiles, quantile_threshold
@@ -365,6 +369,26 @@ class TestConfigPlumbing:
         config = RunConfig.default()
         again = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again == config
+
+    def test_nan_temperature_in_config_file_fails(self, workdir, capsys):
+        data = write_config("cfg.json")
+        data["sampler"]["temperature"] = float("nan")
+        Path("cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        assert "NaN" in Path("cfg.json").read_text(encoding="utf-8")
+        assert run("init-model", "--config", "cfg.json") == 2
+        assert "temperature" in capsys.readouterr().err
+        assert not Path("model.dare").exists()
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is needed for GELU models only and is imported on first use.
+        src = str(Path(reuselab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, reuselab.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_mismatched_weights_are_rejected(self, workdir):
         write_config("cfg.json", seed=1)

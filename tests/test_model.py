@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuselab.errors import DegenerateInputError, DimensionError, FormatError
-from reuselab.linalg import condition_kappa
+from reuselab.linalg import condition_kappa, normalize_rows_sqrt_d, softmax_rows
 from reuselab.model import (
     LayerActivations,
     ModelConfig,
+    attention_rows,
     embed_tokens,
     forward_full,
     init_weights,
@@ -153,6 +156,74 @@ def test_embed_tokens_rejects_out_of_range():
         embed_tokens(w, [0, 99])
     with pytest.raises(DegenerateInputError):
         embed_tokens(w, [-1])
+
+
+@pytest.mark.parametrize("d, scale", [(4, 1.0), (64, 1.0), (8, 1e-170),
+                                      (8, 1e170)])
+def test_embed_tokens_rows_are_bitwise_row_normalization(d, scale):
+    # The table is normalized once; each gathered row must have the bits
+    # of normalizing just that row, including rows rescaled at the
+    # float64 extremes.
+    cfg = ModelConfig(d=d, d_int=8, n_vocab=16, seed=4)
+    w = init_weights(cfg)
+    w = dataclasses.replace(w, emb=w.emb * scale)
+    idx = np.random.default_rng(d).integers(0, cfg.n_vocab, 40)
+    for tokens in (idx, idx[:1], np.arange(cfg.n_vocab)):
+        got = embed_tokens(w, tokens)
+        want = normalize_rows_sqrt_d(w.emb[tokens])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # Callers own what they get: writing to it leaves the table alone.
+    got[:] = 0.0
+    assert np.array_equal(embed_tokens(w, idx), normalize_rows_sqrt_d(w.emb[idx]))
+
+
+def test_embed_tokens_zero_row_fails_only_when_embedded():
+    w = init_weights(small_config())
+    emb = w.emb.copy()
+    emb[3] = 0.0
+    w = dataclasses.replace(w, emb=emb)
+    x = embed_tokens(w, [0, 2, 4, 11])
+    assert np.array_equal(x, normalize_rows_sqrt_d(emb[[0, 2, 4, 11]]))
+    with pytest.raises(DegenerateInputError):
+        embed_tokens(w, [0, 3])
+    with pytest.raises(DegenerateInputError):
+        embed_tokens(w, [3])
+
+
+# ---------------------------------------------------------------------------
+# attention_rows
+# ---------------------------------------------------------------------------
+
+def per_head_attention(q_rows, k, v, n_heads):
+    """Oracle: one score product and one softmax per head."""
+    d = k.shape[1]
+    dh = d // n_heads
+    out = np.empty((q_rows.shape[0], d))
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = (q_rows[:, cols] @ k[:, cols].T) / math.sqrt(dh)
+        out[:, cols] = softmax_rows(scores) @ v[:, cols]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3, 8, 64]),
+       st.integers(1, 40), st.data())
+def test_attention_rows_matches_per_head_loop(n_heads, dh, B, data):
+    # Bitwise, for the whole block and for row subsets (the o-mode call),
+    # including a single query row.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    d = n_heads * dh
+    x = rng.standard_normal((B, d))
+    q, k, v = (x @ rng.standard_normal((d, d)) * scale for _ in range(3))
+    n = data.draw(st.integers(1, B))
+    rows = np.sort(rng.choice(B, n, replace=False))
+    for q_rows in (q, q[rows]):
+        got = attention_rows(q_rows, k, v, n_heads)
+        want = per_head_attention(q_rows, k, v, n_heads)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reuselab import sampler
-from reuselab.drift import DriftProfile
+from reuselab.drift import DriftProfile, row_drift
 from reuselab.errors import ConfigError, DimensionError, StateError
 from reuselab.model import (
     ModelConfig,
@@ -283,15 +283,14 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-# tau 0 reuses exactly the unchanged rows, so every step after the first
-# refreshes n_changed rows; one row is the gemv case, two or more gemm.
-@pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
-def test_kv_cache_rows_are_bitwise_source_projections(n_changed):
-    w = init_weights(MID)
-    state = ReuseState(config=MID, mode="kv", tau_layer=(0.0,) * MID.L,
-                       refresh_interval=100)
-    xs = changing_inputs(w, n_changed, 4, seed=n_changed)
-    rows = np.arange(MID.B)
+def check_kv_cache_sources(w, xs, n_changed):
+    """Drive kv layer steps at tau 0 over the inputs xs and check that
+    every cached K/V row is bitwise the full product's row at the step the
+    row was last refreshed."""
+    cfg = w.config
+    state = ReuseState(config=cfg, mode="kv", tau_layer=(0.0,) * cfg.L,
+                       refresh_interval=len(xs) + 1)
+    rows = np.arange(cfg.B)
     for t, x in enumerate(xs):
         for ell, lw in enumerate(w.layers):
             _, decision = dare_kv_layer_step(lw, x, state, ell, t)
@@ -304,6 +303,32 @@ def test_kv_cache_rows_are_bitwise_source_projections(n_changed):
                                   bits(want_k[source, rows]))
             assert np.array_equal(bits(state.prev_v[ell]),
                                   bits(want_v[source, rows]))
+
+
+# tau 0 reuses exactly the unchanged rows, so every step after the first
+# refreshes n_changed rows; one row is the gemv case, two or more gemm.
+@pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
+def test_kv_cache_rows_are_bitwise_source_projections(n_changed):
+    w = init_weights(MID)
+    check_kv_cache_sources(w, changing_inputs(w, n_changed, 4, seed=n_changed),
+                           n_changed)
+
+
+# A single refreshed row i is projected together with row i + 1 (mod B):
+# step t changes only row t - 1, so the steps cover every i, B - 1 (where
+# the pair wraps to row 0) included.
+@pytest.mark.parametrize("cfg", [
+    MID, ModelConfig(L=2, H=2, d=16, d_int=32, n_vocab=32, B=5, seed=2)],
+    ids=["L4-d64-B32", "L2-d16-B5"])
+def test_kv_single_refreshed_row_at_every_position(cfg):
+    w = init_weights(cfg)
+    tokens = np.random.default_rng(cfg.B).integers(0, cfg.n_vocab, cfg.B)
+    xs = [embed_tokens(w, tokens)]
+    for i in range(cfg.B):
+        tokens = tokens.copy()
+        tokens[i] = (tokens[i] + 1) % cfg.n_vocab
+        xs.append(embed_tokens(w, tokens))
+    check_kv_cache_sources(w, xs, 1)
 
 
 @pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
@@ -499,6 +524,47 @@ def test_counterfactual_matches_live_run_on_frozen_inputs():
     sim = simulate_reuse_counterfactual(scores, (0.5,), 0, 2)
     assert list(sim.reused_per_slot[:, 0]) == live
     assert isinstance(sim, CounterfactualReuse)
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_live_staleness_matches_counterfactual_replay(mode):
+    # Replaying the drift scores recorded in a live decode gives, slot by
+    # slot, the live reused counts and staleness norms, bit for bit: per
+    # layer (a replay with every other layer disabled) and over the whole
+    # staleness matrix.
+    cfg = ModelConfig(L=3, H=2, d=16, d_int=32, n_vocab=32, B=8, seed=6)
+    tau, skip, refresh = 0.02, 1, 3
+    profile = DriftProfile(
+        s_layer=(0.0,) * cfg.L, phi_layer=(1.0,) * cfg.L,
+        tau_layer=(tau,) * cfg.L, phi_bar=1.0, epsilon=1.0)
+    sc = sampler.SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
+                               steps_per_block=cfg.B,
+                               tokens_unmasked_per_step=1, temperature=1.0,
+                               seed=4)
+    _, trace = sampler.diffusion_generate(
+        init_weights(cfg), sc, profile, mode, skip_first_layers=skip,
+        refresh_interval=refresh)
+    reused = 0
+    for block in range(2):
+        records = [r for r in trace.records if r.block == block]
+        scores = [None] + [
+            [row_drift(cur.q_head0[ell], prev.q_head0[ell])
+             for ell in range(cfg.L)]
+            for prev, cur in zip(records, records[1:])]
+        whole = simulate_reuse_counterfactual(scores, (tau,) * cfg.L,
+                                              skip, refresh)
+        assert [r.staleness_l2 for r in records] \
+            == whole.delta_l2_per_step.tolist()
+        for ell in range(cfg.L):
+            only = tuple(tau if j == ell else None for j in range(cfg.L))
+            sim = simulate_reuse_counterfactual(scores, only, skip, refresh)
+            live = [r.decisions[ell] for r in records]
+            assert [d.reused_count for d in live] \
+                == sim.reused_per_slot[:, ell].tolist()
+            assert [d.staleness_l2 for d in live] \
+                == sim.delta_l2_per_step.tolist()
+            reused += sum(d.reused_count for d in live)
+    assert reused > 0
 
 
 def test_counterfactual_respects_sentinel_and_inf():

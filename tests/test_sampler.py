@@ -1,5 +1,6 @@
 """Tests for the decode loop and the coupled paired sampler."""
 
+import hashlib
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -19,6 +20,11 @@ from reuselab.sampler import (
     diffusion_generate,
     maximal_coupling_sample,
 )
+
+
+# The benchmark's mid-model decode shape.
+MID = ModelConfig(L=4, H=2, d=64, d_int=128, n_vocab=32, B=32,
+                  activation="relu", seed=1)
 
 
 def make_model(seed=3, B=4, n_vocab=12):
@@ -46,6 +52,8 @@ def test_sampler_config_validation():
         SamplerConfig(gen_length=0)
     with pytest.raises(ConfigError):
         SamplerConfig(temperature=-0.1)
+    with pytest.raises(ConfigError):
+        SamplerConfig(temperature=float("nan"))
     with pytest.raises(ConfigError):
         SamplerConfig(gen_length=6, block_size=4)
     with pytest.raises(ConfigError):
@@ -220,16 +228,21 @@ def test_batched_candidates_match_scalar_draws(m, V, temperature, seed):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+# name -> (model, tokens committed per step, flat tau). "bench" is the
+# benchmark's mid-model decode shape, at its tau.
 PIN_CONFIGS = {
-    "default": ModelConfig(),
-    "l2h2-gelu": ModelConfig(L=2, H=2, d=16, d_int=32, B=8,
-                             activation="gelu", seed=1),
+    "default": (ModelConfig(), 1, 0.05),
+    "l2h2-gelu": (ModelConfig(L=2, H=2, d=16, d_int=32, B=8,
+                              activation="gelu", seed=1), 1, 0.05),
+    "bench": (MID, 1, 0.002),
+    "bench-4": (MID, 4, 0.002),
 }
 
-# Two blocks per decode, one token committed per step, seed 5, flat tau
-# 0.05; recorded before candidate draws were batched. Each entry is the
-# final token sequence and, for kv and o, the reused count of every
-# (step, layer) slot in step order.
+# Two blocks per decode, seed 5; recorded before candidate draws were
+# batched ("default", "l2h2-gelu") or before attention ran over all heads
+# in one product ("bench", "bench-4"). Each entry is the final token
+# sequence and, where listed, the reused count of every (step, layer) slot
+# in step order; the trace digests below pin every bit of the rest.
 PINNED_DECODES = {
     ("default", 1.0, "full"): ([1, 12, 31, 9, 2, 26, 20, 31], None),
     ("default", 1.0, "kv"): ([1, 12, 31, 9, 2, 26, 20, 31],
@@ -261,24 +274,168 @@ PINNED_DECODES = {
         [27, 0, 10, 15, 17, 12, 16, 0, 27, 27, 20, 5, 4, 0, 25, 16],
         [0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7,
          0, 0, 7, 8, 0, 0, 7, 7, 0, 0, 7, 7, 0, 0, 7, 7]),
+    ("bench", 1.0, "full"): (
+        [14, 17, 29, 13, 13, 29, 13, 29, 13, 26, 29, 13, 4, 29, 29, 13, 29,
+         13, 29, 13, 29, 13, 7, 13, 29, 10, 29, 13, 10, 13, 29, 13, 4, 13,
+         29, 29, 13, 26, 13, 13, 13, 29, 26, 29, 13, 4, 13, 26, 13, 21, 26,
+         29, 17, 13, 26, 13, 4, 29, 26, 13, 13, 4, 13, 13],
+        None),
+    ("bench", 1.0, "kv"): (
+        [15, 17, 29, 13, 14, 29, 13, 29, 13, 26, 29, 13, 4, 29, 29, 13, 29,
+         13, 29, 13, 29, 13, 7, 13, 29, 10, 29, 13, 10, 13, 29, 13, 4, 13,
+         29, 29, 13, 26, 13, 13, 29, 29, 29, 29, 13, 13, 13, 4, 26, 13, 26,
+         26, 21, 13, 17, 26, 13, 29, 29, 13, 4, 4, 13, 13],
+        None),
+    ("bench", 1.0, "o"): (
+        [15, 17, 29, 13, 14, 29, 13, 29, 13, 26, 29, 13, 4, 29, 29, 13, 29,
+         13, 29, 13, 29, 13, 7, 13, 29, 10, 29, 13, 10, 13, 29, 13, 4, 13,
+         29, 29, 13, 26, 13, 13, 29, 29, 29, 29, 13, 13, 13, 4, 26, 13, 26,
+         26, 21, 13, 17, 26, 13, 29, 29, 13, 4, 4, 13, 13],
+        None),
+    ("bench", 0.7, "full"): (
+        [29, 13, 13, 29, 3, 29, 10, 29, 29, 29, 13, 13, 13, 13, 29, 13, 4,
+         29, 29, 29, 13, 29, 13, 7, 13, 13, 29, 13, 13, 13, 29, 13, 13, 13,
+         29, 29, 13, 13, 13, 13, 13, 29, 26, 29, 17, 13, 13, 4, 26, 13, 21,
+         26, 29, 13, 13, 13, 26, 29, 4, 13, 13, 4, 13, 13],
+        None),
+    ("bench", 0.7, "kv"): (
+        [29, 13, 13, 29, 3, 29, 10, 29, 29, 29, 13, 13, 13, 13, 29, 13, 4,
+         29, 29, 29, 13, 29, 13, 7, 13, 13, 29, 13, 13, 13, 29, 13, 13, 13,
+         29, 29, 13, 13, 13, 13, 13, 29, 26, 29, 17, 13, 13, 4, 26, 13, 21,
+         26, 29, 13, 13, 26, 4, 29, 13, 13, 4, 13, 13, 13],
+        None),
+    ("bench", 0.7, "o"): (
+        [29, 13, 13, 29, 3, 29, 10, 29, 29, 29, 13, 13, 13, 13, 29, 13, 4,
+         29, 29, 29, 13, 29, 13, 7, 13, 13, 29, 13, 13, 13, 29, 13, 13, 13,
+         29, 29, 13, 13, 13, 13, 29, 13, 29, 26, 17, 13, 13, 4, 26, 13, 21,
+         26, 29, 13, 13, 26, 4, 29, 13, 13, 4, 13, 13, 13],
+        None),
+    ("bench-4", 1.0, "full"): (
+        [6, 13, 10, 17, 26, 6, 13, 17, 13, 29, 26, 29, 13, 26, 29, 13, 6,
+         22, 29, 26, 13, 29, 29, 26, 10, 29, 29, 29, 30, 13, 4, 17, 13, 13,
+         13, 29, 7, 29, 15, 13, 17, 26, 7, 10, 13, 29, 25, 13, 14, 14, 13,
+         10, 29, 29, 15, 6, 28, 7, 17, 4, 13, 29, 6, 10],
+        None),
+    ("bench-4", 1.0, "kv"): (
+        [27, 13, 15, 17, 10, 6, 4, 13, 13, 6, 29, 26, 29, 10, 29, 26, 13,
+         13, 29, 6, 15, 22, 29, 29, 26, 29, 26, 29, 10, 30, 4, 17, 13, 13,
+         13, 29, 7, 29, 15, 13, 7, 25, 26, 29, 7, 7, 10, 29, 13, 14, 13,
+         14, 10, 29, 28, 29, 6, 7, 30, 17, 4, 13, 6, 10],
+        None),
+    ("bench-4", 1.0, "o"): (
+        [27, 13, 15, 17, 10, 6, 4, 13, 13, 6, 29, 26, 29, 10, 29, 26, 13,
+         13, 29, 6, 15, 21, 29, 29, 26, 29, 25, 29, 10, 30, 4, 17, 13, 13,
+         13, 29, 7, 29, 15, 13, 7, 25, 26, 29, 7, 7, 10, 29, 13, 14, 13,
+         14, 10, 29, 28, 29, 6, 7, 30, 17, 4, 13, 6, 10],
+        None),
+    ("bench-4", 0.7, "full"): (
+        [6, 13, 13, 10, 26, 6, 17, 13, 13, 13, 26, 29, 29, 26, 29, 13, 7,
+         22, 29, 29, 26, 10, 29, 13, 29, 29, 29, 29, 10, 30, 13, 4, 13, 13,
+         13, 29, 7, 29, 15, 13, 25, 29, 26, 29, 13, 7, 29, 10, 13, 13, 13,
+         10, 15, 29, 29, 10, 13, 7, 13, 28, 13, 29, 4, 10],
+        None),
+    ("bench-4", 0.7, "kv"): (
+        [6, 13, 13, 10, 26, 6, 17, 13, 13, 13, 26, 29, 29, 26, 29, 13, 7,
+         22, 29, 29, 26, 26, 29, 10, 13, 29, 29, 29, 10, 30, 13, 4, 13, 13,
+         13, 29, 7, 29, 15, 13, 25, 29, 26, 29, 13, 7, 29, 10, 13, 13, 13,
+         10, 15, 29, 29, 10, 13, 7, 13, 28, 13, 29, 4, 10],
+        None),
+    ("bench-4", 0.7, "o"): (
+        [6, 13, 13, 10, 26, 6, 17, 13, 13, 13, 26, 29, 29, 26, 29, 13, 7,
+         21, 29, 29, 26, 10, 29, 13, 13, 29, 10, 29, 30, 13, 13, 4, 13, 13,
+         13, 29, 7, 29, 15, 13, 25, 29, 26, 29, 13, 7, 29, 10, 13, 13, 13,
+         10, 15, 29, 29, 10, 13, 7, 13, 28, 13, 29, 4, 10],
+        None),
 }
+
+# sha256 of trace_digest's bytes, per PINNED_DECODES key.
+PINNED_TRACE_DIGESTS = {
+    ("bench", 0.7, "full"):
+        "e1ac9bd027d705f22a6022277fda042415ff137ddf58f585a601413f3dc52c4a",
+    ("bench", 0.7, "kv"):
+        "c98374a037572873c713637982ed250d8371c49362e67b0e432a677a314e12a1",
+    ("bench", 0.7, "o"):
+        "7d784f654b45b7b2770aae3401d91c44a312f4d1a977d9b3bc9c0d87b1e4c489",
+    ("bench", 1.0, "full"):
+        "63e96bf4f729bb15cf73796a52186771c5e632d34fc515feff3a79436cc04b68",
+    ("bench", 1.0, "kv"):
+        "eb4ae51ba94715751c78d29229bfbcf192c73565fbf0376f675b3876e9dc4eae",
+    ("bench", 1.0, "o"):
+        "421b2d2869edb1efe17001f8a06c69a9844f35da864c7f02c0c800b377b39329",
+    ("bench-4", 0.7, "full"):
+        "a587f58f5d08c054dfd2f950fdc9179cc47309712c8e5d85290d26cf39bec4ee",
+    ("bench-4", 0.7, "kv"):
+        "9a63a9bf57fad580ca0cafafe424b88c437234014f9fc2c9c85c3774845afc79",
+    ("bench-4", 0.7, "o"):
+        "6e04224ca8eeec253f771d5eeed955e540696c232d6db97006fb5cf546712703",
+    ("bench-4", 1.0, "full"):
+        "a4e3f8e73833cb326a17a6f29b4a7909d5bb1003c1052585ccf8d4c8bcd725f7",
+    ("bench-4", 1.0, "kv"):
+        "149885f85d2b6497ce43c366ad1aae8a6ae99e2451cca1189ff1c6e52f6032ba",
+    ("bench-4", 1.0, "o"):
+        "faa989b826779a2e85b3b55e68641a5386b6e6129fa956aecbe786e37c3e9871",
+    ("default", 0.7, "full"):
+        "77a74c6ff04f632b3523fc2a235d6a4343d1d653244de9abde8fc67bf3c1e34b",
+    ("default", 0.7, "kv"):
+        "75c149ce0bbd0406a934137c40884a8dc618dcf00c962ef22b3e4af7d2d439ad",
+    ("default", 0.7, "o"):
+        "d0fbd8de578f53a064579795feed38a0b123871c6e280a7f4cf7737a7773b175",
+    ("default", 1.0, "full"):
+        "83322b2ba5720c12394e4992fd11e73cd65a5a1eb6f7f03c122c976c4026bf04",
+    ("default", 1.0, "kv"):
+        "7079755ce85abee58b89d0dc9d52d08bf64db1d7eee2d6db27e70869199a5dcb",
+    ("default", 1.0, "o"):
+        "b1646e37157a1ab19d764b502dc856d38cd2ac5c7918cb8b3ba7e0d235599ad6",
+    ("l2h2-gelu", 0.7, "full"):
+        "a8d440a0abfab5b82b54922564c69ab6fafc4bd5ac74fae1f29216962c846a98",
+    ("l2h2-gelu", 0.7, "kv"):
+        "f7e41978e11d736bc877e7d50de751884fd011c2f92ec670b6a716d28204a419",
+    ("l2h2-gelu", 0.7, "o"):
+        "a547a63ddb22b36a00e1bf4c97f3e50aa83d3cb31412aa29f167af690c7a87da",
+    ("l2h2-gelu", 1.0, "full"):
+        "a51b6443ee03a24f330e0812a143f87d8f8065704206381256b0864e7f262bd9",
+    ("l2h2-gelu", 1.0, "kv"):
+        "4728c0c7202af08ebfcaba4a3fc176dd134de7d644284ee63d93128f6520074c",
+    ("l2h2-gelu", 1.0, "o"):
+        "88ee9a037e0f0b3b2d634d390b55a6e149b63922eacd4831edbeee45cfba846d",
+}
+
+
+def trace_digest(trace) -> str:
+    """Digest of every array a decode trace records, bit for bit."""
+    h = hashlib.sha256()
+    for rec in trace.records:
+        parts = [rec.input_tokens, rec.unmasked, rec.confidences,
+                 np.float64(rec.staleness_l2), *rec.q_head0]
+        for dec in rec.decisions:
+            parts += [dec.reused.astype(np.int64),
+                      dec.refreshed.astype(np.int64),
+                      np.array([dec.eligible, dec.staleness_l2])]
+        for a in parts:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def pinned_decode(key):
+    name, temperature, mode = key
+    cfg, per_step, tau = PIN_CONFIGS[name]
+    sc = SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
+                       steps_per_block=cfg.B // per_step,
+                       tokens_unmasked_per_step=per_step,
+                       temperature=temperature, seed=5)
+    profile = None if mode == "full" else flat_profile(tau, L=cfg.L)
+    return diffusion_generate(init_weights(cfg), sc, profile, mode)
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_DECODES))
 def test_decode_stream_is_pinned(key):
-    name, temperature, mode = key
-    cfg = PIN_CONFIGS[name]
-    w = init_weights(cfg)
-    sc = SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
-                       steps_per_block=cfg.B, tokens_unmasked_per_step=1,
-                       temperature=temperature, seed=5)
-    profile = None if mode == "full" else flat_profile(0.05, L=cfg.L)
-    tokens, trace = diffusion_generate(w, sc, profile, mode)
+    tokens, trace = pinned_decode(key)
     want_tokens, want_reused = PINNED_DECODES[key]
     assert tokens.tolist() == want_tokens
     if want_reused is not None:
         assert [d.reused_count for d in trace.decisions_flat()] \
             == want_reused
+    assert trace_digest(trace) == PINNED_TRACE_DIGESTS[key]
 
 
 # ---------------------------------------------------------------------------
