@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, FormatError
 from .linalg import (
     _SAFE_NORM_MAX,
     _SAFE_NORM_MIN,
@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 
 # JSON spelling of the "no reuse at this layer" threshold (None in memory).
 DISABLED = "disabled"
+# Every key DriftProfile.to_json writes.
+_PROFILE_KEYS = frozenset(("s_layer", "phi_layer", "tau_layer", "phi_bar",
+                           "epsilon", "skipped_pairs"))
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,47 @@ class DriftProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "DriftProfile":
-        data = json.loads(text)
+        """Parse what ``to_json`` writes.
+
+        Raises:
+            FormatError: if the text is not a JSON object with every key
+                ``to_json`` writes, the three per-layer lists differ in
+                length, or a threshold is neither ``"disabled"`` nor a
+                number >= 0 (NaN is not).
+        """
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"profile is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FormatError("profile is not a JSON object")
+        missing = sorted(_PROFILE_KEYS - data.keys())
+        if missing:
+            raise FormatError(f"profile lacks {missing}")
+        per_layer = [data[k] for k in ("s_layer", "phi_layer", "tau_layer")]
+        if not all(isinstance(v, list) for v in per_layer) \
+                or len({len(v) for v in per_layer}) != 1:
+            raise FormatError(
+                "s_layer, phi_layer and tau_layer must be lists of one length")
         return cls(
             s_layer=tuple(data["s_layer"]),
             phi_layer=tuple(data["phi_layer"]),
-            tau_layer=tuple(None if t == DISABLED else float(t)
-                            for t in data["tau_layer"]),
+            tau_layer=tuple(_parse_threshold(t) for t in data["tau_layer"]),
             phi_bar=data["phi_bar"],
             epsilon=data["epsilon"],
             skipped_pairs=data["skipped_pairs"],
         )
+
+
+def _parse_threshold(t):
+    """A stored threshold: None for the disabled sentinel, else a float."""
+    if t == DISABLED:
+        return None
+    # Negated so that NaN, for which every comparison is False, fails.
+    if type(t) not in (int, float) or not t >= 0.0:
+        raise FormatError(
+            f"threshold {t!r} is neither {DISABLED!r} nor a number >= 0")
+    return float(t)
 
 
 def drift_score(x_t, x_prev) -> float:

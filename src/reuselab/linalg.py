@@ -166,11 +166,11 @@ def spectral_norm(m) -> float:
     n = g.shape[0]
     rng = np.random.default_rng(_POWER_ITER_SEED)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))  # what np.linalg.norm computes, cheaper
     lam = 0.0
     for _ in range(_POWER_ITER_MAX_STEPS):
         w = g @ v
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0  # v in the null space of a PSD Gram matrix => M == 0
         v_new = w / nw

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, FormatError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+)
 from .linalg import norm_2_to_inf, normalize_rows_sqrt_d, softmax_rows
 
 WEIGHT_MAGIC = b"DARE"
@@ -151,11 +156,20 @@ class LayerActivations:
 @functools.cache
 def activation_fn(kind: str):
     """The activation function of one kind, built once. scipy is imported
-    only for GELU, so ReLU models never pay for it."""
+    only for GELU, so ReLU models never pay for it.
+
+    Raises:
+        ConfigError: for GELU when scipy (the 'gelu' extra) is missing.
+    """
     if kind == "relu":
         return lambda a: np.maximum(a, 0.0)
     if kind == "gelu":
-        from scipy.special import erf
+        try:
+            from scipy.special import erf
+        except ImportError as exc:
+            raise ConfigError(
+                "GELU models need scipy: install the package's 'gelu' extra "
+                "(pip install -e '.[gelu]')") from exc
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         return lambda a: a * 0.5 * (1.0 + erf(a * inv_sqrt2))
     raise DimensionError(f"unknown activation {kind!r}")
@@ -274,8 +288,11 @@ def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:
             f"input shape {x.shape} != ({config.B}, {config.d})"
         )
     target = math.sqrt(config.d)
-    norms = np.linalg.norm(x, axis=1)
-    if not np.allclose(norms, target, rtol=1e-9, atol=1e-9):
+    # The arithmetic of np.linalg.norm(x, axis=1) and np.allclose(norms,
+    # target, rtol=1e-9, atol=1e-9) without their wrappers' overhead; a
+    # NaN norm fails the comparison.
+    norms = np.sqrt((x * x).sum(axis=1))
+    if not (np.abs(norms - target) <= 1e-9 + 1e-9 * target).all():
         raise DegenerateInputError(
             "input rows must be normalized to norm sqrt(d)"
         )
@@ -348,11 +365,35 @@ def save_weights(weights: ModelWeights, path) -> None:
             f.write(blob)
 
 
+def _tensor_shapes(config: ModelConfig) -> dict:
+    """The (rows, cols) every tensor of a weight file must have."""
+    d, d_int = config.d, config.d_int
+    shapes = {"emb": (config.n_vocab, d)}
+    for i in range(config.L):
+        shapes.update({
+            f"layers.{i}.w_q": (d, d), f"layers.{i}.w_k": (d, d),
+            f"layers.{i}.w_v": (d, d), f"layers.{i}.w_o": (d, d),
+            f"layers.{i}.w_u": (d, d_int), f"layers.{i}.w_d": (d_int, d),
+        })
+    return shapes
+
+
 def load_weights(path) -> ModelWeights:
+    """Read a weight file written by ``save_weights``.
+
+    Raises:
+        FormatError: if the file is not a complete, well-formed weight file
+            for the model its header describes (bad magic or version, a
+            short or corrupt header, an invalid config, a missing or
+            misshapen tensor, a non-finite weight, a bad mask token or
+            r_emb).
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != WEIGHT_MAGIC:
         raise FormatError("not a weight file (bad magic)")
+    if len(raw) < 12:
+        raise FormatError("weight file ends inside its preamble")
     version, header_len = struct.unpack_from("<II", raw, 4)
     if version != WEIGHT_VERSION:
         raise FormatError(f"unsupported weight file version {version}")
@@ -361,31 +402,56 @@ def load_weights(path) -> ModelWeights:
         header = json.loads(raw[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt weight file header: {exc}") from exc
-    config = ModelConfig.from_dict(header["config"])
+    if not isinstance(header, dict):
+        raise FormatError("weight file header is not a JSON object")
+    missing = {"config", "mask_token", "r_emb", "tensors"} - header.keys()
+    if missing:
+        raise FormatError(f"weight file header lacks {sorted(missing)}")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"invalid model config in header: {exc}") from exc
+    mask_token, r_emb = header["mask_token"], header["r_emb"]
+    if type(mask_token) is not int or not 0 <= mask_token < config.n_vocab:
+        raise FormatError(f"mask token {mask_token!r} is not a vocabulary index")
+    if type(r_emb) not in (int, float) or not 0.0 <= r_emb < math.inf:
+        raise FormatError(f"r_emb {r_emb!r} is not a finite number >= 0")
+    shapes = _tensor_shapes(config)
     payload = raw[header_end:]
     tensors = {}
-    for entry in header["tensors"]:
-        rows, cols, off = entry["rows"], entry["cols"], entry["offset"]
-        nbytes = rows * cols * 8
-        if off + nbytes > len(payload):
-            raise FormatError(f"tensor {entry['name']!r} overruns payload")
-        a = np.frombuffer(payload[off:off + nbytes], dtype="<f8")
-        tensors[entry["name"]] = a.reshape(rows, cols).copy()
-    layers = []
-    for i in range(config.L):
-        try:
-            layers.append(LayerWeights(**{
-                name: tensors[f"layers.{i}.{name}"]
-                for name in ("w_q", "w_k", "w_v", "w_o", "w_u", "w_d")
-            }))
-        except KeyError as exc:
-            raise FormatError(f"missing tensor for layer {i}: {exc}") from exc
-    if "emb" not in tensors:
-        raise FormatError("missing embedding tensor")
+    try:
+        for entry in header["tensors"]:
+            name, rows, cols, off = (entry["name"], entry["rows"],
+                                     entry["cols"], entry["offset"])
+            want = shapes.get(name)
+            if want is None:
+                raise FormatError(f"unexpected tensor {name!r}")
+            if (rows, cols) != want:
+                raise FormatError(
+                    f"tensor {name!r} is {rows}x{cols}, the config needs "
+                    f"{want[0]}x{want[1]}")
+            if type(off) is not int or off < 0:
+                raise FormatError(f"tensor {name!r} has offset {off!r}")
+            nbytes = rows * cols * 8
+            if off + nbytes > len(payload):
+                raise FormatError(f"tensor {name!r} overruns payload")
+            a = np.frombuffer(payload[off:off + nbytes], dtype="<f8")
+            if not np.isfinite(a).all():
+                raise FormatError(f"tensor {name!r} holds a non-finite weight")
+            tensors[name] = a.reshape(rows, cols).copy()
+    except (TypeError, KeyError) as exc:
+        raise FormatError(f"malformed tensor manifest: {exc!r}") from exc
+    missing = sorted(shapes.keys() - tensors.keys())
+    if missing:
+        raise FormatError(f"missing tensors {missing}")
+    layers = tuple(
+        LayerWeights(**{name: tensors[f"layers.{i}.{name}"]
+                        for name in ("w_q", "w_k", "w_v", "w_o", "w_u", "w_d")})
+        for i in range(config.L))
     return ModelWeights(
         config=config,
-        layers=tuple(layers),
+        layers=layers,
         emb=tensors["emb"],
-        mask_token=header["mask_token"],
-        r_emb=header["r_emb"],
+        mask_token=mask_token,
+        r_emb=r_emb,
     )

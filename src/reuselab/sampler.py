@@ -11,7 +11,10 @@ fully resolved.
 a reuse-free reference branch in lockstep, resampling every position each
 step through a maximal coupling so the two token strings agree wherever
 the two distributions overlap. The recorded per-step gaps are what the
-bound harness checks.
+bound harness checks. Each step couples the whole block in one call to
+``couple_rows``, which validates both distribution matrices and finds the
+bitwise-equal rows in one vectorized pass, then makes, row by row, the
+draws ``maximal_coupling_sample`` would make for each pair.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ class GenerationTrace:
             }
 
 
-def _check_distribution(p) -> np.ndarray:
+def _check_distribution(p):
+    """(p as a float64 vector, its entries as a Python list)."""
     a = np.asarray(p, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise DimensionError("distribution must be a non-empty vector")
@@ -115,20 +119,66 @@ def _check_distribution(p) -> np.ndarray:
     if low < 0.0 or not abs(total - 1.0) <= _DIST_ATOL:
         raise DegenerateInputError(
             "input is not a normalized probability vector")
-    return a
+    return a, values
+
+
+def _check_rows(P):
+    """(P as a float64 matrix, its row CDFs): every row checked against
+    the rule ``_check_distribution`` applies to one vector, in one
+    vectorized pass.
+
+    ``cumsum(axis=1)`` adds each row left to right, so a row of the result
+    is that row's 1-D CDF bit for bit, and its last entry is the row total
+    the 1e-9 test reads.
+    """
+    a = np.asarray(P, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError("distributions must form a non-empty matrix")
+    # Entries in [0, 2] keep the sums finite. The range test rejects no
+    # valid row (a nonnegative row with an entry above 2 sums to more than
+    # 2), and NaN fails both comparisons.
+    if not (a.min() >= 0.0 and a.max() <= 2.0):
+        raise DegenerateInputError(
+            "input rows are not normalized probability vectors")
+    cdf = np.cumsum(a, axis=1)
+    if not all(abs(t - 1.0) <= _DIST_ATOL for t in cdf[:, -1].tolist()):
+        raise DegenerateInputError(
+            "input rows are not normalized probability vectors")
+    return a, cdf
+
+
+def _draw(cdf, rng) -> int:
+    """Inverse-CDF draw from a nondecreasing CDF given as a Python list.
+
+    ``bisect_right`` is ``searchsorted(side="right")``; the draw runs on
+    Python floats, where numpy's per-call overhead would dominate at
+    vocabulary sizes.
+    """
+    return min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
 def _draw_index(weights: np.ndarray, rng) -> int:
-    """Inverse-CDF draw from nonnegative weights summing to ~1.
+    """Inverse-CDF draw from nonnegative weights summing to ~1. The CDF is
+    summed left to right on Python floats, which reproduces ``np.cumsum``
+    bit for bit."""
+    return _draw(list(accumulate(weights.tolist())), rng)
 
-    Runs on a Python list, where numpy's per-call overhead would dominate
-    at vocabulary sizes. The draw is the one numpy's cumsum/searchsorted
-    makes: left-to-right float sums reproduce ``np.cumsum`` bit for bit,
-    and ``bisect_right`` is ``searchsorted(side="right")``.
+
+def _couple(p, q, overlap, alpha, rng):
+    """(j, jhat) from the maximal coupling of two validated distributions
+    that are not bitwise equal, given their overlap min(p, q) and its mass
+    alpha. With probability alpha the pair lands on the diagonal, drawn
+    from the normalized overlap; otherwise j and jhat are drawn
+    independently from the normalized residuals.
     """
-    cdf = list(accumulate(weights.tolist()))
-    idx = bisect_right(cdf, rng.random() * cdf[-1])
-    return min(idx, weights.size - 1)
+    if rng.random() < alpha:
+        j = _draw_index(overlap / alpha, rng)
+        return j, j
+    res_p = p - overlap
+    res_q = q - overlap
+    j = _draw_index(res_p / res_p.sum(), rng)
+    jhat = _draw_index(res_q / res_q.sum(), rng)
+    return j, jhat
 
 
 def maximal_coupling_sample(p, q, rng):
@@ -144,22 +194,56 @@ def maximal_coupling_sample(p, q, rng):
             not sum to 1 within 1e-9.
         DimensionError: if p and q are not non-empty vectors of one length.
     """
-    pa = _check_distribution(p)
-    qa = _check_distribution(q)
+    pa, p_values = _check_distribution(p)
+    qa, q_values = _check_distribution(q)
     if pa.size != qa.size:
         raise DimensionError("p and q must share a support")
-    if (pa == qa).all():
-        j = _draw_index(pa, rng)
+    # Checked entries hold no NaN, so the lists compare as (pa == qa).all().
+    if p_values == q_values:
+        j = _draw(list(accumulate(p_values)), rng)
         return j, j
     overlap = np.minimum(pa, qa)
-    alpha = float(overlap.sum())
-    if rng.random() < alpha:
-        j = _draw_index(overlap / alpha, rng)
-        return j, j
-    res_p = pa - overlap
-    res_q = qa - overlap
-    j = _draw_index(res_p / res_p.sum(), rng)
-    jhat = _draw_index(res_q / res_q.sum(), rng)
+    return _couple(pa, qa, overlap, float(overlap.sum()), rng)
+
+
+def couple_rows(P, Q, rng):
+    """One maximal-coupling draw per row pair (P[i], Q[i]).
+
+    Returns (j, jhat), two int64 vectors. The draws, and the state ``rng``
+    is left in, are those of calling ``maximal_coupling_sample(P[i], Q[i],
+    rng)`` for i in row order: the checks, the equality test and the
+    overlaps are batched, and the row reductions they use add in the 1-D
+    order. When every row pair is bitwise equal, one draw per row is made
+    in a batch, as ``_sample_candidates`` does.
+
+    Raises:
+        DegenerateInputError: if a row has a negative or NaN entry, or does
+            not sum to 1 within 1e-9.
+        DimensionError: if P and Q are not non-empty matrices of one shape.
+    """
+    P, cdf_p = _check_rows(P)
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.shape != P.shape:
+        _check_rows(Q)  # bad values in Q outrank the shape, as for one pair
+        raise DimensionError("P and Q must share a shape")
+    equal = (P == Q).all(axis=1)
+    if equal.all():
+        # Q is P bit for bit, so Q passed P's check. rng.random(n)
+        # continues the stream as n scalar calls would, and counting
+        # cdf <= u is bisect_right on a nondecreasing CDF.
+        u = rng.random(len(P)) * cdf_p[:, -1]
+        j = np.minimum((cdf_p <= u[:, None]).sum(axis=1), P.shape[1] - 1)
+        return j, j.copy()
+    _check_rows(Q)
+    overlap = np.minimum(P, Q)
+    alpha = overlap.sum(axis=1).tolist()
+    j = np.empty(len(P), dtype=np.int64)
+    jhat = np.empty(len(P), dtype=np.int64)
+    for i, same in enumerate(equal.tolist()):
+        if same:
+            j[i] = jhat[i] = _draw(cdf_p[i].tolist(), rng)
+        else:
+            j[i], jhat[i] = _couple(P[i], Q[i], overlap[i], alpha[i], rng)
     return j, jhat
 
 
@@ -320,7 +404,7 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     for t in range(T):
         x_hat = embed_tokens(weights, xhat_tokens)
         p_hat, decisions, _ = model_step(weights, state, x_hat, t)
-        if np.array_equal(x_tokens, xhat_tokens):
+        if (x_tokens == xhat_tokens).all():
             # Shared input: the reference distribution at the reuse
             # branch's input is exactly the full forward below.
             p_full, _ = forward_full(weights, x_hat)
@@ -332,11 +416,8 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
         delta_l2[t] = state.staleness_l2()
         deltas.append(state.delta.copy())
         decisions_flat.extend(decisions)
-        for i in range(B):
-            j, jhat = maximal_coupling_sample(p_full[i], p_hat[i], rng)
-            x_tokens[i] = j
-            xhat_tokens[i] = jhat
-        if np.array_equal(x_tokens, xhat_tokens):
+        x_tokens, xhat_tokens = couple_rows(p_full, p_hat, rng)
+        if (x_tokens == xhat_tokens).all():
             embed_err[t + 1] = 0.0
         else:
             diff = embed_tokens(weights, x_tokens) \

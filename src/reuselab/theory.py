@@ -56,22 +56,7 @@ def lipschitz_G(weights: ModelWeights, config: ModelConfig | None = None) -> flo
     replaced by its sum-of-row-norms upper bound, which inflates G but keeps
     the bound direction.
     """
-    cfg = _theory_config(weights, config)
-    lw = weights.layers[0]
-    r = weights.r_emb
-    stack = (
-        norm_2_to_1_upper(weights.emb)
-        * spectral_norm(lw.w_d)
-        * G_SIGMA[cfg.activation]
-        * spectral_norm(lw.w_u)
-        * spectral_norm(lw.w_o)
-        * spectral_norm(lw.w_v)
-    )
-    attention_gain = cfg.B * (
-        2.0 * r * r * spectral_norm(lw.w_q) * spectral_norm(lw.w_k) / math.sqrt(cfg.d)
-        + 1.0
-    )
-    return stack * attention_gain
+    return _StepBounds(weights, config).G
 
 
 def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
@@ -95,27 +80,17 @@ def kv_step_constant(weights: ModelWeights, config: ModelConfig | None = None) -
     """The constant C_W with the sqrt(2) and batch factors folded in, so the
     per-step key/value reuse bound is ``C_W * sqrt(tau_tilde) * ||Delta||_2``.
     """
-    cfg = _theory_config(weights, config)
-    lw = weights.layers[0]
-    sv = spectral_norm(lw.w_v)
-    prefactor = (
-        norm_2_to_inf(weights.emb)
-        * spectral_norm(lw.w_d)
-        * G_SIGMA[cfg.activation]
-        * spectral_norm(lw.w_u)
-        * spectral_norm(lw.w_o)
-        * (sv + sv * spectral_norm(lw.w_q) / math.sqrt(cfg.d))
-    )
-    return math.sqrt(2.0) * cfg.B * prefactor
+    return _StepBounds(weights, config).C_W
 
 
 class _StepBounds:
-    """The per-step reuse bounds of one model and config.
+    """The constants and per-step reuse bounds of one model and config.
 
-    The weight-only constants (kappa_q, C_W, the o-mode scale and the
-    Frobenius norms) are computed on first use and then kept, so a caller
-    that evaluates many bounds for one model, as ``verify_run`` does, pays
-    for the norms once. Each bound's formula lives here only.
+    The weight-only constants (the six weight matrices' spectral norms,
+    kappa_q, G, C_W, the o-mode scale and the Frobenius norms) are computed
+    on first use and then kept, so a caller that evaluates many bounds for
+    one model, as ``verify_run`` does, pays for each norm once. Each
+    formula lives here only.
     """
 
     def __init__(self, weights: ModelWeights, config: ModelConfig | None) -> None:
@@ -123,22 +98,57 @@ class _StepBounds:
         self.cfg = _theory_config(weights, config)
 
     @cached_property
+    def sigma(self) -> dict:
+        """Spectral norm of each weight matrix, by name (``w_q`` ...)."""
+        return {name: spectral_norm(m)
+                for name, m in self.weights.layers[0].named()}
+
+    @cached_property
     def kappa_q(self) -> float:
         return condition_kappa(self.weights.layers[0].w_q)
 
     @cached_property
-    def C_W(self) -> float:
-        return kv_step_constant(self.weights, self.cfg)
+    def G(self) -> float:
+        """``lipschitz_G``."""
+        cfg = self.cfg
+        s = self.sigma
+        r = self.weights.r_emb
+        stack = (
+            norm_2_to_1_upper(self.weights.emb)
+            * s["w_d"]
+            * G_SIGMA[cfg.activation]
+            * s["w_u"]
+            * s["w_o"]
+            * s["w_v"]
+        )
+        attention_gain = cfg.B * (
+            2.0 * r * r * s["w_q"] * s["w_k"] / math.sqrt(cfg.d) + 1.0
+        )
+        return stack * attention_gain
 
     @cached_property
     def o_scale(self) -> float:
-        lw = self.weights.layers[0]
+        s = self.sigma
         return (
             norm_2_to_inf(self.weights.emb)
-            * spectral_norm(lw.w_d)
+            * s["w_d"]
             * G_SIGMA[self.cfg.activation]
-            * spectral_norm(lw.w_u)
+            * s["w_u"]
         )
+
+    @cached_property
+    def C_W(self) -> float:
+        """``kv_step_constant``. Its product starts with the o-mode
+        scale's four factors in the same left-to-right order, so starting
+        from that partial product keeps every bit."""
+        s = self.sigma
+        sv = s["w_v"]
+        prefactor = (
+            self.o_scale
+            * s["w_o"]
+            * (sv + sv * s["w_q"] / math.sqrt(self.cfg.d))
+        )
+        return math.sqrt(2.0) * self.cfg.B * prefactor
 
     @cached_property
     def frobenius_ovkq(self) -> tuple:
@@ -383,7 +393,7 @@ def verify_run(
     mean_bounds = bounds.mean(axis=0)
     mean_gaps = gaps.mean(axis=0)
     mean_embed = embed_errors.mean(axis=0)
-    G = 0.0 if debug_zero_bounds else lipschitz_G(weights, cfg)
+    G = 0.0 if debug_zero_bounds else step_bounds.G
     series = cumulative_series(G, mean_bounds)
     for t in range(T + 1):
         if mean_embed[t] > series[t]:

@@ -395,3 +395,24 @@ class TestConfigPlumbing:
         assert run("init-model", "--config", "cfg.json") == 0
         write_config("cfg.json", seed=2)
         assert run("generate", "--config", "cfg.json") == 2
+
+    def test_malformed_weight_file_exits_2(self, workdir, capsys):
+        write_config("cfg.json")
+        assert run("init-model", "--config", "cfg.json") == 0
+        raw = Path("model.dare").read_bytes()
+        Path("model.dare").write_bytes(raw[:6])
+        capsys.readouterr()
+        assert run("generate", "--config", "cfg.json") == 2
+        assert "error: weight file ends inside its preamble" \
+            in capsys.readouterr().err
+
+    def test_malformed_profile_exits_2(self, workdir, capsys):
+        write_config("cfg.json", mode="kv")
+        assert run("init-model", "--config", "cfg.json") == 0
+        assert run("calibrate", "--config", "cfg.json") == 0
+        profile = json.loads(Path("out/profile.json").read_text())
+        profile["tau_layer"] = [-0.5]
+        Path("out/profile.json").write_text(json.dumps(profile))
+        capsys.readouterr()
+        assert run("generate", "--config", "cfg.json") == 2
+        assert "error: threshold -0.5" in capsys.readouterr().err

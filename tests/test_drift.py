@@ -1,5 +1,6 @@
 """Tests for drift scoring, layerwise statistics, and budget allocation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from reuselab.drift import (
     reuse_set,
     row_drift,
 )
-from reuselab.errors import DegenerateInputError, DimensionError
+from reuselab.errors import DegenerateInputError, DimensionError, FormatError
 from reuselab.model import ModelConfig, embed_tokens, init_weights
 
 
@@ -358,3 +359,52 @@ def test_drift_profile_json_round_trip():
     back = DriftProfile.from_json(profile.to_json())
     assert back == profile
     assert '"disabled"' in profile.to_json()
+
+
+def profile_dict(**over):
+    data = json.loads(DriftProfile(
+        s_layer=(0.1, 0.8), phi_layer=(0.45, 0.15), tau_layer=(0.02, None),
+        phi_bar=0.3, epsilon=1.0, skipped_pairs=5).to_json())
+    data.update(over)
+    return data
+
+
+@pytest.mark.parametrize("key", ["s_layer", "phi_layer", "tau_layer",
+                                 "phi_bar", "epsilon", "skipped_pairs"])
+def test_drift_profile_missing_key_is_a_format_error(key):
+    data = profile_dict()
+    del data[key]
+    with pytest.raises(FormatError):
+        DriftProfile.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("tau", [-0.5, float("nan"), "0.5", "off", None,
+                                 True])
+def test_drift_profile_bad_threshold_is_a_format_error(tau):
+    data = profile_dict(tau_layer=[0.02, tau])
+    with pytest.raises(FormatError):
+        DriftProfile.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("over", [
+    {"s_layer": [0.1, 0.8], "phi_layer": [0.5], "tau_layer": [0.1]},
+    {"s_layer": [0.1], "phi_layer": [0.5, 0.5], "tau_layer": [0.1]},
+    {"s_layer": [0.1], "phi_layer": [0.5], "tau_layer": [0.1, 0.2]},
+    {"s_layer": 0.1},
+])
+def test_drift_profile_per_layer_lists_must_match(over):
+    with pytest.raises(FormatError):
+        DriftProfile.from_json(json.dumps(profile_dict(**over)))
+
+
+@pytest.mark.parametrize("text", ["", "[1, 2]", "{"])
+def test_drift_profile_that_is_not_an_object_is_a_format_error(text):
+    with pytest.raises(FormatError):
+        DriftProfile.from_json(text)
+
+
+def test_drift_profile_accepts_disabled_zero_and_integer_thresholds():
+    data = profile_dict(tau_layer=["disabled", 0])
+    profile = DriftProfile.from_json(json.dumps(data))
+    assert profile.tau_layer == (None, 0.0)
+    assert isinstance(profile.tau_layer[1], float)

@@ -5,18 +5,27 @@ forward_full is checked against a fully scalar pure-Python reimplementation
 """
 
 import dataclasses
+import json
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuselab.errors import DegenerateInputError, DimensionError, FormatError
+from reuselab.errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+)
 from reuselab.linalg import condition_kappa, normalize_rows_sqrt_d, softmax_rows
 from reuselab.model import (
     LayerActivations,
     ModelConfig,
+    activation_fn,
     attention_rows,
     embed_tokens,
     forward_full,
@@ -238,6 +247,30 @@ def test_forward_rejects_bad_inputs():
         forward_full(w, np.zeros((3, 4)))  # zero rows are not normalized
 
 
+@pytest.mark.parametrize("row", ["nan", "zero", "off by 1e-6"])
+def test_forward_rejects_a_bad_row_norm(row):
+    w = init_weights(small_config())
+    x = embed_tokens(w, [1, 5, 9])
+    if row == "nan":
+        x[1, 2] = np.nan
+    elif row == "zero":
+        x[1] = 0.0
+    else:
+        x[1] *= 1.0 + 1e-6
+    with pytest.raises(DegenerateInputError):
+        forward_full(w, x)
+
+
+def test_forward_accepts_row_norms_within_tolerance():
+    # The tolerance is 1e-9 + 1e-9 * sqrt(d) on each row norm.
+    w = init_weights(small_config())
+    x = embed_tokens(w, [1, 5, 9])
+    x[1] *= 1.0 + 1e-10
+    want, _ = forward_full(w, embed_tokens(w, [1, 5, 9]))
+    got, _ = forward_full(w, x)
+    assert np.allclose(got, want)
+
+
 def test_forward_prob_rows_sum_to_one():
     w = init_weights(small_config())
     probs, acts = forward_full(w, embed_tokens(w, [1, 5, 9]))
@@ -389,3 +422,78 @@ def test_weight_file_truncated_payload(tmp_path):
     bad.write_bytes(raw[:-16])
     with pytest.raises(FormatError):
         load_weights(bad)
+
+
+def rewrite_header(path, edit):
+    """Rewrite a weight file's JSON header in place through ``edit``."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                     + raw[12 + header_len:])
+
+
+def saved_weights(tmp_path, **kw):
+    path = tmp_path / "model.bin"
+    save_weights(init_weights(small_config(**kw)), path)
+    return path
+
+
+def test_weight_file_shorter_than_its_preamble(tmp_path):
+    path = saved_weights(tmp_path)
+    path.write_bytes(path.read_bytes()[:6])
+    with pytest.raises(FormatError):
+        load_weights(path)
+
+
+def test_weight_file_header_without_r_emb(tmp_path):
+    path = saved_weights(tmp_path)
+    rewrite_header(path, lambda h: h.pop("r_emb"))
+    with pytest.raises(FormatError):
+        load_weights(path)
+
+
+def test_weight_file_unknown_config_key(tmp_path):
+    path = saved_weights(tmp_path)
+    rewrite_header(path, lambda h: h["config"].update(depth=3))
+    with pytest.raises(FormatError):
+        load_weights(path)
+
+
+def test_weight_file_tensor_shape_must_match_config(tmp_path):
+    # A d=8 config whose w_q is stored as 4 x 16: the same bytes as 8 x 8.
+    path = saved_weights(tmp_path, d=8, d_int=16)
+
+    def reshape_w_q(header):
+        for entry in header["tensors"]:
+            if entry["name"] == "layers.0.w_q":
+                entry["rows"], entry["cols"] = 4, 16
+
+    rewrite_header(path, reshape_w_q)
+    with pytest.raises(FormatError):
+        load_weights(path)
+
+
+def test_weight_file_nan_weight(tmp_path):
+    w = init_weights(small_config())
+    emb = w.emb.copy()
+    emb[2, 1] = np.nan
+    path = tmp_path / "model.bin"
+    save_weights(dataclasses.replace(w, emb=emb), path)
+    with pytest.raises(FormatError):
+        load_weights(path)
+
+
+def test_gelu_without_scipy_is_a_config_error(monkeypatch):
+    # None in sys.modules makes the import fail as if scipy were missing.
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    activation_fn.cache_clear()
+    try:
+        with pytest.raises(ConfigError, match="'gelu' extra"):
+            activation_fn("gelu")
+        assert activation_fn("relu")(np.array([-1.0, 2.0])).tolist() \
+            == [0.0, 2.0]
+    finally:
+        activation_fn.cache_clear()

@@ -16,6 +16,7 @@ from reuselab.sampler import (
     CoupledPair,
     SamplerConfig,
     _sample_candidates,
+    couple_rows,
     coupled_generate,
     diffusion_generate,
     maximal_coupling_sample,
@@ -171,6 +172,122 @@ def test_coupling_draw_stream_is_pinned():
         for name, (a, b) in (("equal", (p, p.copy())), ("differ", differ)):
             got = [maximal_coupling_sample(a, b, rng) for _ in range(12)]
             assert got == PINNED_COUPLING_DRAWS[n, name], (n, name)
+
+
+# ---------------------------------------------------------------------------
+# block coupling
+# ---------------------------------------------------------------------------
+
+def looped_coupling(P, Q, rng):
+    """The reference for couple_rows: one maximal_coupling_sample per row
+    pair, in row order."""
+    pairs = [maximal_coupling_sample(P[i], Q[i], rng) for i in range(len(P))]
+    return [j for j, _ in pairs], [jhat for _, jhat in pairs]
+
+
+def random_distribution(gen, n, sparse):
+    w = gen.random(n) + 1e-3
+    if sparse and n > 1:
+        w[gen.random(n) < 0.5] = 0.0
+        w[gen.integers(n)] += 1.0  # keep at least one entry positive
+    return w / w.sum()
+
+
+def row_pair(gen, n, kind):
+    """One (p, q) row pair of the given kind over a support of n."""
+    p = random_distribution(gen, n, sparse=kind == "sparse")
+    if kind == "equal":
+        return p, p.copy()
+    if kind == "near":
+        # One entry one ulp higher: q >= p everywhere, so the overlap is p
+        # and alpha is p's total, 1 to within rounding.
+        q = p.copy()
+        k = gen.integers(n)
+        q[k] = np.nextafter(q[k], 2.0)
+        return p, q
+    if kind == "disjoint" and n > 1:
+        cut = int(gen.integers(1, n))
+        p = np.zeros(n)
+        q = np.zeros(n)
+        p[:cut] = random_distribution(gen, cut, sparse=False)
+        q[cut:] = random_distribution(gen, n - cut, sparse=False)
+        return p, q
+    return p, random_distribution(gen, n, sparse=kind == "sparse")
+
+
+ROW_KINDS = ("equal", "near", "disjoint", "random", "sparse")
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_rows=st.integers(1, 32), n=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=32))
+def test_couple_rows_matches_looped_coupling(n_rows, n, seed, kinds):
+    gen = np.random.default_rng(seed)
+    rows = [row_pair(gen, n, kinds[i % len(kinds)]) for i in range(n_rows)]
+    P = np.array([p for p, _ in rows])
+    Q = np.array([q for _, q in rows])
+    rng_loop = np.random.default_rng(seed + 1)
+    rng_block = np.random.default_rng(seed + 1)
+    want = looped_coupling(P, Q, rng_loop)
+    j, jhat = couple_rows(P, Q, rng_block)
+    assert j.dtype == jhat.dtype == np.int64
+    assert (j.tolist(), jhat.tolist()) == want
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_couple_rows_all_equal_rows_use_the_batched_draw():
+    # Every row pair bitwise equal: one rng.random(n) call, same stream.
+    gen = np.random.default_rng(5)
+    P = np.array([random_distribution(gen, 33, sparse=False)
+                  for _ in range(6)])
+    rng_loop = np.random.default_rng(9)
+    rng_block = np.random.default_rng(9)
+    want = looped_coupling(P, P.copy(), rng_loop)
+    j, jhat = couple_rows(P, P.copy(), rng_block)
+    assert (j.tolist(), jhat.tolist()) == want
+    assert j is not jhat
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+def bad_row_inputs():
+    p = linear_support(4)
+    good = np.array([p, p[::-1], p])
+    cases = {}
+    for name, value in (("negative", -0.1), ("nan", float("nan")),
+                        ("inf", float("inf")), ("huge", 1e308)):
+        bad = good.copy()
+        bad[1, 2] = value
+        cases[f"P {name}"] = (bad, good)
+        cases[f"Q {name}"] = (good, bad)
+    off = good.copy()
+    off[2] *= 1.0 + 1e-6
+    cases["P row sum off"] = (off, good)
+    cases["Q row sum off"] = (good, off)
+    cases["Q wider"] = (good, np.array([linear_support(5)] * 3))
+    cases["P wider"] = (np.array([linear_support(5)] * 3), good)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(bad_row_inputs()))
+def test_couple_rows_rejects_what_the_loop_rejects(case):
+    P, Q = bad_row_inputs()[case]
+
+    def error_type(fn):
+        with pytest.raises((DegenerateInputError, DimensionError)) as info:
+            fn(P, Q, np.random.default_rng(0))
+        return info.type
+
+    assert error_type(couple_rows) is error_type(looped_coupling)
+
+
+def test_couple_rows_needs_non_empty_matrices():
+    rng = np.random.default_rng(0)
+    p = linear_support(3)
+    for P, Q in ((p, p), (np.zeros((0, 3)), np.zeros((0, 3))),
+                 (np.array([p]), p)):
+        with pytest.raises(DimensionError):
+            couple_rows(P, Q, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -398,6 +399,44 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["kappa"] == 1
+    # One spectral norm per weight matrix: G, C_W and the o-mode scale
+    # share them.
+    assert counts[0]["spectral"] == 6
+
+
+# sha256 over the newline-terminated report.to_json() of every run in the
+# grid of report_grid_digest, frozen when the coupled step was batched:
+# reports must keep every bit.
+PINNED_REPORT_DIGESTS = {
+    "kv": "9a6ba6839a688ef871251d57d422a94b31e4ce625a8c8b84eab2471950b11d2a",
+    "o": "67dca437869e1b461dee3120dafc4b0cd792133200753e6eea6bafb00516134e",
+}
+
+
+def report_grid_digest(mode):
+    """Two weight seeds x tau in (0.01, 0.05, 0.3) x run seeds 11-13."""
+    cfg, _ = theory_model()
+    digest = hashlib.sha256()
+    for weight_seed in (1, 2):
+        w = init_weights(dataclasses.replace(cfg, seed=weight_seed))
+        for tau in (0.01, 0.05, 0.3):
+            for seed in (11, 12, 13):
+                report = verify_run(w, run_config(seed=seed),
+                                    flat_profile(tau), mode, trials=6)
+                digest.update(report.to_json().encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_verify_run_reports_are_pinned(mode):
+    assert report_grid_digest(mode) == PINNED_REPORT_DIGESTS[mode]
+
+
+def test_lipschitz_g_and_kv_constant_match_the_step_bounds():
+    _, w = theory_model()
+    bounds = theory._StepBounds(w, None)
+    assert lipschitz_G(w) == bounds.G
+    assert kv_step_constant(w) == bounds.C_W
 
 
 def test_verify_run_report_rows_align_with_series():
