@@ -7,7 +7,8 @@ and bench (sweep the reuse budget). Every command is deterministic given
 its configuration: rerunning writes byte-identical primary outputs, and
 wall-clock metadata goes to a ``<command>.meta.json`` sidecar instead.
 
-Exit codes: 0 success, 1 verification violations, 2 usage or config error.
+Exit codes: 0 success, 1 verification violations, 2 usage or config error;
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ from .drift import (
     quantile_threshold,
     row_drift,
 )
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .linalg import condition_kappa
 from .model import ModelConfig, init_weights, load_weights, save_weights
-from .model import embed_tokens, forward_full
-from .reuse import MODES, reuse_accounting, simulate_reuse_counterfactual
+from .model import embed_tokens
+from .reuse import (
+    MODES,
+    forward_full,
+    reuse_accounting,
+    simulate_reuse_counterfactual,
+)
 from .sampler import SamplerConfig, coupled_generate, diffusion_generate
 from .theory import lipschitz_G, verify_run
 
@@ -112,20 +118,38 @@ class RunConfig:
         )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        base = cls.default()
-        model = (ModelConfig.from_dict(data["model"]) if "model" in data
-                 else base.model)
-        sampler = (SamplerConfig(**data["sampler"]) if "sampler" in data
-                   else base.sampler)
-        drift = (DriftSettings(**data["drift"]) if "drift" in data
-                 else base.drift)
-        reuse = (ReuseSettings(**data["reuse"]) if "reuse" in data
-                 else base.reuse)
-        paths = (PathSettings(**data["paths"]) if "paths" in data
-                 else base.paths)
-        return cls(model=model, sampler=sampler, drift=drift, reuse=reuse,
-                   paths=paths)
+    def from_dict(cls, data) -> "RunConfig":
+        """The configuration a JSON run file describes; a section it
+        leaves out keeps its default.
+
+        Raises:
+            ConfigError: if ``data`` or a section is not a JSON object, a
+                section is unknown, or a section has an unknown field or a
+                value of the wrong JSON type; the message names the
+                section.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("run configuration must be a JSON object")
+        unknown = sorted(data.keys() - _SECTIONS.keys())
+        if unknown:
+            raise ConfigError(f"unknown config section(s) {unknown}")
+        parts = {}
+        for name, section in data.items():
+            if not isinstance(section, dict):
+                raise ConfigError(
+                    f"config section {name!r} is not a JSON object")
+            types = {f.name: f.type
+                     for f in dataclasses.fields(_SECTIONS[name])}
+            unknown = sorted(section.keys() - types.keys())
+            if unknown:
+                raise ConfigError(
+                    f"config section {name!r} has unknown field(s) {unknown}")
+            for key, value in section.items():
+                if type(value) not in _JSON_TYPES[types[key]]:
+                    raise ConfigError(f"config section {name!r}: {key} must "
+                                      f"be {types[key]}, got {value!r}")
+            parts[name] = _SECTIONS[name](**section)
+        return dataclasses.replace(cls.default(), **parts)
 
     def to_dict(self) -> dict:
         return {
@@ -135,6 +159,15 @@ class RunConfig:
             "reuse": dataclasses.asdict(self.reuse),
             "paths": dataclasses.asdict(self.paths),
         }
+
+
+# The settings class of each section of a JSON run file, and the JSON
+# value types each field annotation accepts (an integer is a float too).
+_SECTIONS = {"model": ModelConfig, "sampler": SamplerConfig,
+             "drift": DriftSettings, "reuse": ReuseSettings,
+             "paths": PathSettings}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "float | None": (int, float, type(None))}
 
 
 def _output_dir(config: RunConfig) -> Path:
@@ -231,24 +264,17 @@ def _calibration_traces(weights, sampler: SamplerConfig,
     return traces
 
 
-def _pooled_layer_scores(traces, L: int):
-    """Per-layer flat drift-score arrays across all traces and blocks."""
-    return [np.concatenate([drift_scores_for_layer(trace, ell)[0]
-                            for trace in traces])
-            for ell in range(L)]
-
-
 def _calibration_scores(weights, sampler: SamplerConfig,
                         prompts: int = CALIBRATION_PROMPTS):
-    """Scoring step of calibration: runs, layer means and pooled scores.
+    """Scoring step of calibration: every (step, token) pair of the
+    calibration runs scored once.
 
-    Returns (s_layer, skipped_pairs, layer_scores); every reuse budget is
-    then fitted from these by ``_budget_profile``.
+    Returns ``layerwise_drift``'s (s_layer, skipped_pairs, layer_scores);
+    every reuse budget is then fitted from these by ``_budget_profile``.
     """
     traces = _calibration_traces(weights, sampler, prompts)
-    raw = [traj for trace in traces for traj in trace.q_trajectories()]
-    s_layer, skipped = layerwise_drift(raw)
-    return s_layer, skipped, _pooled_layer_scores(traces, weights.config.L)
+    return layerwise_drift([traj for trace in traces
+                            for traj in trace.q_trajectories()])
 
 
 def _budget_profile(s_layer, skipped: int, layer_scores, phi_bar: float,
@@ -411,8 +437,8 @@ def cmd_analyze(config: RunConfig, trace_path=None) -> int:
         written.append(path)
     if L >= 2:
         x = embed_tokens(weights, tokens[-weights.config.B:])
-        _, acts = forward_full(weights, x)
-        sim = cross_layer_similarity([a.v for a in acts])
+        _, state = forward_full(weights, x)
+        sim = cross_layer_similarity(state.prev_v)
         path = out / "value_layer_sim.csv"
         similarity_csv(sim, path, mode=mode)
         written.append(path)
@@ -641,7 +667,8 @@ def main(argv=None) -> int:
             grid = [float(p) for p in args.phi_grid.split(",") if p.strip()]
             return cmd_bench(config, grid)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ValueError, RuntimeError, OSError, KeyError, TypeError) as exc:
+    # ValueError covers the errors taxonomy and malformed JSON.
+    except (ValueError, StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,7 +160,7 @@ def row_drift(cur, prev) -> np.ndarray:
 
 
 def layerwise_drift(calibration_traces):
-    """Mean drift per layer over all (step, token) pairs of all traces.
+    """Drift scores per layer over all (step, token) pairs of all traces.
 
     Args:
         calibration_traces: iterable of traces; a trace is a list over
@@ -168,9 +168,10 @@ def layerwise_drift(calibration_traces):
             (token rows).
 
     Returns:
-        (s_layer, skipped_pairs): per-layer mean drift as a float array,
-        and the number of (t, i) pairs skipped because either query row
-        was exactly zero.
+        (s_layer, skipped_pairs, layer_scores): per-layer mean drift as a
+        float array, the number of (t, i) pairs skipped because either
+        query row was exactly zero, and per layer the finite scores in
+        trace, step and token order.
 
     Raises:
         DegenerateInputError: no traces, or a trace with < 2 timesteps.
@@ -191,6 +192,7 @@ def layerwise_drift(calibration_traces):
                                                 prev_layers[ell]))
     s_layer = np.empty(n_layers)
     skipped = 0
+    layer_scores = []
     for ell, parts in enumerate(per_layer):
         s = np.concatenate(parts)
         scores = s[np.isfinite(s)]
@@ -201,7 +203,8 @@ def layerwise_drift(calibration_traces):
         # Summed left to right (cumsum, not sum): the mean is part of
         # profile.json and must not depend on pairwise rounding.
         s_layer[ell] = np.cumsum(scores)[-1] / scores.size
-    return s_layer, skipped
+        layer_scores.append(scores)
+    return s_layer, skipped, layer_scores
 
 
 def allocate_quantiles(s_layer, phi_bar: float, epsilon: float,

@@ -14,6 +14,11 @@ The input X is the row-normalized embedding of the current token string
 per model); for L > 1 the hidden output of each layer feeds the next one
 unchanged and the last layer's H produces the logits.
 
+This module holds the configuration, the weights and the per-layer
+building blocks (``attention_rows``, ``mlp``, ``unembed``); the forward
+pass that chains them, with or without reuse, is ``reuse.model_step``
+(``reuse.forward_full`` for a reuse-free pass).
+
 Weights are persisted in a small self-describing binary format, see
 ``save_weights`` / ``load_weights``.
 """
@@ -130,29 +135,6 @@ class ModelWeights:
         return table, zero_rows
 
 
-@dataclass
-class LayerActivations:
-    """Intermediate activations of one layer for one step (B x d each,
-    except h which is the MLP output feeding the next layer / logits).
-
-    ``o_pre`` is the attention output before the W_O projection; ``o`` is
-    after it.
-    """
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    o_pre: np.ndarray
-    o: np.ndarray
-    h: np.ndarray
-    n_heads: int = 1
-
-    def head_view(self, a: np.ndarray, head: int) -> np.ndarray:
-        """Columns of ``a`` belonging to one attention head."""
-        dh = a.shape[1] // self.n_heads
-        return a[:, head * dh:(head + 1) * dh]
-
-
 @functools.cache
 def activation_fn(kind: str):
     """The activation function of one kind, built once. scipy is imported
@@ -264,60 +246,9 @@ def mlp(lw: LayerWeights, o: np.ndarray, activation: str) -> np.ndarray:
     return activation_fn(activation)(o @ lw.w_u) @ lw.w_d
 
 
-def layer_forward_full(lw: LayerWeights, x: np.ndarray, n_heads: int,
-                       activation: str) -> LayerActivations:
-    """One full (reuse-free) layer evaluation."""
-    q = x @ lw.w_q
-    k = x @ lw.w_k
-    v = x @ lw.w_v
-    o_pre = attention_rows(q, k, v, n_heads)
-    o = o_pre @ lw.w_o
-    h = mlp(lw, o, activation)
-    return LayerActivations(q=q, k=k, v=v, o_pre=o_pre, o=o, h=h,
-                            n_heads=n_heads)
-
-
 def unembed(weights: ModelWeights, h: np.ndarray) -> np.ndarray:
     """Per-token next-token distributions from the last hidden state."""
     return softmax_rows(h @ weights.emb.T)
-
-
-def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:
-    if x.shape != (config.B, config.d):
-        raise DimensionError(
-            f"input shape {x.shape} != ({config.B}, {config.d})"
-        )
-    target = math.sqrt(config.d)
-    # The arithmetic of np.linalg.norm(x, axis=1) and np.allclose(norms,
-    # target, rtol=1e-9, atol=1e-9) without their wrappers' overhead; a
-    # NaN norm fails the comparison.
-    norms = np.sqrt((x * x).sum(axis=1))
-    if not (np.abs(norms - target) <= 1e-9 + 1e-9 * target).all():
-        raise DegenerateInputError(
-            "input rows must be normalized to norm sqrt(d)"
-        )
-
-
-def forward_full(weights: ModelWeights, x: np.ndarray):
-    """Full forward pass without any activation reuse.
-
-    Args:
-        weights: model parameters.
-        x: B x d input with rows normalized to norm sqrt(d).
-
-    Returns:
-        (probs, acts): probs is B x n_vocab with rows summing to 1; acts is
-        the per-layer list of LayerActivations.
-    """
-    config = weights.config
-    _check_forward_input(config, x)
-    acts = []
-    cur = x
-    for lw in weights.layers:
-        la = layer_forward_full(lw, cur, config.H, config.activation)
-        acts.append(la)
-        cur = la.h
-    return unembed(weights, cur), acts
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Token-wise activation reuse: the KV and attention-output mechanisms.
+"""Token-wise activation reuse: one forward pass for every mode.
 
-Both mechanisms score each token's head-0 query drift between consecutive
-denoising steps and, where the drift is at most the layer threshold, splice
-the previous step's cached activations instead of recomputing:
+``layer_step`` is the one layer computation. It scores each token's head-0
+query drift between consecutive denoising steps and, where the gate is
+open and the drift is at most the layer threshold, splices the previous
+step's cached activations instead of recomputing them. The two mechanisms
+differ only in the splice:
 
 * kv mode keeps a hybrid key/value cache: only refreshed rows are
   projected from the current input, and they are written into the cache in
@@ -13,8 +15,10 @@ the previous step's cached activations instead of recomputing:
   attention output whose other rows are reused; W_O is applied after
   splicing.
 
-The caches are owned by ``ReuseState`` alone (nothing returned to a caller
-aliases them), which is what makes the in-place updates safe.
+Full mode is the same step with no slot eligible, and ``forward_full`` is
+one full-mode ``model_step`` on a fresh state. The caches are owned by
+``ReuseState`` alone (nothing returned to a caller aliases them), which is
+what makes the in-place updates safe.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
 """
@@ -27,8 +31,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drift import reuse_set
-from .errors import ConfigError, DimensionError, StateError
-from .model import LayerWeights, ModelConfig, attention_rows, mlp, unembed
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    StateError,
+)
+from .model import (
+    LayerWeights,
+    ModelConfig,
+    ModelWeights,
+    attention_rows,
+    mlp,
+    unembed,
+)
 
 MODES = ("full", "kv", "o")
 
@@ -148,10 +164,6 @@ def update_staleness(delta_row: np.ndarray, reused) -> np.ndarray:
     return delta_row
 
 
-def _head0(q: np.ndarray, n_heads: int) -> np.ndarray:
-    return q[:, : q.shape[1] // n_heads]
-
-
 def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
     """Age layer ell's staleness row in place for one slot.
 
@@ -168,48 +180,44 @@ def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
     return np.flatnonzero(~mask), math.sqrt(row.dot(row))
 
 
-def _decide(state: ReuseState, ell: int, t: int,
-            q0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Reuse set for this slot (empty unless gated on with prior state)."""
-    eligible = gate(ell, t, state.skip_first_layers, state.refresh_interval)
-    if not eligible:
-        return _NO_ROWS, False
-    reused = reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
-    return reused, True
+def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
+               ell: int, t: int):
+    """One layer step in the state's mode.
 
+    Queries are always fresh. Where the gate is open in a reuse mode, rows
+    whose head-0 query drift is within the layer threshold are reused:
 
-def _require_prev(present: bool, t: int, ell: int, what: str) -> None:
-    if t > 0 and not present:
-        raise StateError(
-            f"no cached {what} for layer {ell} at step {t}; "
-            "steps must be driven in order from 0")
+    * kv: the reused rows' keys and values stay as cached (stale rows stay
+      stale) and only the refreshed rows are projected, into the cache in
+      place, before attention runs over the hybrid cache;
+    * o: Q, K and V are computed in full, attention rows are evaluated for
+      the refreshed tokens only, into the cached pre-W_O output in place.
 
-
-def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
-                       ell: int, t: int):
-    """One layer step with hybrid key/value reuse.
-
-    Queries are always fresh. Key/value rows of reused tokens stay as
-    cached (including rows that were themselves stale), only the refreshed
-    rows are projected, into the cache in place, and attention runs over
-    the hybrid cache.
+    Full mode is the case where no slot is eligible, so every row is
+    recomputed. Every mode leaves the head-0 queries, K, V and the pre-W_O
+    attention output of this step in the state's caches.
 
     Returns:
         (o, decision): the post-W_O attention output and the slot decision.
     """
-    if state.mode != "kv":
-        raise StateError(f"state mode is {state.mode!r}, expected 'kv'")
-    _require_prev(state.prev_k[ell] is not None, t, ell, "K/V")
     cfg = state.config
+    if t > 0 and state.mode != "full" and state.prev_k[ell] is None:
+        raise StateError(
+            f"no cached activations for layer {ell} at step {t}; "
+            "steps must be driven in order from 0")
     q = x_t @ lw.w_q
-    q0 = _head0(q, cfg.H)
-    reused, eligible = _decide(state, ell, t, q0)
+    q0 = q[:, :cfg.d // cfg.H]
+    eligible = state.mode != "full" and gate(
+        ell, t, state.skip_first_layers, state.refresh_interval)
+    reused = (reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
+              if eligible else _NO_ROWS)
     refreshed, staleness_l2 = _age_staleness(state, ell, reused)
 
     if not reused.size:
         k = x_t @ lw.w_k
         v = x_t @ lw.w_v
-    else:
+        o_pre = attention_rows(q, k, v, cfg.H)
+    elif state.mode == "kv":
         # Only refreshed rows are projected, into the cache in place. A
         # one-row product goes through gemv, whose bits differ from the
         # gemm row of the full product, so one row i is taken from the
@@ -226,74 +234,26 @@ def dare_kv_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
             x_r = x_t[refreshed]
             k[refreshed] = x_r @ lw.w_k
             v[refreshed] = x_r @ lw.w_v
-    o_pre = attention_rows(q, k, v, cfg.H)
-    o = o_pre @ lw.w_o
+        o_pre = attention_rows(q, k, v, cfg.H)
+    else:
+        k = x_t @ lw.w_k
+        v = x_t @ lw.w_v
+        o_pre = state.prev_o_pre[ell]
+        if refreshed.size:
+            o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
 
     state.prev_q_head0[ell] = q0
     state.prev_k[ell] = k
     state.prev_v[ell] = v
-    decision = ReuseDecision(
-        layer=ell, step=t, reused=reused, refreshed=refreshed,
-        eligible=eligible, staleness_l2=staleness_l2)
-    return o, decision
-
-
-def dare_o_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
-                      ell: int, t: int):
-    """One layer step with attention-output reuse.
-
-    Q, K, V are fully recomputed; attention rows are evaluated only for
-    refreshed tokens, reused rows come from the cached pre-projection
-    output, and W_O is applied to the spliced matrix.
-    """
-    if state.mode != "o":
-        raise StateError(f"state mode is {state.mode!r}, expected 'o'")
-    _require_prev(state.prev_o_pre[ell] is not None, t, ell, "attention output")
-    cfg = state.config
-    q = x_t @ lw.w_q
-    k = x_t @ lw.w_k
-    v = x_t @ lw.w_v
-    q0 = _head0(q, cfg.H)
-    reused, eligible = _decide(state, ell, t, q0)
-    refreshed, staleness_l2 = _age_staleness(state, ell, reused)
-
-    if reused.size:
-        o_pre = state.prev_o_pre[ell]  # updated in place: no one else holds it
-        if refreshed.size:
-            o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
-    else:
-        o_pre = attention_rows(q, k, v, cfg.H)
-    o = o_pre @ lw.w_o
-
-    state.prev_q_head0[ell] = q0
     state.prev_o_pre[ell] = o_pre
     decision = ReuseDecision(
         layer=ell, step=t, reused=reused, refreshed=refreshed,
         eligible=eligible, staleness_l2=staleness_l2)
-    return o, decision
+    return o_pre @ lw.w_o, decision
 
 
-def full_layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
-                    ell: int, t: int):
-    """Reuse-free layer step in the same shape as the reuse steps."""
-    cfg = state.config
-    q = x_t @ lw.w_q
-    k = x_t @ lw.w_k
-    v = x_t @ lw.w_v
-    o_pre = attention_rows(q, k, v, cfg.H)
-    o = o_pre @ lw.w_o
-    state.prev_q_head0[ell] = _head0(q, cfg.H)
-    decision = ReuseDecision(
-        layer=ell, step=t, reused=_NO_ROWS, refreshed=state.all_rows,
-        eligible=False, staleness_l2=0.0)
-    return o, decision
-
-
-_LAYER_STEPS = {
-    "full": full_layer_step,
-    "kv": dare_kv_layer_step,
-    "o": dare_o_layer_step,
-}
+# One entry per mode, all one function: the benchmark wraps each mode's entry.
+_LAYER_STEPS = dict.fromkeys(MODES, layer_step)
 
 
 def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
@@ -317,6 +277,43 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
         q_head0.append(state.prev_q_head0[ell])
         cur = mlp(lw, o, cfg.activation)
     return unembed(weights, cur), decisions, q_head0
+
+
+def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:
+    if x.shape != (config.B, config.d):
+        raise DimensionError(
+            f"input shape {x.shape} != ({config.B}, {config.d})"
+        )
+    target = math.sqrt(config.d)
+    # The arithmetic of np.linalg.norm(x, axis=1) and np.allclose(norms,
+    # target, rtol=1e-9, atol=1e-9) without their wrappers' overhead; a
+    # NaN norm fails the comparison.
+    norms = np.sqrt((x * x).sum(axis=1))
+    if not (np.abs(norms - target) <= 1e-9 + 1e-9 * target).all():
+        raise DegenerateInputError(
+            "input rows must be normalized to norm sqrt(d)"
+        )
+
+
+def forward_full(weights: ModelWeights, x: np.ndarray):
+    """Full forward pass without any activation reuse: one full-mode
+    ``model_step`` at step 0 on a fresh state.
+
+    Args:
+        weights: model parameters.
+        x: B x d input with rows normalized to norm sqrt(d).
+
+    Returns:
+        (probs, state): probs is B x n_vocab with rows summing to 1; the
+        state's per-layer caches hold this pass's head-0 queries
+        (``prev_q_head0``), K, V and pre-W_O attention output.
+    """
+    config = weights.config
+    _check_forward_input(config, x)
+    state = ReuseState(config=config, mode="full",
+                       tau_layer=(None,) * config.L)
+    probs, _, _ = model_step(weights, state, x, 0)
+    return probs, state
 
 
 def reuse_accounting(decisions, B: int) -> dict:

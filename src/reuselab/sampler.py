@@ -26,8 +26,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .model import ModelWeights, embed_tokens, forward_full
-from .reuse import ReuseState, model_step
+from .model import ModelWeights, embed_tokens
+from .reuse import ReuseState, forward_full, model_step
 
 _DIST_ATOL = 1e-9
 

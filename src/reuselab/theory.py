@@ -76,13 +76,6 @@ def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
     return 2.0 * tau * d * kappa_q ** 2 / (2.0 + tau * (kappa_q ** 2 - 1.0))
 
 
-def kv_step_constant(weights: ModelWeights, config: ModelConfig | None = None) -> float:
-    """The constant C_W with the sqrt(2) and batch factors folded in, so the
-    per-step key/value reuse bound is ``C_W * sqrt(tau_tilde) * ||Delta||_2``.
-    """
-    return _StepBounds(weights, config).C_W
-
-
 class _StepBounds:
     """The constants and per-step reuse bounds of one model and config.
 
@@ -138,9 +131,11 @@ class _StepBounds:
 
     @cached_property
     def C_W(self) -> float:
-        """``kv_step_constant``. Its product starts with the o-mode
-        scale's four factors in the same left-to-right order, so starting
-        from that partial product keeps every bit."""
+        """The constant with the sqrt(2) and batch factors folded in, so
+        the per-step key/value reuse bound is
+        ``C_W * sqrt(tau_tilde) * ||Delta||_2``. Its product starts with
+        the o-mode scale's four factors in the same left-to-right order,
+        so starting from that partial product keeps every bit."""
         s = self.sigma
         sv = s["w_v"]
         prefactor = (
@@ -165,7 +160,16 @@ class _StepBounds:
         return self.C_W * math.sqrt(tt) * float(delta_l2)
 
     def o_terms(self, displacement: float, delta) -> float:
-        cfg = _theory_config(self.weights, None)
+        """Sum over stale tokens of the three attention-output deviation
+        terms (query moved, keys moved, values moved), given a bound
+        ``displacement`` on how far any accepted token's input row moves in
+        one step.
+
+        Each stale token's total input movement is its staleness count
+        times ``displacement``; the keys/values terms spread that movement
+        across the whole block, hence the extra sqrt(B) factors.
+        """
+        cfg = self.cfg
         if displacement < 0.0:
             raise DegenerateInputError(
                 f"displacement must be >= 0, got {displacement}")
@@ -208,22 +212,6 @@ def kv_step_bound(
     key/value reuse with staleness vector of Euclidean norm ``delta_l2``.
     """
     return _StepBounds(weights, config).kv(tau, delta_l2)
-
-
-def o_step_terms(
-    weights: ModelWeights,
-    displacement: float,
-    delta,
-) -> float:
-    """Sum over stale tokens of the three attention-output deviation terms
-    (query moved, keys moved, values moved), given a bound ``displacement``
-    on how far any accepted token's input row moves in one step.
-
-    Each stale token's total input movement is its staleness count times
-    ``displacement``; the keys/values terms spread that movement across the
-    whole block, hence the extra sqrt(B) factors.
-    """
-    return _StepBounds(weights, None).o_terms(displacement, delta)
 
 
 def o_step_bound(

@@ -187,10 +187,11 @@ def test_cross_layer_similarity_matches_oracle():
 
 def test_similarity_invariants_on_model_value_caches():
     cfg, w = make_model(L=2)
-    from reuselab.model import embed_tokens, forward_full
+    from reuselab.model import embed_tokens
+    from reuselab.reuse import forward_full
     x = embed_tokens(w, np.array([1, 4, 7, 2]))
-    _, acts = forward_full(w, x)
-    sim = cross_layer_similarity([a.v for a in acts])
+    _, state = forward_full(w, x)
+    sim = cross_layer_similarity(state.prev_v)
     assert np.abs(sim.entries - sim.entries.T).max() <= 1e-9
     assert np.abs(np.diag(sim.entries) - 1.0).max() <= 1e-9
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import reuselab
+from reuselab import cli
 from reuselab.analysis import read_csv_with_metadata
 from reuselab.cli import RunConfig, main
 from reuselab.drift import allocate_quantiles, quantile_threshold
@@ -357,9 +358,41 @@ class TestConfigPlumbing:
         profile = json.loads(Path("out/profile.json").read_text())
         assert profile["phi_bar"] == 0.2
 
-    def test_per_head_scoring_is_rejected(self, workdir):
+    def test_per_head_scoring_is_rejected(self, workdir, capsys):
         write_config("cfg.json", per_head=True)
         assert run("init-model", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert "per_head" in err and "'drift'" in err
+
+    @pytest.mark.parametrize("data, words", [
+        ([1, 2], "JSON object"),
+        ({"modle": {}}, "modle"),
+        ({"sampler": [4]}, "'sampler'"),
+        ({"model": {"L": "2"}}, "'model': L must be int"),
+        ({"drift": {"phi_bar": "0.5"}}, "'drift': phi_bar must be float"),
+        ({"reuse": {"refresh_interval": 2.0}}, "'reuse'"),
+        ({"paths": {"weights": None}}, "'paths'"),
+        ({"reuse": {"refresh": 2}}, "refresh"),
+    ], ids=["list", "unknown-section", "section-list", "model-type",
+            "drift-type", "reuse-type", "paths-type", "unknown-field"])
+    def test_malformed_config_file_exits_2(self, workdir, capsys, data,
+                                           words):
+        Path("cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        assert run("init-model", "--config", "cfg.json") == 2
+        assert words in capsys.readouterr().err
+        assert not Path("model.dare").exists()
+
+    @pytest.mark.parametrize("exc", [TypeError, KeyError])
+    def test_internal_errors_are_not_usage_errors(self, workdir, monkeypatch,
+                                                  exc):
+        # A bug inside a command must surface with its traceback, not as
+        # exit code 2.
+        def broken(config):
+            raise exc("internal")
+
+        monkeypatch.setattr(cli, "cmd_generate", broken)
+        with pytest.raises(exc):
+            run("generate")
 
     def test_unknown_mode_is_an_argparse_error(self, workdir):
         with pytest.raises(SystemExit):

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reuselab.analysis import drift_scores_for_layer
+from reuselab.cli import RunConfig, _calibration_traces
 from reuselab.drift import (
     DriftProfile,
     allocate_quantiles,
@@ -127,7 +129,7 @@ def test_layerwise_drift_constant_queries():
     trace = one_layer_trace([[1.0, 0.0], [0.0, 2.0]],
                             [[1.0, 0.0], [0.0, 2.0]],
                             [[1.0, 0.0], [0.0, 2.0]])
-    s, skipped = layerwise_drift([trace])
+    s, skipped, _ = layerwise_drift([trace])
     assert s.shape == (1,)
     assert s[0] == 0.0
     assert skipped == 0
@@ -137,7 +139,7 @@ def test_layerwise_drift_mean_of_two_tokens():
     # Token 0 does not move (drift 0); token 1 rotates 90 degrees (drift 1).
     trace = one_layer_trace([[1.0, 0.0], [1.0, 0.0]],
                             [[1.0, 0.0], [0.0, 1.0]])
-    s, skipped = layerwise_drift([trace])
+    s, skipped, _ = layerwise_drift([trace])
     assert abs(s[0] - 0.5) < 1e-12
     assert skipped == 0
 
@@ -147,7 +149,7 @@ def test_layerwise_drift_matches_flat_loop_oracle():
     n_layers, n_steps, n_tokens, dim = 3, 5, 4, 6
     trace = [[rng.standard_normal((n_tokens, dim)) for _ in range(n_layers)]
              for _ in range(n_steps)]
-    s, skipped = layerwise_drift([trace])
+    s, skipped, _ = layerwise_drift([trace])
     assert skipped == 0
     for ell in range(n_layers):
         vals = []
@@ -172,32 +174,53 @@ def test_layerwise_drift_sums_left_to_right():
             for i in range(16):
                 total += drift_score(cur[0][i], prev[0][i])
                 count += 1
-    s, _ = layerwise_drift(traces)
+    s, _, _ = layerwise_drift(traces)
     assert s[0] == total / count
 
 
 def test_layerwise_drift_pools_traces():
     t1 = one_layer_trace([[1.0, 0.0]], [[0.0, 1.0]])   # drift 1
     t2 = one_layer_trace([[1.0, 0.0]], [[1.0, 0.0]])   # drift 0
-    s, _ = layerwise_drift([t1, t2])
+    s, _, _ = layerwise_drift([t1, t2])
     assert abs(s[0] - 0.5) < 1e-12
 
 
 def test_layerwise_drift_skips_zero_rows():
     trace = one_layer_trace([[0.0, 0.0], [1.0, 0.0]],
                             [[1.0, 0.0], [0.0, 1.0]])
-    s, skipped = layerwise_drift([trace])
+    s, skipped, layer_scores = layerwise_drift([trace])
     assert skipped == 1
     assert abs(s[0] - 1.0) < 1e-12  # only the moving token counted
+    assert [list(scores) for scores in layer_scores] == [[1.0]]
 
 
 def test_layerwise_drift_counts_tiny_rows():
     # 1e-170 squares to zero, but the row is not zero: its drift is defined.
     trace = one_layer_trace([[1e-170, 0.0], [1.0, 0.0]],
                             [[0.0, 1e-170], [1.0, 0.0]])
-    s, skipped = layerwise_drift([trace])
+    s, skipped, _ = layerwise_drift([trace])
     assert skipped == 0
     assert abs(s[0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    RunConfig.default().model,
+    ModelConfig(L=2, H=2, d=8, d_int=16, n_vocab=32, B=4, seed=3)],
+    ids=["default", "L2-H2"])
+def test_layerwise_drift_scores_match_per_layer_pooling(model):
+    # Calibration scores every (step, token) pair once, in layerwise_drift;
+    # its per-layer scores must be bitwise the concatenation, over the
+    # calibration traces, of each trace's drift_scores_for_layer.
+    w = init_weights(model)
+    traces = _calibration_traces(w, RunConfig.default().sampler)
+    _, _, layer_scores = layerwise_drift(
+        [traj for trace in traces for traj in trace.q_trajectories()])
+    assert len(layer_scores) == model.L
+    for ell, got in enumerate(layer_scores):
+        want = np.concatenate([drift_scores_for_layer(trace, ell)[0]
+                               for trace in traces])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_layerwise_drift_input_validation():

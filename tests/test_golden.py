@@ -1,0 +1,208 @@
+"""Golden check of the command-line interface.
+
+Runs a fixed sequence of subcommands through ``main(argv)`` in a temp
+directory and pins, per command, its exit code, the sha256 of its standard
+output and the sha256 of every artifact it wrote or rewrote (wall-clock
+``*.meta.json`` sidecars excepted). A change that alters any primary CLI
+output on purpose re-pins these values and says which ones changed.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from reuselab.cli import main
+
+L2_GELU = {
+    "model": {"L": 2, "H": 2, "d": 8, "d_int": 16, "n_vocab": 32, "B": 4,
+              "activation": "gelu", "seed": 3},
+    "sampler": {"gen_length": 8, "block_size": 4, "steps_per_block": 8,
+                "tokens_unmasked_per_step": 1, "temperature": 1.0,
+                "seed": 5},
+}
+
+DEFAULT_COMMANDS = (
+    ("init-model",),
+    ("calibrate",),
+    ("generate", "--mode", "full"),
+    ("generate", "--mode", "kv"),
+    ("generate", "--mode", "o"),
+    ("verify", "--mode", "kv", "--tau", "0.05", "--trials", "10"),
+    ("verify", "--mode", "o", "--tau", "0.05", "--trials", "10"),
+    ("analyze", "--mode", "kv"),
+    ("bench", "--mode", "kv", "--phi-grid", "0.2,0.5"),
+)
+
+L2_COMMANDS = (
+    ("init-model",),
+    ("calibrate",),
+    ("generate", "--mode", "kv"),
+    ("analyze", "--mode", "kv"),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_battery(commands, extra=()) -> list:
+    """Run ``commands`` in the current directory, all writing to ``out``.
+
+    Returns one entry per command: (command, exit code, stdout sha256,
+    {artifact: sha256} of the files the command wrote or changed).
+    """
+    out = Path("out")
+    seen = {}
+    observed = []
+    for command in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*command, *extra, "--weights", "model.dare",
+                         "--output-dir", str(out)])
+        files = {}
+        for path in sorted([Path("model.dare"), *out.rglob("*")]):
+            if not path.is_file() or path.name.endswith(".meta.json"):
+                continue
+            digest = _sha256(path.read_bytes())
+            if seen.get(str(path)) != digest:
+                files[str(path)] = digest
+                seen[str(path)] = digest
+        observed.append((" ".join(command), code,
+                         _sha256(buf.getvalue().encode()), files))
+    return observed
+
+
+# Per command: (command, exit code, stdout sha256, {artifact: sha256}).
+PINNED_DEFAULT = [
+    ("init-model", 0,
+     "0685c6b1788aa6c0676fcf2e9792820e88dcf7a14e8be5e1c3cbc7b81cf5ab17",
+     {
+        "model.dare":
+            "777e2584e87ac07737d6b196f29df758b123ed15324855169d117edab56b7acc",
+     }),
+    ("calibrate", 0,
+     "7608e01ead136483b85c5216f3a8b266112c8a7e1e7753969838d6a4ba6de5dd",
+     {
+        "out/calibration_scores.json":
+            "8041c94202cacce2a11b0cb6e02bb89e26fabd3070766647a5d469ae46a6d0bd",
+        "out/profile.json":
+            "842a35bc3d348ef4cbf3e653af44e5d7cfbde111d562336db096e2c5cb7748eb",
+     }),
+    ("generate --mode full", 0,
+     "73a07cc4ab447ddaaf570929aa7862cbb7aefca174d7b57b9b6cc23df9f47628",
+     {
+        "out/summary.json":
+            "3905354916414177079221efca228b1da7f3c9193976821c9df2e551b7e5ec35",
+        "out/tokens.json":
+            "c923b63316234e0a499e8df15d1a4f3718009aa9b676dc4c2fde57315588e346",
+        "out/trace.jsonl":
+            "7dca0a79984846efe4fdff32faa14f3b5c65c1cd5ae31a5ef8c9612c237c940e",
+     }),
+    ("generate --mode kv", 0,
+     "13bd192f0962ac124edd0d3fa1f0c4a55e0ab4cec6760eaaa3384875e6871e38",
+     {
+        "out/summary.json":
+            "b217d19cda64ff3508abb4e728a203f3f295629a1449c8e07d9f342f70fdd09a",
+        "out/trace.jsonl":
+            "dfc6f16fa09fc45c91a6755f78b3a4632162f1cd99741c20d89e619f087f43f4",
+     }),
+    ("generate --mode o", 0,
+     "12cd258c9201bf109acf5a6364e725455655adb72ba76cccf4c44e90c4b1eeb6",
+     {
+        "out/summary.json":
+            "792a279ff450e2f7c371d97e1f6ec6700ac2593eb3cb0f9819aea7d94508ffdb",
+        "out/tokens.json":
+            "c0aa3c2d1734806a63e867165ea9f68ded6aa129792a55055a2c339251cea8ad",
+        "out/trace.jsonl":
+            "59fecca03cc29e5c6fb3ce4650a53feea9aba7ae8ca5453b5d313c3e7dfc3e5d",
+     }),
+    ("verify --mode kv --tau 0.05 --trials 10", 0,
+     "cf25971a19a411e821defb2ea3c03d58988d0d14d048b3f27efece3d3dc2c36a",
+     {
+        "out/report.json":
+            "18a047a6eab9a64d257048edb827457cf135c73d6ab76fcd77459a8a20202e66",
+        "out/verify_steps.csv":
+            "36e21e213d4c71f1bd9a070d2b1dfce190798666e392500dd31b4be9d20e4b9a",
+     }),
+    ("verify --mode o --tau 0.05 --trials 10", 0,
+     "cf25971a19a411e821defb2ea3c03d58988d0d14d048b3f27efece3d3dc2c36a",
+     {
+        "out/report.json":
+            "9afe7f669430fb0167d1eda157f36876ae93e0778d6b8ea03c0d545850fe0640",
+        "out/verify_steps.csv":
+            "3013d4bc3e735b88c8edca2cf584cde46ed28764e8d9a04276a23f47cd58ec7b",
+     }),
+    ("analyze --mode kv", 0,
+     "f6aafaa7baf3d66342fa8894a7b6d4a74667c2495ffcc636143df4d8df473856",
+     {
+        "out/drift_hist_layer0.csv":
+            "c1207675104668f5cb60ddc51d4360e3dbdc091f8b2bcaac3e651881eb4aefea",
+        "out/temporal_sim_layer0.csv":
+            "8b112cee092c7d3ebba7e9066342167fec1edf8f16e93c95c63129ce3765b32a",
+     }),
+    ("bench --mode kv --phi-grid 0.2,0.5", 0,
+     "9730e2ce95c2496dc932e03f4fbdd0283038ddda77d968a41576b0116a9524f9",
+     {
+        "out/bench.csv":
+            "f66f5dd637ba085e83658f18c36ea2506d09e5d3987be2edb5380641ed40beee",
+     }),
+]
+
+PINNED_L2_GELU = [
+    ("init-model", 0,
+     "d74377a244e3c9782881ec63f04111fe21f62ed6e7b2ff908eafa71e0a98f393",
+     {
+        "model.dare":
+            "457ef3cb3c702466e203f8e15bccdf2cdd5f31ef567ffd641cf7730514c325fb",
+     }),
+    ("calibrate", 0,
+     "d1256250c2c0cdcc8f7bcc2ff55540fa3acbfe0a3bdae86eead9a6634a74df49",
+     {
+        "out/calibration_scores.json":
+            "b84e3a3773954f8f868b7ec86b5aae5b68d4997ac02b145ab7e98c703494ab6b",
+        "out/profile.json":
+            "b17989c997f4c66c11afba8b53e53fc24f90d39a7e64956cbc7bf4b0e9e5d4d5",
+     }),
+    ("generate --mode kv", 0,
+     "2e510a0cd53ae1fa107d2a5fb8e1ab29fc75d8e4e1d96c65343f530b3fc27d61",
+     {
+        "out/summary.json":
+            "55b8539593492caed6a00781f0766e4ac3814765c976ae8e9ad9cc63c6419dce",
+        "out/tokens.json":
+            "73975feada947cb4f4a5fddb04346c1b830673aa374a294060e67dd84f483a61",
+        "out/trace.jsonl":
+            "a43cbe695159890fb77a7141248da84eabfb87e2f85d6418db68ef868ced983f",
+     }),
+    ("analyze --mode kv", 0,
+     "67911f09e4257a1d2fcb0fe7b2c7d16130f9e48ee69764de02db75ab074557cc",
+     {
+        "out/drift_hist_layer0.csv":
+            "43a805c4352da9a5d06334d0cff9a7545a7718aa477debf6ee2737b031f7d7a5",
+        "out/drift_hist_layer1.csv":
+            "003eeb6f4de541d9bffafb0fd27c45101f78c50413745d7d265e53a4ca2cf658",
+        "out/temporal_sim_layer0.csv":
+            "c9f974e5b6a4b062551e001638975f830d6cbece4ab8c91c4ca8289255846937",
+        "out/temporal_sim_layer1.csv":
+            "9ef14c1055a1c13b0ca9777ee6dedcce8a5f676e0934efd54e54f3e1a5686c6c",
+        "out/value_layer_sim.csv":
+            "17ee6baf2d1f4f9551d50edf939cc10eca7cc592b8ec83e46a3af819c4d366a9",
+     }),
+]
+
+
+def test_default_config_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_battery(DEFAULT_COMMANDS) == PINNED_DEFAULT
+
+
+def test_l2_gelu_config_outputs_are_pinned(tmp_path, monkeypatch):
+    pytest.importorskip("scipy")
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(L2_GELU), encoding="utf-8")
+    observed = run_battery(L2_COMMANDS, ("--config", "run.json"))
+    assert "out/value_layer_sim.csv" in observed[-1][3]
+    assert observed == PINNED_L2_GELU

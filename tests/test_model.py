@@ -5,6 +5,7 @@ forward_full is checked against a fully scalar pure-Python reimplementation
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -23,24 +24,27 @@ from reuselab.errors import (
 )
 from reuselab.linalg import condition_kappa, normalize_rows_sqrt_d, softmax_rows
 from reuselab.model import (
-    LayerActivations,
     ModelConfig,
     activation_fn,
     attention_rows,
     embed_tokens,
-    forward_full,
     init_weights,
     load_weights,
     save_weights,
 )
+from reuselab.reuse import forward_full
 
 # Frozen once from condition_kappa on the generated W_Q; guards the RNG
 # draw order as much as the linalg stack.
 KAPPA_WQ_D8_SEED1 = 28.219176614993213
 
 
-def scalar_forward(weights, x):
-    """Step-by-step scalar-loop forward pass (no numpy arithmetic)."""
+def scalar_forward(weights, x, layers=None):
+    """Step-by-step scalar-loop forward pass (no numpy arithmetic).
+
+    When ``layers`` is a list, each layer's q, k, v and o_pre are appended
+    to it as a dict of nested lists.
+    """
     cfg = weights.config
 
     def mat(a):
@@ -81,6 +85,8 @@ def scalar_forward(weights, x):
                 for t in range(dh):
                     o_pre[i][lo + t] = sum(
                         attn[j] * v[j][lo + t] for j in range(n))
+        if layers is not None:
+            layers.append({"q": q, "k": k, "v": v, "o_pre": o_pre})
         o = mm(o_pre, mat(lw.w_o))
         hidden = [[act(u) for u in row] for row in mm(o, mat(lw.w_u))]
         cur = mm(hidden, mat(lw.w_d))
@@ -273,11 +279,11 @@ def test_forward_accepts_row_norms_within_tolerance():
 
 def test_forward_prob_rows_sum_to_one():
     w = init_weights(small_config())
-    probs, acts = forward_full(w, embed_tokens(w, [1, 5, 9]))
+    probs, state = forward_full(w, embed_tokens(w, [1, 5, 9]))
     assert probs.shape == (3, 12)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-10
-    assert len(acts) == 1
-    assert acts[0].q.shape == (3, 4)
+    assert len(state.prev_k) == 1
+    assert state.prev_q_head0[0].shape == (3, 4)
 
 
 def test_forward_single_token_ignores_queries():
@@ -286,16 +292,15 @@ def test_forward_single_token_ignores_queries():
     cfg = small_config(B=1)
     w = init_weights(cfg)
     x = embed_tokens(w, [4])
-    _, acts = forward_full(w, x)
     rng = np.random.default_rng(99)
     other_q = dataclasses.replace(w.layers[0],
                                   w_q=rng.standard_normal((4, 4)))
     w2 = dataclasses.replace(w, layers=(other_q,))
-    probs1, _ = forward_full(w, x)
-    probs2, acts2 = forward_full(w2, x)
-    assert np.array_equal(acts[0].o, acts2[0].o)
+    probs1, state1 = forward_full(w, x)
+    probs2, state2 = forward_full(w2, x)
+    assert np.array_equal(state1.prev_o_pre[0], state2.prev_o_pre[0])
     assert np.array_equal(probs1, probs2)
-    assert np.max(np.abs(acts[0].o_pre - acts[0].v)) < 1e-15
+    assert np.max(np.abs(state1.prev_o_pre[0] - state1.prev_v[0])) < 1e-15
 
 
 def test_forward_matches_scalar_oracle_relu():
@@ -319,10 +324,18 @@ def test_forward_matches_scalar_oracle_multihead_multilayer():
                       activation="relu", seed=5)
     w = init_weights(cfg)
     x = embed_tokens(w, [2, 7, 13])
-    probs, acts = forward_full(w, x)
-    want = scalar_forward(w, x)
+    probs, state = forward_full(w, x)
+    layers = []
+    want = scalar_forward(w, x, layers)
     assert np.max(np.abs(probs - want)) < 1e-10
-    assert len(acts) == 2
+    assert len(state.prev_k) == 2
+    dh = cfg.d // cfg.H
+    for ell, oracle in enumerate(layers):
+        q0 = np.array(oracle["q"])[:, :dh]
+        assert np.max(np.abs(state.prev_q_head0[ell] - q0)) < 1e-12
+        for name in ("k", "v", "o_pre"):
+            got = getattr(state, f"prev_{name}")[ell]
+            assert np.max(np.abs(got - np.array(oracle[name]))) < 1e-12
 
 
 def test_forward_permutation_equivariance():
@@ -359,19 +372,51 @@ def test_multihead_reduces_to_single_head_under_uniform_attention():
     w_single = dataclasses.replace(base, layers=(lw,))
     w_multi = dataclasses.replace(w_single, config=cfg2)
     x = embed_tokens(base, [6, 6, 6])  # identical rows
-    p1, a1 = forward_full(w_single, x)
-    p2, a2 = forward_full(w_multi, x)
-    assert np.allclose(a1[0].o_pre, a2[0].o_pre, rtol=1e-12, atol=1e-14)
+    p1, s1 = forward_full(w_single, x)
+    p2, s2 = forward_full(w_multi, x)
+    assert np.allclose(s1.prev_o_pre[0], s2.prev_o_pre[0],
+                       rtol=1e-12, atol=1e-14)
     assert np.allclose(p1, p2, rtol=1e-12, atol=1e-14)
 
 
-def test_layer_activations_head_view():
-    la = LayerActivations(
-        q=np.arange(8.0).reshape(2, 4), k=np.zeros((2, 4)),
-        v=np.zeros((2, 4)), o_pre=np.zeros((2, 4)), o=np.zeros((2, 4)),
-        h=np.zeros((2, 4)), n_heads=2)
-    assert np.array_equal(la.head_view(la.q, 0), [[0.0, 1.0], [4.0, 5.0]])
-    assert np.array_equal(la.head_view(la.q, 1), [[2.0, 3.0], [6.0, 7.0]])
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of forward_full's probs, then of the per-layer head-0 queries, K,
+# V and pre-W_O attention output, recorded from the two-pass forward that
+# kept per-layer activation records; the one-pass forward_full must keep
+# every bit.
+FORWARD_PINS = [
+    ((ModelConfig(L=2, H=2, d=8, d_int=6, n_vocab=16, B=3, seed=5),
+      [2, 7, 13]),
+     ("be803ac3c015d6c7e1df1812937f276946745dde3179dce43d51e682e9dc7f6d",
+      "acf9f47ed91c13526b91bf96ac433d0c5de3534e612c9798a7e2feaf8f7340fa",
+      "614d0200218772b00152b3a52e61e381558f6b9f11e581c4579bc1e95fd2bd55",
+      "9875710d343cf55c75a869f892e6dfe317d5d3eb733764c17b309bc3d8b1b96c",
+      "8727d5d03664651240e9cad0d0c4e9f7ee90460384b542d71357dac8e06b64a0")),
+    ((ModelConfig(L=4, H=2, d=32, d_int=64, n_vocab=32, B=16, seed=1),
+      list(range(16))),
+     ("a185875a621ff1703a92bb8b8243d8069141eb44fea876bf40519c006369359f",
+      "18d642e924786b236805308558dc16b35c8d2aa6bb3848e81a29946730b01518",
+      "5d714de068f78694dfdac662a67029b3baf16b63faf48cddccd3d6a479a2c874",
+      "390e2b84b625f7863cb82b3a5510b245b2cd6b2fd33e9ae7d54fc4a4c5105f34",
+      "e7fb4a92f268abbeb6943cd03574d681b1dbbbbb195434e0e6a03d5295e2e30c")),
+]
+
+
+@pytest.mark.parametrize("case, pins", FORWARD_PINS, ids=["L2-H2", "L4-H2"])
+def test_forward_full_is_pinned(case, pins):
+    cfg, tokens = case
+    w = init_weights(cfg)
+    probs, state = forward_full(w, embed_tokens(w, tokens))
+    got = (_sha256(probs), _sha256(*state.prev_q_head0),
+           _sha256(*state.prev_k), _sha256(*state.prev_v),
+           _sha256(*state.prev_o_pre))
+    assert got == pins
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ from reuselab.drift import DriftProfile, row_drift
 from reuselab.errors import ConfigError, DimensionError, StateError
 from reuselab.model import (
     ModelConfig,
+    attention_rows,
     embed_tokens,
-    forward_full,
     init_weights,
+    mlp,
 )
 from reuselab.reuse import (
+    MODES,
     CounterfactualReuse,
     ReuseState,
-    dare_kv_layer_step,
-    dare_o_layer_step,
+    forward_full,
     gate,
+    layer_step,
     model_step,
     reuse_accounting,
     simulate_reuse_counterfactual,
@@ -122,11 +124,12 @@ def test_update_staleness_matches_replay_oracle():
 def test_kv_disabled_sentinel_is_bitwise_full():
     cfg, w = make_model()
     state = make_state(cfg, "kv", tau=None)
+    full = make_state(cfg, "full", tau=None)
     for t, tokens in enumerate([[1, 5, 9], [2, 5, 9], [2, 6, 9]]):
         x = embed_tokens(w, tokens)
-        _, acts = forward_full(w, x)
-        o, decision = dare_kv_layer_step(w.layers[0], x, state, 0, t)
-        assert np.array_equal(o, acts[0].o)
+        want, _ = layer_step(w.layers[0], x, full, 0, t)
+        o, decision = layer_step(w.layers[0], x, state, 0, t)
+        assert np.array_equal(bits(o), bits(want))
         assert decision.reused_count == 0
         assert state.delta.max() == 0
 
@@ -135,12 +138,12 @@ def test_kv_unchanged_input_reuses_everything():
     cfg, w = make_model()
     state = make_state(cfg, "kv", tau=0.0)
     x = embed_tokens(w, [1, 5, 9])
-    dare_kv_layer_step(w.layers[0], x, state, 0, 0)
-    o, decision = dare_kv_layer_step(w.layers[0], x, state, 0, 1)
-    _, acts = forward_full(w, x)
+    layer_step(w.layers[0], x, state, 0, 0)
+    o, decision = layer_step(w.layers[0], x, state, 0, 1)
+    _, full = forward_full(w, x)
     assert decision.reused_count == 3
     assert list(state.delta[0]) == [1, 1, 1]
-    assert np.max(np.abs(o - acts[0].o)) < 1e-10
+    assert np.max(np.abs(o - full.prev_o_pre[0] @ w.layers[0].w_o)) < 1e-10
 
 
 def test_kv_forced_single_token_matches_splice_oracle():
@@ -149,8 +152,8 @@ def test_kv_forced_single_token_matches_splice_oracle():
     state = make_state(cfg, "kv", tau=1e-9)
     x_prev = embed_tokens(w, [4, 1, 7])
     x_cur = embed_tokens(w, [4, 2, 8])  # only token 0 unchanged
-    dare_kv_layer_step(lw, x_prev, state, 0, 0)
-    o, decision = dare_kv_layer_step(lw, x_cur, state, 0, 1)
+    layer_step(lw, x_prev, state, 0, 0)
+    o, decision = layer_step(lw, x_cur, state, 0, 1)
     assert list(decision.reused) == [0]
     assert sorted(decision.refreshed) == [1, 2]
 
@@ -175,7 +178,7 @@ def test_kv_hybrid_cache_rows_match_replay():
     token_seq = [[4, 1, 7], [4, 2, 8], [4, 2, 9], [4, 2, 9]]
     xs = [embed_tokens(w, tk) for tk in token_seq]
     for t, x in enumerate(xs):
-        dare_kv_layer_step(lw, x, state, 0, t)
+        layer_step(lw, x, state, 0, t)
         delta = state.delta[0]
         for i in range(3):
             source = xs[t - delta[i]]
@@ -187,13 +190,10 @@ def test_kv_hybrid_cache_rows_match_replay():
 
 def test_kv_requires_prior_state():
     cfg, w = make_model()
-    state = make_state(cfg, "kv", tau=0.1)
-    with pytest.raises(StateError):
-        dare_kv_layer_step(w.layers[0], embed_tokens(w, [1, 2, 3]), state,
-                           0, 1)
-    with pytest.raises(StateError):
-        dare_o_layer_step(w.layers[0], embed_tokens(w, [1, 2, 3]), state,
-                          0, 0)  # wrong mode
+    for mode in ("kv", "o"):
+        state = make_state(cfg, mode, tau=0.1)
+        with pytest.raises(StateError):
+            layer_step(w.layers[0], embed_tokens(w, [1, 2, 3]), state, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +203,20 @@ def test_kv_requires_prior_state():
 def test_o_disabled_sentinel_is_bitwise_full():
     cfg, w = make_model()
     state = make_state(cfg, "o", tau=None)
+    full = make_state(cfg, "full", tau=None)
     for t, tokens in enumerate([[1, 5, 9], [2, 6, 9]]):
         x = embed_tokens(w, tokens)
-        _, acts = forward_full(w, x)
-        o, _ = dare_o_layer_step(w.layers[0], x, state, 0, t)
-        assert np.array_equal(o, acts[0].o)
+        want, _ = layer_step(w.layers[0], x, full, 0, t)
+        o, _ = layer_step(w.layers[0], x, state, 0, t)
+        assert np.array_equal(bits(o), bits(want))
 
 
 def test_o_total_reuse_replays_previous_output():
     cfg, w = make_model()
     state = make_state(cfg, "o", tau=2.0)
     x = embed_tokens(w, [1, 5, 9])
-    o_first, _ = dare_o_layer_step(w.layers[0], x, state, 0, 0)
-    o_second, decision = dare_o_layer_step(w.layers[0], x, state, 0, 1)
+    o_first, _ = layer_step(w.layers[0], x, state, 0, 0)
+    o_second, decision = layer_step(w.layers[0], x, state, 0, 1)
     assert decision.reused_count == 3
     assert np.max(np.abs(o_second - o_first)) < 1e-12
 
@@ -226,9 +227,9 @@ def test_o_forced_single_token_matches_row_oracle():
     state = make_state(cfg, "o", tau=1e-9)
     x_prev = embed_tokens(w, [3, 6, 10])
     x_cur = embed_tokens(w, [5, 6, 11])  # only token 1 unchanged
-    dare_o_layer_step(lw, x_prev, state, 0, 0)
+    layer_step(lw, x_prev, state, 0, 0)
     cached_o_pre = state.prev_o_pre[0].copy()
-    o, decision = dare_o_layer_step(lw, x_cur, state, 0, 1)
+    o, decision = layer_step(lw, x_cur, state, 0, 1)
     assert list(decision.reused) == [1]
 
     q = x_cur @ lw.w_q
@@ -248,8 +249,8 @@ def test_o_fresh_rows_see_fresh_keys():
     state = make_state(cfg, "o", tau=1e-9)
     x_prev = embed_tokens(w, [3, 6, 10])
     x_cur = embed_tokens(w, [5, 6, 11])
-    dare_o_layer_step(lw, x_prev, state, 0, 0)
-    dare_o_layer_step(lw, x_cur, state, 0, 1)
+    layer_step(lw, x_prev, state, 0, 0)
+    layer_step(lw, x_cur, state, 0, 1)
     fresh = scalar_attention_rows(x_cur @ lw.w_q, x_cur @ lw.w_k,
                                   x_cur @ lw.w_v, [0, 2])
     assert np.max(np.abs(state.prev_o_pre[0][0] - fresh[0])) < 1e-12
@@ -267,14 +268,15 @@ MID = ModelConfig(L=4, H=2, d=64, d_int=128, n_vocab=32, B=32,
 def changing_inputs(w, n_changed, n_steps, seed):
     """Embedded blocks where each step changes the tokens at n_changed
     random positions and keeps the rest."""
+    cfg = w.config
     rng = np.random.default_rng(seed)
-    tokens = rng.integers(0, MID.n_vocab, MID.B)
+    tokens = rng.integers(0, cfg.n_vocab, cfg.B)
     xs = [embed_tokens(w, tokens)]
     for _ in range(1, n_steps):
         tokens = tokens.copy()
-        idx = rng.choice(MID.B, n_changed, replace=False)
+        idx = rng.choice(cfg.B, n_changed, replace=False)
         tokens[idx] = (tokens[idx]
-                       + rng.integers(1, MID.n_vocab, n_changed)) % MID.n_vocab
+                       + rng.integers(1, cfg.n_vocab, n_changed)) % cfg.n_vocab
         xs.append(embed_tokens(w, tokens))
     return xs
 
@@ -293,7 +295,7 @@ def check_kv_cache_sources(w, xs, n_changed):
     rows = np.arange(cfg.B)
     for t, x in enumerate(xs):
         for ell, lw in enumerate(w.layers):
-            _, decision = dare_kv_layer_step(lw, x, state, ell, t)
+            _, decision = layer_step(lw, x, state, ell, t)
             if t:
                 assert decision.refreshed_count == n_changed
             source = t - state.delta[ell]
@@ -339,7 +341,7 @@ def test_o_reused_rows_are_bitwise_cached_rows(n_changed):
     for t, x in enumerate(changing_inputs(w, n_changed, 4, seed=n_changed)):
         for ell, lw in enumerate(w.layers):
             cached = None if t == 0 else state.prev_o_pre[ell].copy()
-            o, decision = dare_o_layer_step(lw, x, state, ell, t)
+            o, decision = layer_step(lw, x, state, ell, t)
             o_pre = state.prev_o_pre[ell]
             assert np.array_equal(bits(o), bits(o_pre @ lw.w_o))
             if t:
@@ -392,7 +394,7 @@ def test_decision_partition_and_record_keys():
     state = make_state(cfg, "kv", tau=0.5)
     x = embed_tokens(w, [1, 5, 9])
     for t in range(3):
-        _, decision = dare_kv_layer_step(w.layers[0], x, state, 0, t)
+        _, decision = layer_step(w.layers[0], x, state, 0, t)
         both = sorted(list(decision.reused) + list(decision.refreshed))
         assert both == [0, 1, 2]
         assert set(decision.to_record()) == {
@@ -401,16 +403,57 @@ def test_decision_partition_and_record_keys():
 
 
 def test_model_step_full_matches_forward_full():
+    # Steps 1 and 3 at refresh interval 2 are slots where the gate is open;
+    # full mode must still decide nothing there.
     cfg = ModelConfig(L=2, H=2, d=8, d_int=6, n_vocab=16, B=3, seed=5)
     w = init_weights(cfg)
-    state = ReuseState(config=cfg, mode="full", tau_layer=(None, None))
-    x = embed_tokens(w, [2, 7, 13])
-    probs_ref, acts = forward_full(w, x)
-    probs, decisions, q_head0 = model_step(w, state, x, 0)
-    assert np.array_equal(probs, probs_ref)
-    assert len(decisions) == 2
-    assert all(d.reused_count == 0 and not d.eligible for d in decisions)
-    assert np.array_equal(q_head0[0], acts[0].q[:, :4])
+    state = ReuseState(config=cfg, mode="full", tau_layer=(None, None),
+                       refresh_interval=2)
+    for t, tokens in enumerate([[2, 7, 13], [2, 7, 13], [2, 8, 13],
+                                [2, 8, 13]]):
+        x = embed_tokens(w, tokens)
+        probs_ref, ref = forward_full(w, x)
+        probs, decisions, q_head0 = model_step(w, state, x, t)
+        assert np.array_equal(bits(probs), bits(probs_ref))
+        assert len(decisions) == 2
+        for d in decisions:
+            assert not d.eligible and d.reused_count == 0
+            assert list(d.refreshed) == [0, 1, 2]
+            assert d.staleness_l2 == 0.0
+        assert np.array_equal(q_head0[0], (x @ w.layers[0].w_q)[:, :4])
+        for ell in range(cfg.L):
+            assert np.array_equal(bits(q_head0[ell]),
+                                  bits(ref.prev_q_head0[ell]))
+        assert state.staleness_l2() == 0.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_caches_fresh_rows(mode):
+    """After each step the refreshed rows of every cache are this step's:
+    K and V bitwise the full projection's rows, and the pre-W_O attention
+    output the attention of this step's queries over the step's K/V."""
+    cfg = ModelConfig(L=2, H=2, d=16, d_int=32, n_vocab=32, B=5, seed=2)
+    w = init_weights(cfg)
+    state = ReuseState(config=cfg, mode=mode, tau_layer=(0.0,) * cfg.L,
+                       refresh_interval=10)
+    xs = changing_inputs(w, 2, 4, seed=4)
+    reused_any = False
+    for t, x in enumerate(xs):
+        cur = x
+        for ell, lw in enumerate(w.layers):
+            o, decision = layer_step(lw, cur, state, ell, t)
+            r = decision.refreshed
+            reused_any |= decision.reused_count > 0
+            q = cur @ lw.w_q
+            k, v = state.prev_k[ell], state.prev_v[ell]
+            assert np.array_equal(bits(k[r]), bits((cur @ lw.w_k)[r]))
+            assert np.array_equal(bits(v[r]), bits((cur @ lw.w_v)[r]))
+            fresh = attention_rows(q, k, v, cfg.H)
+            assert np.max(np.abs(state.prev_o_pre[ell][r] - fresh[r])) < 1e-12
+            assert np.array_equal(bits(state.prev_q_head0[ell]),
+                                  bits(q[:, :cfg.d // cfg.H]))
+            cur = mlp(lw, o, cfg.activation)
+    assert reused_any == (mode != "full")
 
 
 def test_model_step_kv_disabled_matches_full_over_steps():
@@ -430,7 +473,7 @@ def test_reuse_accounting_exact():
     decisions = []
     x = embed_tokens(w, [1, 5, 9])
     for t in range(6):
-        _, decision = dare_kv_layer_step(w.layers[0], x, state, 0, t)
+        _, decision = layer_step(w.layers[0], x, state, 0, t)
         decisions.append(decision)
     acct = reuse_accounting(decisions, B=cfg.B)
     # Steps 1, 3, 5 are eligible (refresh every even step) and reuse all 3
@@ -478,7 +521,7 @@ def test_state_reset_block():
     state = make_state(cfg, "kv", tau=2.0)
     x = embed_tokens(w, [1, 5, 9])
     for t in range(2):
-        dare_kv_layer_step(w.layers[0], x, state, 0, t)
+        layer_step(w.layers[0], x, state, 0, t)
     assert state.delta.max() == 1
     state.reset_block()
     assert state.delta.max() == 0
@@ -517,7 +560,7 @@ def test_counterfactual_matches_live_run_on_frozen_inputs():
     live = []
     scores = [None]
     for t in range(5):
-        _, decision = dare_kv_layer_step(w.layers[0], x, state, 0, t)
+        _, decision = layer_step(w.layers[0], x, state, 0, t)
         live.append(decision.reused_count)
         if t > 0:
             scores.append([np.zeros(3)])  # identical queries: drift 0

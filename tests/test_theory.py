@@ -20,10 +20,8 @@ from reuselab.theory import (
     cumulative_bound,
     cumulative_series,
     kv_step_bound,
-    kv_step_constant,
     lipschitz_G,
     o_step_bound,
-    o_step_terms,
     softmax_lipschitz_gap,
     tau_tilde,
     verify_run,
@@ -195,7 +193,7 @@ def test_kv_step_constant_ties_out():
     cfg, w = theory_model()
     kappa = condition_kappa(w.layers[0].w_q)
     tt = tau_tilde(0.05, cfg.d, kappa)
-    expect = kv_step_constant(w) * math.sqrt(tt) * 2.0
+    expect = theory._StepBounds(w, None).C_W * math.sqrt(tt) * 2.0
     got = kv_step_bound(w, cfg, 0.05, 2.0)
     assert abs(got - expect) / expect < 1e-12
 
@@ -239,7 +237,7 @@ def test_o_step_terms_zero_query_map_leaves_values_term():
     _, w = theory_model()
     lw = dataclasses.replace(w.layers[0], w_q=np.zeros_like(w.layers[0].w_q))
     wq0 = dataclasses.replace(w, layers=(lw,))
-    got = o_step_terms(wq0, 1.0, (1, 0, 2, 0))
+    got = theory._StepBounds(wq0, None).o_terms(1.0, (1, 0, 2, 0))
     fro = lambda a: float(np.linalg.norm(a))
     expect = fro(lw.w_o) * fro(lw.w_v) * 2.0 * (1.0 + 2.0)
     assert abs(got - expect) / expect < 1e-12
@@ -254,10 +252,27 @@ def test_o_step_bound_scales_with_staleness():
 
 def test_o_step_terms_rejects_bad_inputs():
     _, w = theory_model()
+    bounds = theory._StepBounds(w, None)
     with pytest.raises(DegenerateInputError):
-        o_step_terms(w, -1.0, (1, 0, 2, 0))
+        bounds.o_terms(-1.0, (1, 0, 2, 0))
     with pytest.raises(DegenerateInputError):
-        o_step_terms(w, 1.0, (1, 0))
+        bounds.o_terms(1.0, (1, 0))
+
+
+def test_step_bounds_use_the_config_passed():
+    # Both bounds read B from the config the caller passes, not from the
+    # weights' own config; on that own config the values keep their bits.
+    cfg, w = theory_model()
+    wide = dataclasses.replace(cfg, B=8)
+    assert o_step_bound(w, cfg, 0.05, (1, 0, 2, 0)) \
+        == O_BOUND_D8_TAU005_DELTA_1020
+    assert o_step_bound(w, None, 0.05, (1, 0, 2, 0)) \
+        == O_BOUND_D8_TAU005_DELTA_1020
+    assert kv_step_bound(w, wide, 0.05, 2.0) \
+        == 2.0 * kv_step_bound(w, cfg, 0.05, 2.0)
+    assert o_step_bound(w, wide, 0.05, (1, 0, 2, 0, 0, 0, 0, 0)) > 0.0
+    with pytest.raises(DegenerateInputError):
+        o_step_bound(w, wide, 0.05, (1, 0, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +451,6 @@ def test_lipschitz_g_and_kv_constant_match_the_step_bounds():
     _, w = theory_model()
     bounds = theory._StepBounds(w, None)
     assert lipschitz_G(w) == bounds.G
-    assert kv_step_constant(w) == bounds.C_W
 
 
 def test_verify_run_report_rows_align_with_series():
