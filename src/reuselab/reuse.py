@@ -135,7 +135,18 @@ class ReuseState:
 
     def staleness_l2(self) -> float:
         """Euclidean norm of the whole staleness matrix."""
-        return float(np.linalg.norm(self.delta.astype(np.float64)))
+        return staleness_norm(self.delta)
+
+
+def staleness_norm(delta: np.ndarray) -> float:
+    """Euclidean norm of an int64 staleness row or matrix.
+
+    The bits of ``np.linalg.norm(delta.astype(np.float64))``, which is
+    ``sqrt(x.dot(x))`` on the raveled array: ``vdot`` ravels too, its
+    integer dot is exact, and so is that sum's conversion to float below
+    2**53.
+    """
+    return math.sqrt(np.vdot(delta, delta))
 
 
 def gate(layer: int, step: int, skip_first_layers: int,
@@ -177,7 +188,7 @@ def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
     mask = np.zeros(row.size, dtype=bool)
     mask[reused] = True
     update_staleness(row, mask)
-    return np.flatnonzero(~mask), math.sqrt(row.dot(row))
+    return np.flatnonzero(~mask), staleness_norm(row)
 
 
 def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
@@ -391,7 +402,7 @@ def simulate_reuse_counterfactual(scores, tau_layer, skip_first_layers: int,
                 reused = _NO_ROWS
             reused_per_slot[t, ell] = reused.size
             update_staleness(delta[ell], reused)
-        delta_l2[t] = float(np.linalg.norm(delta.astype(np.float64)))
+        delta_l2[t] = staleness_norm(delta)
     return CounterfactualReuse(
         reused_per_slot=reused_per_slot,
         delta_l2_per_step=delta_l2,

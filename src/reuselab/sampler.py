@@ -14,7 +14,12 @@ the two distributions overlap. The recorded per-step gaps are what the
 bound harness checks. Each step couples the whole block in one call to
 ``couple_rows``, which validates both distribution matrices and finds the
 bitwise-equal rows in one vectorized pass, then makes, row by row, the
-draws ``maximal_coupling_sample`` would make for each pair.
+draws ``maximal_coupling_sample`` would make for each pair. A reference
+pass at the reuse branch's input runs only on steps where some layer
+reused a row: on the other steps every layer took the full-mode path on
+the same input, so the reuse branch's distribution is the reference one
+bit for bit. Acceptance criterion 01 and
+``test_model_step_full_matches_forward_full`` check that identity.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .model import ModelWeights, embed_tokens
-from .reuse import ReuseState, forward_full, model_step
+from .reuse import ReuseState, _check_forward_input, forward_full, model_step
 
 _DIST_ATOL = 1e-9
 
@@ -379,6 +384,13 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     the reuse branch's distribution. The recorded L1 gap compares the two
     models at the reuse branch's input, which is the quantity the per-step
     bounds constrain.
+
+    ``forward_full`` runs at the reuse branch's input only on steps where
+    some decision reused a row, and at the reference branch's input only
+    on steps where the two token strings differ. A step that reused
+    nothing ran the full-mode computation, so its distribution is the
+    reference one exactly and its gap is 0; the input-norm check of
+    ``forward_full`` still runs on it.
     """
     cfg = weights.config
     if mode not in ("kv", "o"):
@@ -404,14 +416,17 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     for t in range(T):
         x_hat = embed_tokens(weights, xhat_tokens)
         p_hat, decisions, _ = model_step(weights, state, x_hat, t)
+        if any(d.reused.size for d in decisions):
+            p_ref, _ = forward_full(weights, x_hat)
+        else:
+            # Every layer recomputed every row, which is the full pass on
+            # this input: p_hat is the reference distribution bit for bit.
+            _check_forward_input(cfg, x_hat)
+            p_ref = p_hat
         if (x_tokens == xhat_tokens).all():
-            # Shared input: the reference distribution at the reuse
-            # branch's input is exactly the full forward below.
-            p_full, _ = forward_full(weights, x_hat)
-            p_ref = p_full
+            p_full = p_ref
         else:
             p_full, _ = forward_full(weights, embed_tokens(weights, x_tokens))
-            p_ref, _ = forward_full(weights, x_hat)
         l1_gap[t] = float(np.abs(p_ref - p_hat).sum())
         delta_l2[t] = state.staleness_l2()
         deltas.append(state.delta.copy())

@@ -1,10 +1,12 @@
-"""Golden check of the command-line interface.
+"""Golden checks of the command-line interface and the coupled sampler.
 
 Runs a fixed sequence of subcommands through ``main(argv)`` in a temp
 directory and pins, per command, its exit code, the sha256 of its standard
 output and the sha256 of every artifact it wrote or rewrote (wall-clock
-``*.meta.json`` sidecars excepted). A change that alters any primary CLI
-output on purpose re-pins these values and says which ones changed.
+``*.meta.json`` sidecars excepted). A second check pins, per model and
+reuse mode, one sha256 over every ``CoupledPair`` field of a grid of
+``coupled_generate`` runs. A change that alters any of these outputs on
+purpose re-pins the values and says which ones changed.
 """
 
 import contextlib
@@ -13,9 +15,13 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reuselab.cli import main
+from reuselab.cli import RunConfig, main
+from reuselab.drift import DriftProfile
+from reuselab.model import ModelConfig, init_weights
+from reuselab.sampler import SamplerConfig, coupled_generate
 
 L2_GELU = {
     "model": {"L": 2, "H": 2, "d": 8, "d_int": 16, "n_vocab": 32, "B": 4,
@@ -206,3 +212,65 @@ def test_l2_gelu_config_outputs_are_pinned(tmp_path, monkeypatch):
     observed = run_battery(L2_COMMANDS, ("--config", "run.json"))
     assert "out/value_layer_sim.csv" in observed[-1][3]
     assert observed == PINNED_L2_GELU
+
+
+# ---------------------------------------------------------------------------
+# coupled_generate
+# ---------------------------------------------------------------------------
+
+COUPLED_MODELS = {
+    "default": RunConfig.default().model,
+    "l2h2-gelu": ModelConfig(**L2_GELU["model"]),
+}
+COUPLED_TAUS = (0.0, 0.05, 0.5)
+COUPLED_REFRESH = (1, 2, 3)
+# coupled_generate resamples every position from the model distributions,
+# so the temperature should not matter; the grid pins that as well.
+COUPLED_TEMPERATURES = (0.0, 1.0)
+
+
+def coupled_digest(model: str, mode: str) -> str:
+    """sha256 over every CoupledPair field of the grid's runs, in order."""
+    cfg = COUPLED_MODELS[model]
+    weights = init_weights(cfg)
+    h = hashlib.sha256()
+    for tau in COUPLED_TAUS:
+        profile = DriftProfile(s_layer=(0.0,) * cfg.L,
+                               phi_layer=(1.0,) * cfg.L,
+                               tau_layer=(tau,) * cfg.L, phi_bar=1.0,
+                               epsilon=1.0)
+        for refresh in COUPLED_REFRESH:
+            for temperature in COUPLED_TEMPERATURES:
+                sc = SamplerConfig(gen_length=cfg.B, block_size=cfg.B,
+                                   steps_per_block=8, temperature=temperature,
+                                   seed=17)
+                pair = coupled_generate(weights, sc, profile, mode,
+                                        refresh_interval=refresh)
+                parts = [pair.full_tokens, pair.reuse_tokens,
+                         pair.per_step_embed_error, pair.per_step_l1_gap,
+                         pair.per_step_delta_l2, *pair.per_step_delta]
+                for dec in pair.decisions:
+                    parts += [np.array([dec.layer, dec.step, dec.eligible]),
+                              dec.reused.astype(np.int64),
+                              dec.refreshed.astype(np.int64),
+                              np.float64(dec.staleness_l2)]
+                for a in parts:
+                    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+PINNED_COUPLED = {
+    ("default", "kv"):
+        "e11f56318d6ff15219579efd4cfda33092ef81d865e3aa58a8c24558b618e73a",
+    ("default", "o"):
+        "5146818a2aed2d58e7c6c86d0747214705e9cdfea0e3d8eb14eb97e63deb8187",
+    ("l2h2-gelu", "kv"):
+        "7ea84064a0a4cc905e40bf7ad80da9b90cee975f62fa2fee9e86300938d0ad39",
+    ("l2h2-gelu", "o"):
+        "4f35cf66e5397fd0c94a90c857ef7366d3ac2bba4f5a51844e7992cafaa7c02d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_COUPLED), ids="-".join)
+def test_coupled_generate_outputs_are_pinned(key):
+    assert coupled_digest(*key) == PINNED_COUPLED[key]

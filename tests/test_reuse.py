@@ -1,5 +1,6 @@
 """Tests for the reuse mechanisms, gating, and staleness bookkeeping."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from reuselab.reuse import (
     model_step,
     reuse_accounting,
     simulate_reuse_counterfactual,
+    staleness_norm,
     update_staleness,
 )
 
@@ -403,28 +405,35 @@ def test_decision_partition_and_record_keys():
 
 
 def test_model_step_full_matches_forward_full():
-    # Steps 1 and 3 at refresh interval 2 are slots where the gate is open;
-    # full mode must still decide nothing there.
-    cfg = ModelConfig(L=2, H=2, d=8, d_int=6, n_vocab=16, B=3, seed=5)
-    w = init_weights(cfg)
-    state = ReuseState(config=cfg, mode="full", tau_layer=(None, None),
-                       refresh_interval=2)
-    for t, tokens in enumerate([[2, 7, 13], [2, 7, 13], [2, 8, 13],
-                                [2, 8, 13]]):
-        x = embed_tokens(w, tokens)
-        probs_ref, ref = forward_full(w, x)
-        probs, decisions, q_head0 = model_step(w, state, x, t)
-        assert np.array_equal(bits(probs), bits(probs_ref))
-        assert len(decisions) == 2
-        for d in decisions:
-            assert not d.eligible and d.reused_count == 0
-            assert list(d.refreshed) == [0, 1, 2]
-            assert d.staleness_l2 == 0.0
-        assert np.array_equal(q_head0[0], (x @ w.layers[0].w_q)[:, :4])
-        for ell in range(cfg.L):
-            assert np.array_equal(bits(q_head0[ell]),
-                                  bits(ref.prev_q_head0[ell]))
-        assert state.staleness_l2() == 0.0
+    # A step that reuses no row is the full pass on its input, bit for bit,
+    # whatever the caches hold. At refresh interval 2, steps 0 and 2 are
+    # gated and steps 1 and 3 open; every token changes at every step, so
+    # tau 0 reuses nothing in kv and o, and full mode decides nothing.
+    for mode, L, H, activation in itertools.product(
+            MODES, (1, 2), (1, 2), ("relu", "gelu")):
+        cfg = ModelConfig(L=L, H=H, d=8, d_int=6, n_vocab=16, B=3,
+                          activation=activation, seed=5)
+        w = init_weights(cfg)
+        state = ReuseState(config=cfg, mode=mode, tau_layer=(0.0,) * L,
+                           refresh_interval=2)
+        for t, tokens in enumerate([[2, 7, 13], [3, 8, 14], [4, 9, 15],
+                                    [5, 10, 1]]):
+            x = embed_tokens(w, tokens)
+            probs_ref, ref = forward_full(w, x)
+            probs, decisions, q_head0 = model_step(w, state, x, t)
+            assert np.array_equal(bits(probs), bits(probs_ref))
+            assert len(decisions) == L
+            for d in decisions:
+                assert d.eligible == (mode != "full" and t % 2 == 1)
+                assert d.reused_count == 0
+                assert list(d.refreshed) == [0, 1, 2]
+                assert d.staleness_l2 == 0.0
+            assert np.array_equal(q_head0[0],
+                                  (x @ w.layers[0].w_q)[:, :8 // H])
+            for ell in range(cfg.L):
+                assert np.array_equal(bits(q_head0[ell]),
+                                      bits(ref.prev_q_head0[ell]))
+            assert state.staleness_l2() == 0.0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -526,6 +535,18 @@ def test_state_reset_block():
     state.reset_block()
     assert state.delta.max() == 0
     assert state.prev_k[0] is None
+
+
+def test_staleness_norm_is_bitwise_the_float_norm():
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+        high = int(rng.choice([2, 9, 1000, 2 ** 20]))
+        delta = rng.integers(0, high, shape).astype(np.int64)
+        for d in (delta, delta[0]):
+            got = np.float64(staleness_norm(d))
+            want = np.linalg.norm(d.astype(np.float64))
+            assert bits(got) == bits(want)
 
 
 # ---------------------------------------------------------------------------

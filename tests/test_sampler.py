@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reuselab import sampler
 from reuselab.drift import DriftProfile, drift_score
 from reuselab.errors import ConfigError, DegenerateInputError, DimensionError
 from reuselab.model import ModelConfig, init_weights
@@ -728,3 +729,57 @@ def test_coupled_reuse_modes_record_decisions():
         assert all(d.layer == 0 for d in pair.decisions)
         assert np.all(pair.per_step_embed_error >= 0.0)
         assert np.all(pair.per_step_l1_gap >= 0.0)
+
+
+def count_reference_passes(monkeypatch):
+    """Patch the sampler so that each model_step call of a coupled run
+    appends a counter of the forward_full calls that follow it."""
+    per_step = []
+    model_step, forward_full = sampler.model_step, sampler.forward_full
+
+    def counted_step(*args):
+        per_step.append(0)
+        return model_step(*args)
+
+    def counted_full(*args):
+        per_step[-1] += 1
+        return forward_full(*args)
+
+    monkeypatch.setattr(sampler, "model_step", counted_step)
+    monkeypatch.setattr(sampler, "forward_full", counted_full)
+    return per_step
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_coupled_reference_pass_runs_only_after_reuse(mode, monkeypatch):
+    cfg, w = make_model()
+    T = 6
+    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=T,
+                       tokens_unmasked_per_step=1, seed=9)
+    per_step = count_reference_passes(monkeypatch)
+    coupled_generate(w, sc, disabled_profile(), mode)
+    assert per_step == [0] * T
+    per_step.clear()
+    pair = coupled_generate(w, sc, flat_profile(2.0), mode,
+                            refresh_interval=T + 1)
+    assert len(per_step) == T and per_step[0] == 0
+    assert all(n >= 1 for n in per_step[1:])
+    assert all(d.reused_count == cfg.B for d in pair.decisions[1:])
+
+
+def test_coupled_step_without_reuse_still_checks_its_input(monkeypatch):
+    cfg, w = make_model()
+    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=4,
+                       tokens_unmasked_per_step=1, seed=3)
+    embed_tokens = sampler.embed_tokens
+
+    def unnormalized(weights, tokens):
+        x = embed_tokens(weights, tokens).copy()
+        x[0] *= 2.0
+        return x
+
+    monkeypatch.setattr(sampler, "embed_tokens", unnormalized)
+    per_step = count_reference_passes(monkeypatch)
+    with pytest.raises(DegenerateInputError):
+        coupled_generate(w, sc, disabled_profile(), "kv")
+    assert per_step == [0]  # step 0 reused nothing and ran no full pass
