@@ -130,6 +130,15 @@ def row_drift(cur, prev) -> np.ndarray:
     round differently); the entry is inf where either row is exactly zero
     (drift undefined). Rows whose plain norm would under- or overflow take
     the scalar path.
+
+    The two matrices are stacked into one array of the kernel's own, which
+    is normalized in place, and the clamp and the subtraction from 1 run in
+    place on the cosine vector, so neither argument is written to. The
+    steps are those of ``cosine``, in its order, so they keep its bits:
+    each row's norm and dot are numpy's 1-D dot (``_row_dots``), each row
+    is divided by its norm, and the unit rows' dot is clamped into [-1, 1]
+    (``minimum`` then ``maximum``, the two operations ``clip`` performs)
+    before it is subtracted from 1.
     """
     cur = np.asarray(cur, dtype=np.float64)
     prev = np.asarray(prev, dtype=np.float64)
@@ -141,12 +150,13 @@ def row_drift(cur, prev) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
         norms = np.sqrt(_row_dots(both, both))
-        unit = both / norms[:, None]
-        c = _row_dots(unit[:n_rows], unit[n_rows:])
-    np.clip(c, -1.0, 1.0, out=c)
+        both /= norms[:, None]
+        c = _row_dots(both[:n_rows], both[n_rows:])
+    np.minimum(c, 1.0, out=c)
+    np.maximum(c, -1.0, out=c)
     # As in cosine: bitwise-equal rows have cosine exactly 1.
     c[(cur == prev).all(axis=1)] = 1.0
-    s = 1.0 - c
+    s = np.subtract(1.0, c, out=c)
     # A zero row has norm 0, so one range test on all norms finds every
     # zero row as well as every row whose norm under- or overflowed.
     if norms.size and not (_SAFE_NORM_MIN < norms.min()
@@ -260,4 +270,9 @@ def reuse_set(q_t, q_prev, tau) -> np.ndarray:
     if tau is None or q_prev is None:
         return np.empty(0, dtype=np.int64)
     s = row_drift(q_t, q_prev)
-    return np.flatnonzero(np.isfinite(s) & (s <= tau))
+    keep = s <= tau
+    # inf (a zero row) and NaN fail s <= tau for every finite tau; only
+    # tau = inf needs them masked out.
+    if tau == math.inf:
+        keep &= np.isfinite(s)
+    return keep.nonzero()[0]

@@ -49,10 +49,15 @@ def _as_array(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax with per-row max subtraction for stability.
+
+    The exp and the normalization run in place on the shifted copy, so
+    ``a`` is not written to.
+    """
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _power_of_two_scale(a: np.ndarray, axis=None):
@@ -168,16 +173,18 @@ def spectral_norm(m) -> float:
     v = rng.standard_normal(n)
     v /= math.sqrt(v.dot(v))  # what np.linalg.norm computes, cheaper
     lam = 0.0
+    w = g @ v
     for _ in range(_POWER_ITER_MAX_STEPS):
-        w = g @ v
         nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0  # v in the null space of a PSD Gram matrix => M == 0
-        v_new = w / nw
-        lam_new = float(v_new @ (g @ v_new))
+        v = w / nw
+        # g @ v serves the Rayleigh quotient and the next iteration's w.
+        w = g @ v
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= _POWER_ITER_RTOL * max(lam_new, 1e-300):
             return math.ldexp(math.sqrt(max(lam_new, 0.0)), exp)
-        v, lam = v_new, lam_new
+        lam = lam_new
     return math.ldexp(math.sqrt(max(lam, 0.0)), exp)
 
 

@@ -223,23 +223,33 @@ def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Pre-W_O attention output for the given query rows against a full
     key/value set.
 
-    All heads go through one stacked product: the heads are strided views
-    of the same columns a per-head slice would take, so every head's
-    product is the same BLAS call on the same memory, and the softmax
-    keeps ``softmax_rows``' order of operations (max shift, exp, sum,
-    divide). The result is bitwise the per-head computation.
+    One head is plain 2-D products. More heads go through one stacked
+    product: the heads are strided views of the same columns a per-head
+    slice would take, so every head's product is the same BLAS call on the
+    same memory, and each head's output is written straight into its
+    columns of the result through a strided ``out=`` view, which BLAS
+    addresses like a contiguous block. The softmax runs in place on the
+    scores, which this function allocated, in ``softmax_rows``' order of
+    operations (max shift, exp, sum, divide). The result is bitwise the
+    per-head computation, and no argument is written to.
     """
     n, d = q_rows.shape
     dh = d // n_heads
-    q = q_rows.reshape(n, n_heads, dh).transpose(1, 0, 2)      # H x n x dh
-    k_t = k.reshape(-1, n_heads, dh).transpose(1, 2, 0)        # H x dh x B
-    v_h = v.reshape(-1, n_heads, dh).transpose(1, 0, 2)        # H x B x dh
+    out = np.empty((n, d))
+    if n_heads == 1:
+        q, k_t, v_h, out_h = q_rows, k.T, v, out
+    else:
+        q = q_rows.reshape(n, n_heads, dh).transpose(1, 0, 2)  # H x n x dh
+        k_t = k.reshape(-1, n_heads, dh).transpose(1, 2, 0)    # H x dh x B
+        v_h = v.reshape(-1, n_heads, dh).transpose(1, 0, 2)    # H x B x dh
+        out_h = out.reshape(n, n_heads, dh).transpose(1, 0, 2)  # H x n x dh
     scores = q @ k_t
     scores /= math.sqrt(dh)
-    scores -= scores.max(axis=2, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=2, keepdims=True)
-    return (scores @ v_h).transpose(1, 0, 2).reshape(n, d)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    np.matmul(scores, v_h, out=out_h)
+    return out
 
 
 def mlp(lw: LayerWeights, o: np.ndarray, activation: str) -> np.ndarray:

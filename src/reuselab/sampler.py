@@ -262,17 +262,23 @@ def _sample_candidates(p: np.ndarray, temperature: float, rng):
     the row-wise form of one row's draw and gives the same bits:
     ``rng.random(m)`` continues the stream as m scalar calls would, row
     reductions and ``cumsum(axis=1)`` add in the 1-D order, and counting
-    ``cdf <= u`` is ``bisect_right`` on a nondecreasing CDF.
+    ``cdf <= u`` is ``bisect_right`` on a nondecreasing CDF. The division
+    by the temperature is skipped at exactly 1.0, where it is exact, and
+    the shift, exp and normalization run in place on the log array this
+    function allocated, so ``p`` is not written to.
     """
     rows = np.arange(p.shape[0])
     if temperature == 0.0:
         tokens = p.argmax(axis=1)
         return tokens, p[rows, tokens]
     with np.errstate(divide="ignore"):
-        z = np.log(p) / temperature
+        z = np.log(p)
+    if temperature != 1.0:
+        z /= temperature
     z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(z, axis=1)
     u = rng.random(p.shape[0]) * cdf[:, -1]
     tokens = np.minimum((cdf <= u[:, None]).sum(axis=1), p.shape[1] - 1)
     return tokens, p[rows, tokens]
@@ -333,20 +339,23 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                 break
             x = embed_tokens(weights, block)
             probs, decisions, q_head0 = model_step(weights, state, x, t)
-            m_idx = np.flatnonzero(masked)
-            cand = np.full(cfg.B, -1, dtype=np.int64)
-            conf = np.full(cfg.B, -np.inf)
-            cand[m_idx], conf[m_idx] = _sample_candidates(
+            m_idx = masked.nonzero()[0]
+            cand, m_conf = _sample_candidates(
                 probs[m_idx], config.temperature, rng)
-            order = m_idx[np.argsort(-conf[m_idx], kind="stable")]
-            chosen = order[:config.tokens_unmasked_per_step]
+            top = np.argsort(-m_conf, kind="stable")[
+                :config.tokens_unmasked_per_step]
+            chosen = m_idx[top]
+            conf = np.full(cfg.B, -np.inf)
+            conf[m_idx] = m_conf
             input_copy = block.copy()
-            block[chosen] = cand[chosen]
+            block[chosen] = cand[top]
             masked[chosen] = False
+            # chosen and conf are new arrays of this step; the trace keeps
+            # them as they are.
             trace.records.append(StepRecord(
                 block=b, step=t, input_tokens=input_copy,
                 decisions=decisions, q_head0=q_head0,
-                unmasked=chosen.copy(), confidences=conf.copy(),
+                unmasked=chosen, confidences=conf,
                 staleness_l2=state.staleness_l2()))
     trace.final_tokens = tokens.copy()
     return tokens, trace

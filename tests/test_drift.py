@@ -355,6 +355,45 @@ def test_reuse_set_monotone_in_tau():
     assert sizes[-1] == 8
 
 
+def gate_matrices(data, B, d, heads):
+    """Head-0 column views (cur, prev) of two (B, heads * d) matrices drawn
+    by hypothesis; each row pair is random, zero on one or both sides,
+    bitwise equal, or a positive multiple."""
+    entries = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    cur = data.draw(hnp.arrays(np.float64, (B, heads * d), elements=entries))
+    prev = data.draw(hnp.arrays(np.float64, (B, heads * d), elements=entries))
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["random", "zero cur", "zero prev", "zero both", "equal", "scaled"]),
+        min_size=B, max_size=B))
+    for i, kind in enumerate(kinds):
+        if kind in ("zero cur", "zero both"):
+            cur[i] = 0.0
+        if kind in ("zero prev", "zero both"):
+            prev[i] = 0.0
+        if kind == "equal":
+            prev[i] = cur[i]
+        elif kind == "scaled":
+            prev[i] = 4.0 * cur[i]
+    return cur[:, :d], prev[:, :d]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 2),
+       st.sampled_from([0.0, 1e-15, 0.05, 2.0, math.inf]), st.data())
+def test_reuse_set_matches_finite_threshold_oracle(B, d, heads, tau, data):
+    # The gate keeps exactly the rows with a finite drift within tau, and
+    # neither it nor the drift kernel writes to the query matrices.
+    cur, prev = gate_matrices(data, B, d, heads)
+    cur_bits, prev_bits = cur.copy(), prev.copy()
+    s = row_drift(cur, prev)
+    want = np.flatnonzero(np.isfinite(s) & (s <= tau))
+    got = reuse_set(cur, prev, tau)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for arg, before in ((cur, cur_bits), (prev, prev_bits)):
+        assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+
+
 def test_masked_tokens_have_zero_drift_at_layer_zero():
     # Unchanged token ids give identical layer-0 queries, hence zero drift.
     cfg = ModelConfig(L=1, H=1, d=8, d_int=16, n_vocab=16, B=4, seed=2)

@@ -103,9 +103,12 @@ def test_row_softmax_matches_scalar_oracle():
 @given(hnp.arrays(np.float64, (3, 4),
                   elements=st.floats(-50.0, 50.0)))
 def test_row_softmax_rows_are_distributions(a):
+    before = a.copy()
     out = softmax_rows(a)
     assert (out >= 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+    # The in-place steps run on the function's own copy.
+    assert np.array_equal(a.view(np.int64), before.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

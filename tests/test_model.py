@@ -234,11 +234,15 @@ def test_attention_rows_matches_per_head_loop(n_heads, dh, B, data):
     q, k, v = (x @ rng.standard_normal((d, d)) * scale for _ in range(3))
     n = data.draw(st.integers(1, B))
     rows = np.sort(rng.choice(B, n, replace=False))
+    before = [a.copy() for a in (q, k, v)]
     for q_rows in (q, q[rows]):
         got = attention_rows(q_rows, k, v, n_heads)
         want = per_head_attention(q_rows, k, v, n_heads)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # No argument is written to, whatever the head count.
+    for arg, copy in zip((q, k, v), before):
+        assert np.array_equal(arg.view(np.int64), copy.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

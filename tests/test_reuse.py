@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reuselab import sampler
 from reuselab.drift import DriftProfile, row_drift
@@ -20,6 +22,7 @@ from reuselab.reuse import (
     MODES,
     CounterfactualReuse,
     ReuseState,
+    _age_staleness,
     forward_full,
     gate,
     layer_step,
@@ -117,6 +120,30 @@ def test_update_staleness_matches_replay_oracle():
         for i in range(B):
             counters[i] = counters[i] + 1 if i in reused else 0
         assert list(row) == counters
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 8), st.data())
+def test_age_staleness_matches_update_staleness_oracle(L, B, n_steps, data):
+    # Empty, partial and full reuse in any order: the live bookkeeping
+    # gives the refreshed set, aged row and norm of the shared rule.
+    cfg = ModelConfig(L=L, H=1, d=4, d_int=8, n_vocab=12, B=B)
+    state = make_state(cfg, "kv", tau=0.5)
+    oracle = np.zeros((L, B), dtype=np.int64)
+    for _ in range(n_steps):
+        for ell in range(L):
+            kind = data.draw(st.sampled_from(["empty", "partial", "full"]))
+            if kind == "partial":
+                rows = data.draw(st.lists(st.integers(0, B - 1), unique=True))
+            else:
+                rows = list(range(B)) if kind == "full" else []
+            reused = np.array(sorted(rows), dtype=np.int64)
+            refreshed, norm = _age_staleness(state, ell, reused)
+            update_staleness(oracle[ell], reused)
+            assert refreshed.tolist() == sorted(set(range(B)) - set(rows))
+            assert np.array_equal(state.delta[ell], oracle[ell])
+            assert bits(np.float64(norm)) \
+                == bits(np.float64(staleness_norm(oracle[ell])))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +412,24 @@ def test_trace_steps_are_not_changed_by_later_steps(mode, monkeypatch):
         assert np.array_equal(rec.input_tokens, tokens)
         for got, want in zip(rec.q_head0, queries):
             assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_reuse_steps_leave_earlier_queries_unchanged(mode):
+    # The trace holds each step's head-0 queries, a view into that step's
+    # Q product; later steps' gates and splices must not write to it.
+    w = init_weights(MID)
+    state = ReuseState(config=MID, mode=mode, tau_layer=(0.0,) * MID.L,
+                       refresh_interval=4)
+    held = []
+    for t, x in enumerate(changing_inputs(w, 4, 4, seed=5)):
+        for ell, lw in enumerate(w.layers):
+            _, decision = layer_step(lw, x, state, ell, t)
+            if t:
+                assert decision.reused_count == MID.B - 4
+        held.extend((q, q.copy()) for q in state.prev_q_head0)
+    for q, copy in held:
+        assert np.array_equal(bits(q), bits(copy))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the decode loop and the coupled paired sampler."""
 
 import hashlib
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reuselab import sampler
-from reuselab.drift import DriftProfile, drift_score
+from reuselab.drift import DriftProfile, drift_score, reuse_set
 from reuselab.errors import ConfigError, DegenerateInputError, DimensionError
 from reuselab.model import ModelConfig, init_weights
 from reuselab.sampler import (
@@ -333,13 +334,16 @@ def candidate_rows(rng, m, V):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 64), st.integers(2, 300),
-       st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([0.0, 0.25, 0.7, 1.0, 3.0]),
+       st.integers(0, 2 ** 32 - 1))
 def test_batched_candidates_match_scalar_draws(m, V, temperature, seed):
     probs = candidate_rows(np.random.default_rng(seed), m, V)
+    before = probs.copy()
     rng_ref = np.random.default_rng(seed + 1)
     want = [scalar_candidate(p, temperature, rng_ref) for p in probs]
     rng = np.random.default_rng(seed + 1)
     tokens, conf = _sample_candidates(probs, temperature, rng)
+    assert np.array_equal(probs.view(np.int64), before.view(np.int64))
     assert tokens.tolist() == [j for j, _ in want]
     assert np.array_equal(conf.view(np.int64),
                           np.array([c for _, c in want]).view(np.int64))
@@ -543,6 +547,30 @@ def pinned_decode(key):
                        temperature=temperature, seed=5)
     profile = None if mode == "full" else flat_profile(tau, L=cfg.L)
     return diffusion_generate(init_weights(cfg), sc, profile, mode)
+
+
+@pytest.mark.parametrize("temperature", [0.7, 1.0])
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(seed=1),
+    ModelConfig(L=2, H=2, d=8, d_int=16, n_vocab=32, B=4,
+                activation="gelu", seed=1)], ids=["default", "L2-H2"])
+def test_decoding_leaks_no_floating_point_warnings(cfg, temperature):
+    # The gate and the sampler silence the 0/0 of a zero query row and the
+    # log of a zero probability in their own np.errstate blocks.
+    w = init_weights(cfg)
+    sc = SamplerConfig(gen_length=4 * cfg.B, block_size=cfg.B,
+                       steps_per_block=cfg.B, temperature=temperature, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("full", "kv", "o"):
+            profile = None if mode == "full" else flat_profile(0.05, cfg.L)
+            _, trace = diffusion_generate(w, sc, profile, mode)
+            if mode != "full":
+                assert sum(d.reused_count for d in trace.decisions_flat())
+        q = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert reuse_set(q, q.copy(), np.inf).tolist() == [0]
+        _sample_candidates(np.array([[0.0, 1.0], [0.5, 0.5]]), temperature,
+                           np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_DECODES))

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,16 @@ def test_verify_run_o_mode_has_no_violations():
                         trials=4)
     assert report.violations == 0
     assert report.mode == "o"
+    assert max(report.per_step_empirical) > 0.0
+
+
+@pytest.mark.parametrize("mode, seed", [("kv", 11), ("o", 23)])
+def test_verify_run_leaks_no_floating_point_warnings(mode, seed):
+    _, w = theory_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_run(w, run_config(seed=seed), flat_profile(0.05),
+                            mode, trials=8)
     assert max(report.per_step_empirical) > 0.0
 
 
