@@ -212,6 +212,16 @@ def embed_tokens(weights: ModelWeights, tokens) -> np.ndarray:
         raise DegenerateInputError(
             f"token index out of range [0, {n_vocab})"
         )
+    return embed_ids(weights, idx)
+
+
+def embed_ids(weights: ModelWeights, idx: np.ndarray) -> np.ndarray:
+    """``embed_tokens`` without its shape and range checks, for a 1-D int64
+    array of ids the caller validated or sampled from [0, n_vocab).
+
+    Raises:
+        DegenerateInputError: if an id names an exactly-zero embedding row.
+    """
     table, zero_rows = weights._input_table
     if zero_rows.size and np.isin(idx, zero_rows).any():
         raise DegenerateInputError("cannot normalize a zero row")

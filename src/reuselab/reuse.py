@@ -10,15 +10,21 @@ differ only in the splice:
   projected from the current input, and they are written into the cache in
   place; reused rows stay as cached (stale rows stay stale, so staleness
   can exceed 1).
-* o mode computes Q/K/V fully but evaluates attention rows only for
-  refreshed tokens, written in place into the cached pre-projection
-  attention output whose other rows are reused; W_O is applied after
-  splicing.
+* o mode evaluates attention rows only for refreshed tokens, written in
+  place into the cached pre-projection attention output whose other rows
+  are reused; W_O and the MLP are applied after splicing. A slot that
+  refreshes no row leaves that output as it was, so the layer returns its
+  cached post-MLP output without computing K, V, W_O or the MLP. The layer
+  above then gets last step's input array, whose head-0 drifts are all 0:
+  it reuses every row without computing Q or scoring, and returns its
+  cached output in turn. When the top layer's output is last step's,
+  ``model_step`` returns last step's distributions without the unembedding.
 
 Full mode is the same step with no slot eligible, and ``forward_full`` is
 one full-mode ``model_step`` on a fresh state. The caches are owned by
-``ReuseState`` alone (nothing returned to a caller aliases them), which is
-what makes the in-place updates safe.
+``ReuseState`` alone. The ones updated in place are never returned to a
+caller; o mode's layer outputs and distributions, which it hands out and
+later returns again, are read-only.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
 """
@@ -95,8 +101,20 @@ class ReuseState:
     """Single-owner mutable state of one generation (one block at a time).
 
     Caches are per layer; entries are None until the layer has run once.
+    ``prev_q_head0`` holds the last step's head-0 queries and
+    ``prev_o_pre`` the pre-W_O attention output, in every mode. ``prev_k``
+    and ``prev_v`` hold the hybrid cache in kv mode; in full and o modes
+    they hold K and V of the last step that computed them (o mode skips
+    them on a slot that refreshes no row).
+
+    o mode also keeps, per layer, ``prev_in``, the input array of the
+    layer's last step (held to compare by identity), and ``prev_out``, its
+    post-MLP output from the last step that computed one (read-only); and
+    ``prev_probs``, the pair (top layer output, distributions computed from
+    it) of the last step that ran the unembedding.
+
     ``all_rows`` is the read-only index array 0..B-1 that decisions
-    refreshing every row share.
+    refreshing or reusing every row share.
     """
 
     config: ModelConfig
@@ -108,6 +126,9 @@ class ReuseState:
     prev_k: list = field(init=False)
     prev_v: list = field(init=False)
     prev_o_pre: list = field(init=False)
+    prev_in: list = field(init=False)
+    prev_out: list = field(init=False)
+    prev_probs: tuple = field(init=False)
     delta: np.ndarray = field(init=False)
     all_rows: np.ndarray = field(init=False)
 
@@ -133,6 +154,9 @@ class ReuseState:
         self.prev_k = [None] * L
         self.prev_v = [None] * L
         self.prev_o_pre = [None] * L
+        self.prev_in = [None] * L
+        self.prev_out = [None] * L
+        self.prev_probs = (None, None)
         self.delta = np.zeros((L, self.config.B), dtype=np.int64)
 
     def staleness_l2(self) -> float:
@@ -193,49 +217,93 @@ def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
     return (row == 0).nonzero()[0], staleness_norm(row)
 
 
+def _input_unchanged(state: ReuseState, x_t: np.ndarray, ell: int) -> bool:
+    """True when an eligible o-mode slot of layer ell > 0 reuses every row
+    without scoring: its input is last step's input array, which the layer
+    below returned unchanged, so its head-0 queries are last step's bit
+    for bit and every drift is exactly 0.
+
+    The input must be the layer below's cached output, read-only and owned
+    by the state, for identity to imply equal bits; the caller's array at
+    layer 0 never qualifies. A drift of 0 is reused when 0 <= tau; a zero
+    (inf drift) or non-finite cached row sends the slot down the scoring
+    path, which decides it as ``reuse_set`` does.
+    """
+    tau = state.tau_layer[ell]
+    if not (x_t is state.prev_in[ell] and x_t is state.prev_out[ell - 1]
+            and tau is not None and tau >= 0.0):
+        return False
+    q0 = state.prev_q_head0[ell]
+    return bool(q0.any(axis=1).all() and np.isfinite(q0).all())
+
+
 def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
                ell: int, t: int):
-    """One layer step in the state's mode.
+    """One layer step in the state's mode: attention, W_O and the MLP.
 
-    Queries are always fresh. Where the gate is open in a reuse mode, rows
-    whose head-0 query drift is within the layer threshold are reused:
+    Queries are fresh unless skipped as below. Where the gate is open in a
+    reuse mode, rows whose head-0 query drift is within the layer
+    threshold are reused:
 
     * kv: the reused rows' keys and values stay as cached (stale rows stay
       stale) and only the refreshed rows are projected, into the cache in
       place, before attention runs over the hybrid cache;
-    * o: Q, K and V are computed in full, attention rows are evaluated for
+    * o: K and V are computed in full, attention rows are evaluated for
       the refreshed tokens only, into the cached pre-W_O output in place.
+      A slot that refreshes no row computes neither K, V, W_O nor the MLP
+      and returns the layer's cached output (``ReuseState.prev_out``), the
+      same array object, bitwise what the computation would give. When the
+      input is the array the layer below returned unchanged, the queries
+      and the drift scoring are skipped too (``_input_unchanged``);
+      staleness still ages and the decision is still built.
 
     Full mode is the case where no slot is eligible, so every row is
-    recomputed. Every mode leaves the head-0 queries, K, V and the pre-W_O
-    attention output of this step in the state's caches.
+    recomputed. Every mode leaves this step's head-0 queries and pre-W_O
+    attention output in the state's caches, and kv and full modes this
+    step's K and V.
 
     Returns:
-        (o, decision): the post-W_O attention output and the slot decision.
+        (h, decision): the layer's post-MLP output and the slot decision.
     """
     cfg = state.config
-    if t > 0 and state.mode != "full" and state.prev_k[ell] is None:
+    mode = state.mode
+    if t > 0 and mode != "full" and state.prev_k[ell] is None:
         raise StateError(
             f"no cached activations for layer {ell} at step {t}; "
             "steps must be driven in order from 0")
-    q = x_t @ lw.w_q
-    q0 = q[:, :cfg.d // cfg.H]
-    eligible = state.mode != "full" and gate(
+    eligible = mode != "full" and gate(
         ell, t, state.skip_first_layers, state.refresh_interval)
-    reused = (reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
-              if eligible else _NO_ROWS)
+    if eligible and mode == "o" and ell and _input_unchanged(state, x_t, ell):
+        reused = state.all_rows
+    else:
+        q = x_t @ lw.w_q
+        q0 = q[:, :cfg.d // cfg.H]
+        reused = (reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
+                  if eligible else _NO_ROWS)
+        state.prev_q_head0[ell] = q0
     refreshed, staleness_l2 = _age_staleness(state, ell, reused)
+    decision = ReuseDecision(
+        layer=ell, step=t, reused=reused, refreshed=refreshed,
+        eligible=eligible, staleness_l2=staleness_l2)
+    if mode == "o":
+        state.prev_in[ell] = x_t
+        if not refreshed.size:
+            return state.prev_out[ell], decision
 
     if not reused.size:
         k = x_t @ lw.w_k
         v = x_t @ lw.w_v
         o_pre = attention_rows(q, k, v, cfg.H)
-    elif state.mode == "kv":
+    elif mode == "kv":
         # Only refreshed rows are projected, into the cache in place. A
         # one-row product goes through gemv, whose bits differ from the
         # gemm row of the full product, so one row i is taken from the
-        # two-row gemm of rows i and i + 1 (mod B); from two rows on, a row
-        # subset's gemm gives the same bits as the full product.
+        # two-row gemm of rows i and i + 1 (mod B). From two rows on, a
+        # row subset's gemm gave the full product's rows bit for bit on
+        # OpenBLAS 0.3.31 (Haswell kernels) for d <= 384 and for d from
+        # 768 to 2048, the sizes checked; for d from 448 to 640, products
+        # of 2-4 rows differed from them in the last bits. o mode's skips
+        # reuse whole matrices and take no row-subset product.
         k = state.prev_k[ell]
         v = state.prev_v[ell]
         if refreshed.size == 1:
@@ -252,17 +320,16 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
         k = x_t @ lw.w_k
         v = x_t @ lw.w_v
         o_pre = state.prev_o_pre[ell]
-        if refreshed.size:
-            o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
+        o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
 
-    state.prev_q_head0[ell] = q0
     state.prev_k[ell] = k
     state.prev_v[ell] = v
     state.prev_o_pre[ell] = o_pre
-    decision = ReuseDecision(
-        layer=ell, step=t, reused=reused, refreshed=refreshed,
-        eligible=eligible, staleness_l2=staleness_l2)
-    return o_pre @ lw.w_o, decision
+    h = mlp(lw, o_pre @ lw.w_o, cfg.activation)
+    if mode == "o":
+        h.flags.writeable = False
+        state.prev_out[ell] = h
+    return h, decision
 
 
 # One entry per mode, all one function: the benchmark wraps each mode's entry.
@@ -271,6 +338,10 @@ _LAYER_STEPS = dict.fromkeys(MODES, layer_step)
 
 def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
     """Run the whole layer stack for one denoising step in the state's mode.
+
+    In o mode, when the top layer returned last step's output array, the
+    distributions are last step's (the same read-only array) and the
+    unembedding is skipped.
 
     Returns:
         (probs, decisions, q_head0): per-token distributions, the per-layer
@@ -285,11 +356,16 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
     decisions = []
     q_head0 = []
     for ell, lw in enumerate(weights.layers):
-        o, decision = step_fn(lw, cur, state, ell, t)
+        cur, decision = step_fn(lw, cur, state, ell, t)
         decisions.append(decision)
         q_head0.append(state.prev_q_head0[ell])
-        cur = mlp(lw, o, cfg.activation)
-    return unembed(weights, cur), decisions, q_head0
+    top, probs = state.prev_probs
+    if cur is not top:
+        probs = unembed(weights, cur)
+        if state.mode == "o":
+            probs.flags.writeable = False
+            state.prev_probs = (cur, probs)
+    return probs, decisions, q_head0
 
 
 def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:

@@ -31,7 +31,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .model import ModelWeights, embed_tokens
+# The decode loops below look rows up with embed_ids. embed_tokens is
+# imported only because perfbench's span tracer wraps it by this module's
+# name; drop it when perfbench gains a span for embed_ids.
+from .model import ModelWeights, embed_ids, embed_tokens  # noqa: F401
 from .reuse import ReuseState, _check_forward_input, forward_full, model_step
 
 _DIST_ATOL = 1e-9
@@ -295,6 +298,18 @@ def _resolve_taus(drift_profile, L: int, mode: str):
     return tuple(drift_profile.tau_layer)
 
 
+def _mask_ids(weights: ModelWeights, n: int) -> np.ndarray:
+    """n copies of the mask id, checked once against the vocabulary: the
+    decode loops embed only ids checked here or in ``initial_tokens``, or
+    sampled from the model's distributions, so they look rows up with
+    ``embed_ids``, which skips ``embed_tokens``' range reductions."""
+    if not 0 <= weights.mask_token < weights.config.n_vocab:
+        raise DegenerateInputError(
+            f"mask token {weights.mask_token} out of range "
+            f"[0, {weights.config.n_vocab})")
+    return np.full(n, weights.mask_token, dtype=np.int64)
+
+
 def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                        drift_profile, mode: str, *,
                        skip_first_layers: int = 0,
@@ -318,7 +333,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                        skip_first_layers=skip_first_layers,
                        refresh_interval=refresh_interval)
     rng = np.random.default_rng(config.seed)
-    tokens = np.full(config.gen_length, weights.mask_token, dtype=np.int64)
+    tokens = _mask_ids(weights, config.gen_length)
     if initial_tokens is not None:
         given = np.asarray(initial_tokens, dtype=np.int64)
         if given.shape != tokens.shape:
@@ -337,7 +352,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
         for t in range(config.steps_per_block):
             if not masked.any():
                 break
-            x = embed_tokens(weights, block)
+            x = embed_ids(weights, block)
             probs, decisions, q_head0 = model_step(weights, state, x, t)
             m_idx = masked.nonzero()[0]
             cand, m_conf = _sample_candidates(
@@ -413,7 +428,7 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     rng = np.random.default_rng(config.seed)
     T = config.steps_per_block
     B = cfg.B
-    x_tokens = np.full(B, weights.mask_token, dtype=np.int64)
+    x_tokens = _mask_ids(weights, B)
     xhat_tokens = x_tokens.copy()
 
     embed_err = np.zeros(T + 1)
@@ -423,7 +438,7 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     decisions_flat = []
 
     for t in range(T):
-        x_hat = embed_tokens(weights, xhat_tokens)
+        x_hat = embed_ids(weights, xhat_tokens)
         p_hat, decisions, _ = model_step(weights, state, x_hat, t)
         if any(d.reused.size for d in decisions):
             p_ref, _ = forward_full(weights, x_hat)
@@ -435,7 +450,7 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
         if (x_tokens == xhat_tokens).all():
             p_full = p_ref
         else:
-            p_full, _ = forward_full(weights, embed_tokens(weights, x_tokens))
+            p_full, _ = forward_full(weights, embed_ids(weights, x_tokens))
         l1_gap[t] = float(np.abs(p_ref - p_hat).sum())
         delta_l2[t] = state.staleness_l2()
         deltas.append(state.delta.copy())
@@ -444,8 +459,8 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
         if (x_tokens == xhat_tokens).all():
             embed_err[t + 1] = 0.0
         else:
-            diff = embed_tokens(weights, x_tokens) \
-                - embed_tokens(weights, xhat_tokens)
+            diff = embed_ids(weights, x_tokens) \
+                - embed_ids(weights, xhat_tokens)
             embed_err[t + 1] = float(np.linalg.norm(diff, axis=1).sum())
     return CoupledPair(
         full_tokens=x_tokens,

@@ -1,12 +1,14 @@
-"""Golden checks of the command-line interface and the coupled sampler.
+"""Golden checks of the command-line interface and the samplers.
 
 Runs a fixed sequence of subcommands through ``main(argv)`` in a temp
 directory and pins, per command, its exit code, the sha256 of its standard
 output and the sha256 of every artifact it wrote or rewrote (wall-clock
 ``*.meta.json`` sidecars excepted). A second check pins, per model and
 reuse mode, one sha256 over every ``CoupledPair`` field of a grid of
-``coupled_generate`` runs. A change that alters any of these outputs on
-purpose re-pins the values and says which ones changed.
+``coupled_generate`` runs, and a third one sha256 over the tokens, the
+distributions and the traces of a grid of ``diffusion_generate`` runs. A
+change that alters any of these outputs on purpose re-pins the values and
+says which ones changed.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reuselab import sampler
 from reuselab.cli import RunConfig, main
 from reuselab.drift import DriftProfile
 from reuselab.model import ModelConfig, init_weights
@@ -274,3 +277,110 @@ PINNED_COUPLED = {
 @pytest.mark.parametrize("key", sorted(PINNED_COUPLED), ids="-".join)
 def test_coupled_generate_outputs_are_pinned(key):
     assert coupled_digest(*key) == PINNED_COUPLED[key]
+
+
+# ---------------------------------------------------------------------------
+# diffusion_generate
+# ---------------------------------------------------------------------------
+
+# L >= 2 throughout, so a layer can sit above one whose output is unchanged;
+# "l4h2-d64" is the benchmark's mid-model and "l2h4-d256" the largest size
+# the tests run (d_int 512).
+DECODE_MODELS = {
+    "l2h2-d16": ModelConfig(L=2, H=2, d=16, d_int=32, n_vocab=32, B=8,
+                            seed=4),
+    "l3h4-d32-gelu": ModelConfig(L=3, H=4, d=32, d_int=64, n_vocab=32, B=8,
+                                 activation="gelu", seed=6),
+    "l4h2-d64": ModelConfig(L=4, H=2, d=64, d_int=128, n_vocab=32, B=32,
+                            seed=1),
+    "l2h4-d256": ModelConfig(L=2, H=4, d=256, d_int=512, n_vocab=32, B=16,
+                             seed=2),
+}
+# Per-layer threshold patterns: flat ones from "identical rows only" to
+# "every finite drift", and one with layer 1 disabled between reuse layers.
+DECODE_TAUS = {
+    "0": lambda L: (0.0,) * L,
+    "0.002": lambda L: (0.002,) * L,
+    "0.05": lambda L: (0.05,) * L,
+    "inf": lambda L: (float("inf"),) * L,
+    "gap": lambda L: tuple(None if ell == 1 else 0.05 for ell in range(L)),
+}
+DECODE_GATES = ((0, 2), (1, 2), (0, 3))  # (skip_first_layers, refresh)
+DECODE_TEMPERATURES = (0.0, 1.0)
+
+
+def decode_digest(model: str, mode: str, monkeypatch) -> str:
+    """sha256 over every decode of the grid, in order: the tokens, each
+    step's distributions and every array the trace records. Full mode has
+    no thresholds or gates, so it runs once per temperature."""
+    cfg = DECODE_MODELS[model]
+    weights = init_weights(cfg)
+    h = hashlib.sha256()
+    real_step = sampler.model_step
+
+    def hashed_step(*args):
+        out = real_step(*args)
+        h.update(np.ascontiguousarray(out[0]).tobytes())
+        return out
+
+    monkeypatch.setattr(sampler, "model_step", hashed_step)
+    points = [(None, (0, 2))] if mode == "full" else [
+        (taus, gates) for taus in DECODE_TAUS for gates in DECODE_GATES]
+    for taus, (skip, refresh) in points:
+        profile = None if taus is None else DriftProfile(
+            s_layer=(0.0,) * cfg.L, phi_layer=(1.0,) * cfg.L,
+            tau_layer=DECODE_TAUS[taus](cfg.L), phi_bar=1.0, epsilon=1.0)
+        for temperature in DECODE_TEMPERATURES:
+            sc = SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
+                               steps_per_block=cfg.B, temperature=temperature,
+                               seed=23)
+            tokens, trace = sampler.diffusion_generate(
+                weights, sc, profile, mode, skip_first_layers=skip,
+                refresh_interval=refresh)
+            parts = [tokens]
+            for rec in trace.records:
+                parts += [rec.input_tokens, rec.unmasked, rec.confidences,
+                          np.float64(rec.staleness_l2), *rec.q_head0]
+                for dec in rec.decisions:
+                    parts += [np.array([dec.layer, dec.step, dec.eligible]),
+                              dec.reused.astype(np.int64),
+                              dec.refreshed.astype(np.int64),
+                              np.float64(dec.staleness_l2)]
+            for a in parts:
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+PINNED_DECODE = {
+    ("l2h2-d16", "full"):
+        "fb8e5366f495c5872e4acf953fdd00b49b09feafda65a3859eae7e63852bb4d9",
+    ("l2h2-d16", "kv"):
+        "763ae1d134103903184a443afc7d22b272e0685f97ea0c8cc2f33ffe8f7df267",
+    ("l2h2-d16", "o"):
+        "f2062f17ae87d8c7dbcff2acea741d60f5ded7213c4dadbcacb9d6853d8408a7",
+    ("l3h4-d32-gelu", "full"):
+        "dd6286f9a0e3c25c69f3b1e58828b5ae30adf0cc43a9d356a2d13e18349a32b4",
+    ("l3h4-d32-gelu", "kv"):
+        "33e281a91c1d8f4b451848e3679a75148ba73f9d1107556e15d54a3e184d0058",
+    ("l3h4-d32-gelu", "o"):
+        "b00326aac35a2b10c4e231cfd2cd9cff26a8b6d10223f9b4316d8215b84b902e",
+    ("l4h2-d64", "full"):
+        "529b6ca6d9c821e0b8944a7e148f8bae118d7a53bc6ad2be4047249f80304d2a",
+    ("l4h2-d64", "kv"):
+        "73ffc3a6e6940e521a4716eb337dcce5d47f69320f108e925840679796798084",
+    ("l4h2-d64", "o"):
+        "99b4698d95f0daab7be86646c2cb3af2d19b1115f1dd386d1c61de4766817309",
+    ("l2h4-d256", "full"):
+        "2b82ccd3962ce7edd17b8004eb6b977f9bac996800e9169a091a2e81758cfa33",
+    ("l2h4-d256", "kv"):
+        "f5ed3b06ccfa1b5bbefb0cc362e18c72934314c952776e6e221b2b0a9e6e61dc",
+    ("l2h4-d256", "o"):
+        "8fa0da1a96f8b37ba29b73ce0f55603950e27bd9117844d408b793ac7316fc03",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DECODE), ids="-".join)
+def test_diffusion_generate_outputs_are_pinned(key, monkeypatch):
+    if "gelu" in key[0]:
+        pytest.importorskip("scipy")
+    assert decode_digest(*key, monkeypatch) == PINNED_DECODE[key]

@@ -1,5 +1,6 @@
 """Tests for the reuse mechanisms, gating, and staleness bookkeeping."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuselab import sampler
-from reuselab.drift import DriftProfile, row_drift
+from reuselab import reuse, sampler
+from reuselab.drift import DriftProfile, reuse_set, row_drift
 from reuselab.errors import ConfigError, DimensionError, StateError
 from reuselab.model import (
     ModelConfig,
     attention_rows,
+    embed_ids,
     embed_tokens,
     init_weights,
     mlp,
+    unembed,
 )
 from reuselab.reuse import (
     MODES,
@@ -172,7 +175,9 @@ def test_kv_unchanged_input_reuses_everything():
     _, full = forward_full(w, x)
     assert decision.reused_count == 3
     assert list(state.delta[0]) == [1, 1, 1]
-    assert np.max(np.abs(o - full.prev_o_pre[0] @ w.layers[0].w_o)) < 1e-10
+    want = mlp(w.layers[0], full.prev_o_pre[0] @ w.layers[0].w_o,
+               cfg.activation)
+    assert np.max(np.abs(o - want)) < 1e-10
 
 
 def test_kv_forced_single_token_matches_splice_oracle():
@@ -194,7 +199,7 @@ def test_kv_forced_single_token_matches_splice_oracle():
     q = x_cur @ lw.w_q
     rows = scalar_attention_rows(q, k, v, range(3))
     o_pre = np.array([rows[i] for i in range(3)])
-    want = o_pre @ lw.w_o
+    want = mlp(lw, o_pre @ lw.w_o, cfg.activation)
     assert np.max(np.abs(o - want)) < 1e-12
 
 
@@ -266,7 +271,7 @@ def test_o_forced_single_token_matches_row_oracle():
     v = x_cur @ lw.w_v
     rows = scalar_attention_rows(q, k, v, [0, 2])
     o_pre = np.array([rows[0], cached_o_pre[1], rows[2]])
-    want = o_pre @ lw.w_o
+    want = mlp(lw, o_pre @ lw.w_o, cfg.activation)
     assert np.max(np.abs(o - want)) < 1e-12
 
 
@@ -372,7 +377,8 @@ def test_o_reused_rows_are_bitwise_cached_rows(n_changed):
             cached = None if t == 0 else state.prev_o_pre[ell].copy()
             o, decision = layer_step(lw, x, state, ell, t)
             o_pre = state.prev_o_pre[ell]
-            assert np.array_equal(bits(o), bits(o_pre @ lw.w_o))
+            assert np.array_equal(
+                bits(o), bits(mlp(lw, o_pre @ lw.w_o, MID.activation)))
             if t:
                 assert decision.refreshed_count == n_changed
                 r = decision.reused
@@ -388,14 +394,14 @@ def test_trace_steps_are_not_changed_by_later_steps(mode, monkeypatch):
 
     def recording_embed(weights, tokens):
         fed_tokens.append(np.array(tokens))
-        return embed_tokens(weights, tokens)
+        return embed_ids(weights, tokens)
 
     def recording_step(weights, state, x, t):
         out = model_step(weights, state, x, t)
         step_queries.append([q.copy() for q in out[2]])
         return out
 
-    monkeypatch.setattr(sampler, "embed_tokens", recording_embed)
+    monkeypatch.setattr(sampler, "embed_ids", recording_embed)
     monkeypatch.setattr(sampler, "model_step", recording_step)
     profile = None if mode == "full" else DriftProfile(
         s_layer=(0.0,) * MID.L, phi_layer=(1.0,) * MID.L,
@@ -430,6 +436,231 @@ def test_reuse_steps_leave_earlier_queries_unchanged(mode):
         held.extend((q, q.copy()) for q in state.prev_q_head0)
     for q, copy in held:
         assert np.array_equal(bits(q), bits(copy))
+
+
+# ---------------------------------------------------------------------------
+# o mode's skips: cached layer outputs and unchanged inputs
+# ---------------------------------------------------------------------------
+
+SKIP_CFG = ModelConfig(L=4, H=2, d=16, d_int=32, n_vocab=32, B=6, seed=9)
+# Per step, the positions whose token changes; an empty step feeds the
+# same tokens again (as a new array), so layer 0 reuses every row.
+SKIP_CHANGES = [(), (), (1,), (), (), (0, 4), (), (), (2,), ()]
+
+
+def skip_inputs(w, changes=SKIP_CHANGES):
+    tokens = np.arange(w.config.B) % w.config.n_vocab
+    xs = []
+    for changed in changes:
+        tokens = tokens.copy()
+        tokens[list(changed)] = (tokens[list(changed)] + 7) % w.config.n_vocab
+        xs.append(embed_tokens(w, tokens))
+    return xs
+
+
+def reference_o_steps(w, xs, taus, skip, refresh):
+    """o mode computed the direct way, with no skip: Q, K and V in full on
+    every slot, the gate's reuse set, the refreshed attention rows spliced
+    into the cached pre-W_O output, then W_O, the MLP and the unembedding.
+    Returns per step (probs, reused count per layer, head-0 queries)."""
+    cfg = w.config
+    dh = cfg.d // cfg.H
+    prev_q0 = [None] * cfg.L
+    o_pre = [None] * cfg.L
+    steps = []
+    for t, x in enumerate(xs):
+        cur = x
+        counts = []
+        for ell, lw in enumerate(w.layers):
+            q, k, v = cur @ lw.w_q, cur @ lw.w_k, cur @ lw.w_v
+            reused = (reuse_set(q[:, :dh], prev_q0[ell], taus[ell])
+                      if gate(ell, t, skip, refresh) else np.empty(0, int))
+            prev_q0[ell] = q[:, :dh]
+            if not reused.size:
+                o_pre[ell] = attention_rows(q, k, v, cfg.H)
+            else:
+                r = np.setdiff1d(np.arange(cfg.B), reused)
+                if r.size:
+                    o_pre[ell][r] = attention_rows(q[r], k, v, cfg.H)
+            cur = mlp(lw, o_pre[ell] @ lw.w_o, cfg.activation)
+            counts.append(int(reused.size))
+        steps.append((unembed(w, cur), counts, list(prev_q0)))
+    return steps
+
+
+def count_calls(monkeypatch, names=("reuse_set", "attention_rows", "mlp",
+                                    "unembed")):
+    """Patch the functions the reuse module calls so each call is counted."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(reuse, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reuse, name, counted)
+    return counts
+
+
+def zero_head0_queries(w, layers):
+    """The weights with the head-0 block of W_q zeroed at the given layers,
+    so those layers' head-0 queries are zero rows (drift undefined)."""
+    dh = w.config.d // w.config.H
+    new = []
+    for ell, lw in enumerate(w.layers):
+        if ell in layers:
+            w_q = lw.w_q.copy()
+            w_q[:, :dh] = 0.0
+            lw = dataclasses.replace(lw, w_q=w_q)
+        new.append(lw)
+    return dataclasses.replace(w, layers=tuple(new))
+
+
+def skip_weights(cfg, variant):
+    """The model, or a variant whose layer-2 head-0 queries are zero rows
+    (drift inf) or NaN rows (layer 0's W_D scaled until layer 2 overflows;
+    the drift kernel scores a NaN row 2, whatever the other row is)."""
+    w = init_weights(cfg)
+    if variant == "zero-q0-l2":
+        return zero_head0_queries(w, (2,))
+    if variant == "nan-q0-l2":
+        lw = w.layers[0]
+        return dataclasses.replace(w, layers=(
+            dataclasses.replace(lw, w_d=lw.w_d * 1e300), *w.layers[1:]))
+    return w
+
+
+TAU_PATTERNS = {
+    "0": (0.0,) * 4,
+    "0.01": (0.01,) * 4,
+    "inf": (math.inf,) * 4,
+    "gap": (0.01, None, 0.01, 0.01),   # a disabled layer between reusers
+    "neg": (0.0, -1.0, 0.0, 0.0),      # a threshold no drift meets
+}
+
+
+@pytest.mark.parametrize("variant", ["plain", "zero-q0-l2", "nan-q0-l2"])
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+@pytest.mark.parametrize("skip, refresh", [(0, 100), (0, 3), (2, 100)])
+@pytest.mark.parametrize("taus", sorted(TAU_PATTERNS))
+def test_o_model_step_matches_direct_computation(taus, skip, refresh,
+                                                 activation, variant,
+                                                 monkeypatch):
+    # Bitwise against the computation that skips nothing, and each skip
+    # fires exactly where it should: a slot reusing every row runs neither
+    # attention nor the MLP, a layer above one that did scores nothing
+    # (unless a head-0 query row is zero or not finite, or tau < 0), and a
+    # step whose top layer reused every row does not unembed.
+    if activation == "gelu":
+        pytest.importorskip("scipy")
+    cfg = dataclasses.replace(SKIP_CFG, activation=activation)
+    tau_layer = TAU_PATTERNS[taus]
+    w = skip_weights(cfg, variant)
+    xs = skip_inputs(w)
+    counts = count_calls(monkeypatch)
+    state = ReuseState(config=cfg, mode="o", tau_layer=tau_layer,
+                       skip_first_layers=skip, refresh_interval=refresh)
+    expected = dict.fromkeys(counts, 0)
+    with np.errstate(all="ignore"):
+        want = reference_o_steps(w, xs, tau_layer, skip, refresh)
+        for t, (x, (probs_ref, reused_ref, q0_ref)) in enumerate(zip(xs,
+                                                                     want)):
+            probs, decisions, q_head0 = model_step(w, state, x, t)
+            assert np.array_equal(bits(probs), bits(probs_ref))
+            assert [d.reused_count for d in decisions] == reused_ref
+            for got, ref in zip(q_head0, q0_ref):
+                assert np.array_equal(bits(got), bits(ref))
+            whole = [n == cfg.B for n in reused_ref]
+            expected["reuse_set"] += sum(
+                d.eligible and not (
+                    d.layer and whole[d.layer - 1]
+                    and tau_layer[d.layer] is not None
+                    and tau_layer[d.layer] >= 0.0
+                    and q0_ref[d.layer].any(axis=1).all()
+                    and np.isfinite(q0_ref[d.layer]).all())
+                for d in decisions)
+            expected["attention_rows"] += whole.count(False)
+            expected["mlp"] += whole.count(False)
+            expected["unembed"] += not whole[-1]
+    assert counts == expected
+    if variant == "plain":
+        assert expected["mlp"] < cfg.L * len(xs)
+
+
+@pytest.mark.parametrize("tau", [0.0, math.inf])
+def test_o_layers_above_an_unchanged_layer_compute_nothing(tau, monkeypatch):
+    # Layer 0 scores the caller's new array and reuses every row, so it
+    # returns its cached output; layers 1-3 then take that same array and
+    # neither score, attend, project nor unembed.
+    w = init_weights(SKIP_CFG)
+    xs = skip_inputs(w, [(), ()])
+    state = ReuseState(config=SKIP_CFG, mode="o",
+                       tau_layer=(tau,) * SKIP_CFG.L, refresh_interval=10)
+    probs0, _, q0_first = model_step(w, state, xs[0], 0)
+    outs = list(state.prev_out)
+    counts = count_calls(monkeypatch)
+    probs1, decisions, q0_second = model_step(w, state, xs[1], 1)
+    assert counts == {"reuse_set": 1, "attention_rows": 0, "mlp": 0,
+                      "unembed": 0}
+    assert all(d.eligible and d.reused_count == SKIP_CFG.B
+               and d.refreshed_count == 0 for d in decisions)
+    assert [d.staleness_l2 for d in decisions] \
+        == [math.sqrt(SKIP_CFG.B)] * SKIP_CFG.L
+    assert probs1 is probs0
+    assert all(a is b for a, b in zip(state.prev_out, outs))
+    assert all(a is b for a, b in zip(q0_second[1:], q0_first[1:]))
+    # What is handed out and returned again cannot be written to.
+    for a in (probs1, *state.prev_out):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_o_zero_head0_queries_give_full_output():
+    # Zero head-0 query rows have no drift, so no row is ever reused, even
+    # above a layer whose input is unchanged: bitwise full decoding.
+    w = zero_head0_queries(init_weights(SKIP_CFG), range(SKIP_CFG.L))
+    o_state = ReuseState(config=SKIP_CFG, mode="o",
+                         tau_layer=(math.inf,) * SKIP_CFG.L)
+    full_state = ReuseState(config=SKIP_CFG, mode="full",
+                            tau_layer=(None,) * SKIP_CFG.L)
+    for t, x in enumerate(skip_inputs(w)):
+        probs, decisions, _ = model_step(w, o_state, x, t)
+        want, _, _ = model_step(w, full_state, x, t)
+        assert np.array_equal(bits(probs), bits(want))
+        assert all(d.reused_count == 0 for d in decisions)
+
+
+def test_o_input_changed_in_place_is_never_skipped():
+    # An array the caller owns may change between calls under the same
+    # identity: at layer 0 through model_step, and at any layer called
+    # directly. Each call must see the new values.
+    w = init_weights(SKIP_CFG)
+    a, b = skip_inputs(w, [(), (1,)])
+    taus = (0.0,) * SKIP_CFG.L
+    moved = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+                       refresh_interval=10)
+    fresh = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+                       refresh_interval=10)
+    x = a.copy()
+    model_step(w, moved, x, 0)
+    model_step(w, fresh, a, 0)
+    x[:] = b
+    got, got_dec, _ = model_step(w, moved, x, 1)
+    want, want_dec, _ = model_step(w, fresh, b, 1)
+    assert np.array_equal(bits(got), bits(want))
+    assert [d.reused_count for d in got_dec] \
+        == [d.reused_count for d in want_dec]
+    assert got_dec[0].refreshed.tolist() == [1]
+
+    lw = w.layers[1]
+    direct = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+                        refresh_interval=10)
+    x = a.copy()
+    layer_step(lw, x, direct, 1, 0)
+    x[:] = b
+    h, decision = layer_step(lw, x, direct, 1, 1)
+    assert decision.refreshed.tolist() == [1]
+    o_pre = attention_rows(b @ lw.w_q, b @ lw.w_k, b @ lw.w_v, SKIP_CFG.H)
+    want = mlp(lw, o_pre @ lw.w_o, SKIP_CFG.activation)
+    assert np.max(np.abs(h[1] - want[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +737,7 @@ def test_every_mode_caches_fresh_rows(mode):
             assert np.max(np.abs(state.prev_o_pre[ell][r] - fresh[r])) < 1e-12
             assert np.array_equal(bits(state.prev_q_head0[ell]),
                                   bits(q[:, :cfg.d // cfg.H]))
-            cur = mlp(lw, o, cfg.activation)
+            cur = o
     assert reused_any == (mode != "full")
 
 

@@ -1,5 +1,6 @@
 """Tests for the decode loop and the coupled paired sampler."""
 
+import dataclasses
 import hashlib
 import warnings
 from bisect import bisect_right
@@ -759,6 +760,23 @@ def test_coupled_reuse_modes_record_decisions():
         assert np.all(pair.per_step_l1_gap >= 0.0)
 
 
+def test_decode_loops_check_the_mask_id_and_zero_rows():
+    # The loops look rows up without range checks, so the mask id is
+    # checked once per decode; an exactly-zero embedding row still fails.
+    cfg, w = make_model()
+    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=4,
+                       tokens_unmasked_per_step=1, seed=3)
+    emb = w.emb.copy()
+    emb[w.mask_token] = 0.0
+    for bad in (dataclasses.replace(w, mask_token=cfg.n_vocab),
+                dataclasses.replace(w, mask_token=-1),
+                dataclasses.replace(w, emb=emb)):
+        with pytest.raises(DegenerateInputError):
+            diffusion_generate(bad, sc, None, "full")
+        with pytest.raises(DegenerateInputError):
+            coupled_generate(bad, sc, flat_profile(0.05), "o")
+
+
 def count_reference_passes(monkeypatch):
     """Patch the sampler so that each model_step call of a coupled run
     appends a counter of the forward_full calls that follow it."""
@@ -799,14 +817,14 @@ def test_coupled_step_without_reuse_still_checks_its_input(monkeypatch):
     cfg, w = make_model()
     sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=4,
                        tokens_unmasked_per_step=1, seed=3)
-    embed_tokens = sampler.embed_tokens
+    embed_ids = sampler.embed_ids
 
     def unnormalized(weights, tokens):
-        x = embed_tokens(weights, tokens).copy()
+        x = embed_ids(weights, tokens).copy()
         x[0] *= 2.0
         return x
 
-    monkeypatch.setattr(sampler, "embed_tokens", unnormalized)
+    monkeypatch.setattr(sampler, "embed_ids", unnormalized)
     per_step = count_reference_passes(monkeypatch)
     with pytest.raises(DegenerateInputError):
         coupled_generate(w, sc, disabled_profile(), "kv")
