@@ -32,8 +32,10 @@ from .linalg import (
 from .model import G_SIGMA, ModelConfig, ModelWeights
 from .sampler import SamplerConfig, coupled_generate
 
-# Logit pairs drawn for the softmax contraction spot-check in verify_run.
+# Logit pairs drawn for the softmax contraction spot-check in verify_run,
+# and the largest pair size drawn.
 SOFTMAX_CHECK_PAIRS = 128
+SOFTMAX_CHECK_WIDTH = 64
 # Additive slack for the softmax contraction check (pure float noise).
 SOFTMAX_CHECK_SLACK = 1e-9
 
@@ -76,38 +78,90 @@ def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
     return 2.0 * tau * d * kappa_q ** 2 / (2.0 + tau * (kappa_q ** 2 - 1.0))
 
 
-class _StepBounds:
-    """The constants and per-step reuse bounds of one model and config.
+class _WeightConstants:
+    """The constants that depend on the weights alone: the six layer-0
+    matrices' spectral norms (``sigma``, by name, ``w_q`` ...), the
+    Frobenius norms of W_O, W_V, W_K and W_Q (in that order), the
+    embedding's sum of row norms (its 2->1 upper bound) and largest row
+    norm (its 2->inf norm), and kappa_q.
 
-    The weight-only constants (the six weight matrices' spectral norms,
-    kappa_q, G, C_W, the o-mode scale and the Frobenius norms) are computed
-    on first use and then kept, so a caller that evaluates many bounds for
-    one model, as ``verify_run`` does, pays for each norm once. Each
-    formula lives here only.
+    kappa_q is taken on first use, since a singular W_Q has none and only
+    some bounds need it; it reads a copy of W_Q made with the rest, so
+    every constant describes the same arrays.
     """
 
-    def __init__(self, weights: ModelWeights, config: ModelConfig | None) -> None:
-        self.weights = weights
-        self.cfg = _theory_config(weights, config)
-
-    @cached_property
-    def sigma(self) -> dict:
-        """Spectral norm of each weight matrix, by name (``w_q`` ...)."""
-        return {name: spectral_norm(m)
-                for name, m in self.weights.layers[0].named()}
+    def __init__(self, weights: ModelWeights) -> None:
+        lw = weights.layers[0]
+        self.sigma = {name: spectral_norm(m) for name, m in lw.named()}
+        self.frobenius_ovkq = tuple(
+            frobenius_norm(m) for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
+        self.emb_2_to_1 = norm_2_to_1_upper(weights.emb)
+        self.emb_2_to_inf = norm_2_to_inf(weights.emb)
+        self._w_q = lw.w_q.copy()
 
     @cached_property
     def kappa_q(self) -> float:
-        return condition_kappa(self.weights.layers[0].w_q)
+        return condition_kappa(self._w_q)
+
+
+def _constants_digest(weights: ModelWeights) -> int:
+    """A 64-bit digest (the built-in hash) of the shapes and bytes of every
+    array the weight-only constants read: an in-place edit changes it.
+    (r_emb, a field of the frozen weights, is read by G on every call and
+    kept nowhere.)"""
+    arrays = [m for _, m in weights.layers[0].named()] + [weights.emb]
+    return hash(tuple((a.shape, hash(a.tobytes())) for a in arrays))
+
+
+def _weight_constants(weights: ModelWeights) -> _WeightConstants:
+    """The weight-only constants of a model, computed once per model.
+
+    They are kept on the weights object itself, as ``cached_property``
+    keeps a value, so they go when the model does, next to the digest of
+    the arrays they were computed from: a call after an in-place edit
+    computes them again.
+    """
+    digest = _constants_digest(weights)
+    kept = vars(weights).get("_theory_constants")
+    if kept is None or kept[0] != digest:
+        kept = (digest, _WeightConstants(weights))
+        vars(weights)["_theory_constants"] = kept
+    return kept[1]
+
+
+class _StepBounds:
+    """The constants and per-step reuse bounds of one model, config and
+    threshold tau.
+
+    The weight-only constants are shared by every ``_StepBounds`` of a
+    model (``_weight_constants``), so ``verify_run``, ``lipschitz_G``,
+    ``kv_step_bound`` and ``o_step_bound`` take each spectral norm once
+    per model. They are looked up on first use, so a bound that is 0 for
+    its tau or staleness alone reads no weight. The products that depend
+    on the config (G, C_W, the o-mode scale, the per-token o coefficients)
+    and on tau (tau_tilde and the factors built from it) are computed on
+    first use and then kept, so a caller that evaluates many steps of one
+    run pays for them once. Each formula lives here only.
+    """
+
+    def __init__(self, weights: ModelWeights, config: ModelConfig | None,
+                 tau: float | None = None) -> None:
+        self.weights = weights
+        self.cfg = _theory_config(weights, config)
+        self.tau = tau
+
+    @cached_property
+    def consts(self) -> _WeightConstants:
+        return _weight_constants(self.weights)
 
     @cached_property
     def G(self) -> float:
         """``lipschitz_G``."""
         cfg = self.cfg
-        s = self.sigma
+        s = self.consts.sigma
         r = self.weights.r_emb
         stack = (
-            norm_2_to_1_upper(self.weights.emb)
+            self.consts.emb_2_to_1
             * s["w_d"]
             * G_SIGMA[cfg.activation]
             * s["w_u"]
@@ -121,9 +175,9 @@ class _StepBounds:
 
     @cached_property
     def o_scale(self) -> float:
-        s = self.sigma
+        s = self.consts.sigma
         return (
-            norm_2_to_inf(self.weights.emb)
+            self.consts.emb_2_to_inf
             * s["w_d"]
             * G_SIGMA[self.cfg.activation]
             * s["w_u"]
@@ -136,7 +190,7 @@ class _StepBounds:
         ``C_W * sqrt(tau_tilde) * ||Delta||_2``. Its product starts with
         the o-mode scale's four factors in the same left-to-right order,
         so starting from that partial product keeps every bit."""
-        s = self.sigma
+        s = self.consts.sigma
         sv = s["w_v"]
         prefactor = (
             self.o_scale
@@ -146,18 +200,40 @@ class _StepBounds:
         return math.sqrt(2.0) * self.cfg.B * prefactor
 
     @cached_property
-    def frobenius_ovkq(self) -> tuple:
-        """Frobenius norms of W_O, W_V, W_K and W_Q, in that order."""
-        lw = self.weights.layers[0]
-        return tuple(frobenius_norm(m) for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
+    def _o_coefficients(self) -> tuple:
+        """The per-token factors of the query, keys and values terms of
+        ``o_terms``, each the left-to-right product that multiplies a
+        token's movement."""
+        f_o, f_v, f_k, f_q = self.consts.frobenius_ovkq
+        four = f_o * f_v * f_k * f_q
+        b = self.cfg.B
+        d = self.cfg.d
+        return (b * math.sqrt(d) * four,
+                math.sqrt(b * d) * four * math.sqrt(b),
+                f_o * f_v * math.sqrt(b))
 
-    def kv(self, tau: float | None, delta_l2: float) -> float:
+    @cached_property
+    def _tau_tilde(self) -> float:
+        return tau_tilde(self.tau, self.cfg.d, self.consts.kappa_q)
+
+    @cached_property
+    def _kv_factor(self) -> float:
+        """``C_W * sqrt(tau_tilde)``, the factor of ||Delta||_2."""
+        return self.C_W * math.sqrt(self._tau_tilde)
+
+    @cached_property
+    def _displacement(self) -> float:
+        """sqrt(2 * tau_tilde): how far an accepted token's input row
+        moves in one step at most."""
+        return math.sqrt(2.0 * self._tau_tilde)
+
+    def kv(self, delta_l2: float) -> float:
+        tau = self.tau
         if tau is None or tau == 0.0 or delta_l2 == 0.0:
             return 0.0
         if delta_l2 < 0.0:
             raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
-        tt = tau_tilde(tau, self.cfg.d, self.kappa_q)
-        return self.C_W * math.sqrt(tt) * float(delta_l2)
+        return self._kv_factor * float(delta_l2)
 
     def o_terms(self, displacement: float, delta) -> float:
         """Sum over stale tokens of the three attention-output deviation
@@ -179,27 +255,21 @@ class _StepBounds:
                 f"delta must have one entry per block token ({cfg.B}), "
                 f"got {delta.shape}"
             )
-        f_o, f_v, f_k, f_q = self.frobenius_ovkq
-        four = f_o * f_v * f_k * f_q
-        b = cfg.B
-        d = cfg.d
+        query, keys, values = self._o_coefficients
         total = 0.0
         for delta_i in delta:
             if delta_i == 0:
                 continue
             move = float(delta_i) * displacement
-            query_term = b * math.sqrt(d) * four * move
-            keys_term = math.sqrt(b * d) * four * math.sqrt(b) * move
-            values_term = f_o * f_v * math.sqrt(b) * move
-            total += query_term + keys_term + values_term
+            total += query * move + keys * move + values * move
         return total
 
-    def o(self, tau: float | None, delta) -> float:
+    def o(self, delta) -> float:
         delta = np.asarray(delta)
-        if tau is None or tau == 0.0 or not np.any(delta > 0):
+        tau = self.tau
+        if tau is None or tau == 0.0 or not (delta > 0).any():
             return 0.0
-        tt = tau_tilde(tau, self.cfg.d, self.kappa_q)
-        return self.o_scale * self.o_terms(math.sqrt(2.0 * tt), delta)
+        return self.o_scale * self.o_terms(self._displacement, delta)
 
 
 def kv_step_bound(
@@ -211,7 +281,7 @@ def kv_step_bound(
     """Bound on the summed per-token L1 output gap opened by one step of
     key/value reuse with staleness vector of Euclidean norm ``delta_l2``.
     """
-    return _StepBounds(weights, config).kv(tau, delta_l2)
+    return _StepBounds(weights, config, tau).kv(delta_l2)
 
 
 def o_step_bound(
@@ -223,7 +293,7 @@ def o_step_bound(
     """Bound on the summed per-token L1 output gap opened by one step of
     attention-output reuse with per-token staleness counts ``delta``.
     """
-    return _StepBounds(weights, config).o(tau, delta)
+    return _StepBounds(weights, config, tau).o(delta)
 
 
 def cumulative_series(G: float, per_step_bounds) -> np.ndarray:
@@ -248,22 +318,62 @@ def cumulative_bound(G: float, per_step_bounds) -> float:
     return float(cumulative_series(G, per_step_bounds)[-1])
 
 
-def softmax_lipschitz_gap(z, z_prime) -> tuple[float, float]:
+def softmax_lipschitz_gap(z, z_prime):
     """Return (L1 gap of the softmaxes, Linf gap of the logits).
 
-    The contraction property says the first never exceeds the second.
+    The contraction property says the first never exceeds the second. For
+    two logit vectors both gaps are floats. ``z`` and ``z_prime`` may also
+    be (pairs, width) batches with one pair per row; the gaps are then
+    arrays with one entry per pair. A pair narrower than the batch is
+    padded with -inf at the same places on both sides, which adds nothing
+    to either gap.
     """
     z = np.asarray(z, dtype=np.float64)
     z_prime = np.asarray(z_prime, dtype=np.float64)
-    if z.ndim != 1 or z.shape != z_prime.shape or z.size == 0:
+    if z.ndim not in (1, 2) or z.shape != z_prime.shape or z.size == 0:
         raise DegenerateInputError(
-            f"need two equal-length logit vectors, got {z.shape} and {z_prime.shape}"
+            "need two equal-length logit vectors or two equal-shape "
+            f"batches, got {z.shape} and {z_prime.shape}"
         )
-    p = softmax_rows(z[None, :])[0]
-    p_prime = softmax_rows(z_prime[None, :])[0]
-    l1 = float(np.abs(p - p_prime).sum())
-    linf = float(np.abs(z - z_prime).max())
+    l1, linf = _softmax_gaps(
+        np.stack((z, z_prime)).reshape(2, -1, z.shape[-1]))
+    if z.ndim == 1:
+        return float(l1[0]), float(linf[0])
     return l1, linf
+
+
+def _softmax_gaps(logits: np.ndarray):
+    """``softmax_lipschitz_gap`` of a (2, pairs, width) stack of both
+    sides' batches, in one ``softmax_rows`` pass over all its rows. Where
+    the two sides' logits are equal, -inf padding included, the Linf gap
+    takes 0 without subtracting them, so -inf - -inf never forms. The Linf
+    gap is taken before the softmax and the L1 gap in the softmax output's
+    first half, so the pass takes at most as much memory again as
+    ``logits`` does."""
+    z, z_prime = logits
+    linf = np.abs(np.subtract(z, z_prime, out=np.zeros_like(z),
+                              where=z != z_prime)).max(axis=1)
+    p = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+    gap = np.subtract(p[0], p[1], out=p[0])
+    return np.abs(gap, out=gap).sum(axis=1), linf
+
+
+def _softmax_check_logits(seed) -> np.ndarray:
+    """The softmax spot check's logit pairs for one run seed, as one
+    (2, SOFTMAX_CHECK_PAIRS, SOFTMAX_CHECK_WIDTH) array padded with -inf:
+    ``logits[0, i]`` and ``logits[1, i]`` are pair i.
+
+    Pair by pair, one stream draws the size n in [2, width], the scale
+    10**U(-2, 2), and then the two sides' n logits from N(0, scale).
+    """
+    rng = np.random.default_rng([int(seed), SOFTMAX_CHECK_PAIRS])
+    logits = np.full((2, SOFTMAX_CHECK_PAIRS, SOFTMAX_CHECK_WIDTH), -np.inf)
+    for i in range(SOFTMAX_CHECK_PAIRS):
+        n = int(rng.integers(2, SOFTMAX_CHECK_WIDTH + 1))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        logits[0, i, :n] = rng.normal(0.0, scale, n)
+        logits[1, i, :n] = rng.normal(0.0, scale, n)
+    return logits
 
 
 @dataclass(frozen=True)
@@ -331,8 +441,12 @@ def verify_run(
     against the per-step bound at that trial's staleness, (b) the
     trial-averaged embedding gap at every step against the error recursion
     driven by the trial-averaged per-step bounds, (c) softmax contraction on
-    random logit pairs. Trials use independent seeds derived from the run
-    seed, so the report is reproducible.
+    SOFTMAX_CHECK_PAIRS random logit pairs, checked in one batched
+    ``softmax_lipschitz_gap`` pass. Trials use independent seeds derived
+    from the run seed, so the report is reproducible. The weight-only
+    constants are taken once per model and shared with every later call
+    on the same weights; tau_tilde and the factors built from it once per
+    run.
 
     ``debug_zero_bounds`` replaces G and every per-step bound with zero; a
     lossy run must then report violations. It exists to prove the harness
@@ -353,7 +467,7 @@ def verify_run(
     gaps = np.zeros((trials, T))
     embed_errors = np.zeros((trials, T + 1))
     violations = 0
-    step_bounds = _StepBounds(weights, cfg)
+    step_bounds = _StepBounds(weights, cfg, tau)
 
     for k in range(trials):
         trial_config = dataclasses.replace(run_config, seed=int(trial_seeds[k]))
@@ -367,9 +481,9 @@ def verify_run(
         )
         for t in range(T):
             if mode == "kv":
-                b = step_bounds.kv(tau, pair.per_step_delta_l2[t])
+                b = step_bounds.kv(pair.per_step_delta_l2[t])
             else:
-                b = step_bounds.o(tau, pair.per_step_delta[t][0])
+                b = step_bounds.o(pair.per_step_delta[t][0])
             if debug_zero_bounds:
                 b = 0.0
             bounds[k, t] = b
@@ -387,17 +501,10 @@ def verify_run(
         if mean_embed[t] > series[t]:
             violations += 1
 
-    check_rng = np.random.default_rng([int(trial_seeds[0]), SOFTMAX_CHECK_PAIRS])
-    for _ in range(SOFTMAX_CHECK_PAIRS):
-        n = int(check_rng.integers(2, 65))
-        scale = 10.0 ** check_rng.uniform(-2.0, 2.0)
-        l1, linf = softmax_lipschitz_gap(
-            check_rng.normal(0.0, scale, n), check_rng.normal(0.0, scale, n)
-        )
-        if l1 > linf + SOFTMAX_CHECK_SLACK:
-            violations += 1
+    l1, linf = _softmax_gaps(_softmax_check_logits(trial_seeds[0]))
+    violations += int((l1 > linf + SOFTMAX_CHECK_SLACK).sum())
 
-    kappa = step_bounds.kappa_q
+    kappa = step_bounds.consts.kappa_q
     return TheoryReport(
         G=G,
         kappa_q=kappa,

@@ -2,10 +2,12 @@
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -399,11 +401,17 @@ def test_verify_run_is_deterministic():
     assert len(payload["per_step_bound"]) == 4
 
 
+# A run seed and trial count at which each mode reuses at tau 0.05 on the
+# theory_model weights, so that its per-step bounds are evaluated.
+REUSING_RUN = {"kv": (23, 2), "o": (21, 3)}
+
+
 @pytest.mark.parametrize("mode", ["kv", "o"])
 def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
-    # kappa_q and the spectral norms depend on the weights only, so their
-    # count must not grow with the number of trials.
-    _, w = theory_model()
+    # kappa_q and the spectral norms depend on the weights only: the first
+    # call on a weights object takes them, every later call on it shares
+    # them, and an in-place edit of a weight makes them be taken again.
+    cfg, w = theory_model()
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -416,18 +424,139 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
                         counted("kappa", theory.condition_kappa))
     monkeypatch.setattr(theory, "spectral_norm",
                         counted("spectral", theory.spectral_norm))
-    counts = []
-    for trials in (2, 6):
-        calls.clear()
-        report = verify_run(w, run_config(seed=23), flat_profile(0.05), mode,
-                            trials=trials)
+
+    def every_bound():
+        return (lipschitz_G(w), kv_step_bound(w, cfg, 0.05, 2.0),
+                o_step_bound(w, cfg, 0.05, (1, 0, 2, 0)))
+
+    for run_mode in (mode, "o" if mode == "kv" else "kv"):
+        seed, trials = REUSING_RUN[run_mode]
+        report = verify_run(w, run_config(seed=seed), flat_profile(0.05),
+                            run_mode, trials=trials)
         assert max(report.per_step_bound) > 0.0
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0]["kappa"] == 1
-    # One spectral norm per weight matrix: G, C_W and the o-mode scale
-    # share them.
-    assert counts[0]["spectral"] == 6
+        # One spectral norm per weight matrix on the first call: G, C_W
+        # and the o-mode scale share them. None on the second.
+        assert calls == ({"spectral": 6, "kappa": 1} if run_mode == mode
+                         else {})
+        calls.clear()
+    before = every_bound()
+    assert calls == {}
+
+    w.layers[0].w_v[0, 0] += 1.0
+    after = every_bound()
+    assert calls == {"spectral": 6, "kappa": 1}
+    assert after[0] != before[0]
+    calls.clear()
+    assert every_bound() == after
+    assert calls == {}
+
+
+def test_zero_step_bounds_read_no_weight_constants(monkeypatch):
+    # A bound that is 0 for its tau or staleness alone neither takes the
+    # constants nor digests the weights.
+    cfg, w = theory_model()
+
+    def unread(weights):
+        raise AssertionError("weight constants read")
+
+    monkeypatch.setattr(theory, "_weight_constants", unread)
+    assert kv_step_bound(w, cfg, None, 2.0) == 0.0
+    assert kv_step_bound(w, cfg, 0.0, 2.0) == 0.0
+    assert kv_step_bound(w, cfg, 0.05, 0.0) == 0.0
+    assert o_step_bound(w, cfg, None, (1, 0, 2, 0)) == 0.0
+    assert o_step_bound(w, cfg, 0.05, (0, 0, 0, 0)) == 0.0
+
+
+def test_weight_constants_keep_no_model_alive():
+    _, w = theory_model()
+    lipschitz_G(w)
+    ref = weakref.ref(w)
+    del w
+    gc.collect()
+    assert ref() is None
+
+
+def test_weight_constants_follow_each_model():
+    # Two weights objects with equal arrays each take their own constants;
+    # editing one leaves the other's as they were.
+    cfg, w = theory_model()
+    _, twin = theory_model()
+    G = lipschitz_G(w)
+    twin.emb[0] *= 2.0
+    assert lipschitz_G(twin) != G
+    assert lipschitz_G(w) == G
+    assert lipschitz_G(dataclasses.replace(w, r_emb=2.0 * w.r_emb)) != G
+
+
+# The softmax spot check of verify_run as a loop of one softmax_lipschitz_gap
+# call per pair: the same stream, the same draws in the same order.
+def looped_spot_check(seed):
+    rng = np.random.default_rng([int(seed), theory.SOFTMAX_CHECK_PAIRS])
+    pairs = []
+    for _ in range(theory.SOFTMAX_CHECK_PAIRS):
+        n = int(rng.integers(2, 65))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        z, z_prime = rng.normal(0.0, scale, n), rng.normal(0.0, scale, n)
+        pairs.append((z, z_prime, *softmax_lipschitz_gap(z, z_prime)))
+    return pairs
+
+
+def test_batched_spot_check_matches_the_per_pair_loop():
+    # L1 sums the same |P - P'| terms in another order (the padded rows
+    # are summed in full), and P and P' themselves are normalized by
+    # sums taken in another order. Every term is at most 2 in total, so
+    # the gap moves by a few ulps of 2, however small L1 is.
+    slack = theory.SOFTMAX_CHECK_SLACK
+    for seed in range(200):
+        logits = theory._softmax_check_logits(seed)
+        l1, linf = softmax_lipschitz_gap(*logits)
+        pairs = looped_spot_check(seed)
+        for i, (z, z_prime, want_l1, want_linf) in enumerate(pairs):
+            n = z.size
+            assert (logits[0, i, :n] == z).all()
+            assert (logits[1, i, :n] == z_prime).all()
+            assert (logits[:, i, n:] == -np.inf).all()
+            assert linf[i] == want_linf
+            assert abs(l1[i] - want_l1) <= 4 * np.spacing(2.0)
+            assert (l1[i] > linf[i] + slack) == (want_l1 > want_linf + slack)
+
+
+def test_verify_run_counts_spot_check_violations(monkeypatch):
+    # A "softmax" that is not a contraction must make the spot check fail,
+    # pair by pair as the per-pair loop counts it.
+    _, w = theory_model()
+    config = run_config(seed=23)
+    clean = verify_run(w, config, flat_profile(0.05), "kv", trials=2)
+    assert clean.violations == 0
+    softmax_rows = theory.softmax_rows
+    monkeypatch.setattr(theory, "softmax_rows",
+                        lambda a: 50.0 * softmax_rows(a))
+    seed = np.random.SeedSequence(config.seed).generate_state(2)[0]
+    want = sum(l1 > linf + theory.SOFTMAX_CHECK_SLACK
+               for *_, l1, linf in looped_spot_check(seed))
+    report = verify_run(w, config, flat_profile(0.05), "kv", trials=2)
+    assert 0 < want < theory.SOFTMAX_CHECK_PAIRS
+    assert report.violations == want
+
+
+def test_softmax_gap_batch_rows_are_their_pairs():
+    # Each row of a batch gives its own pair's gaps bit for bit, and -inf
+    # padding at the same places on both sides adds nothing to them.
+    z = np.array([[0.0, 1.0, -np.inf], [2.0, -0.5, 1.5]])
+    z_prime = np.array([[0.5, -1.0, -np.inf], [2.0, 0.25, -3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l1, linf = softmax_lipschitz_gap(z, z_prime)
+    assert l1.shape == linf.shape == (2,)
+    for i, n in enumerate((2, 3)):
+        assert (l1[i], linf[i]) == softmax_lipschitz_gap(z[i, :n],
+                                                         z_prime[i, :n])
+    l1, linf = softmax_lipschitz_gap(z, z.copy())
+    assert (l1 == 0.0).all() and (linf == 0.0).all()
+    with pytest.raises(DegenerateInputError):
+        softmax_lipschitz_gap(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(DegenerateInputError):
+        softmax_lipschitz_gap(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
 
 
 # sha256 over the newline-terminated report.to_json() of every run in the
