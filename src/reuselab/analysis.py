@@ -2,10 +2,12 @@
 
 Similarity matrices quantify how little activations move across steps or
 layers; the drift histogram (``histogram_from_scores`` over
-``drift_scores_for_layer``) shows the score mass a threshold splits; and the
-cost model turns reuse decisions into exact integer FLOP counts. Everything
-here is pure post-processing over immutable traces, emitted as CSV with a
-one-line JSON metadata header for external plotting.
+``drift_scores_for_layer``, which takes its scores from
+``drift.trajectory_drifts`` as calibration does) shows the score mass a
+threshold splits; and the cost model turns reuse decisions into exact
+integer FLOP counts. Everything here is pure post-processing over immutable
+traces, emitted as CSV with a one-line JSON metadata header for external
+plotting.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import row_drift
+from .drift import trajectory_drifts
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .model import ModelConfig
 
@@ -32,7 +34,6 @@ HISTOGRAM_RANGE = (0.0, 2.0)
 SOFTMAX_FLOPS_PER_ELEMENT = 5
 
 SIMILARITY_AXES = ("timestep", "layer")
-TOKEN_MEAN = "mean"
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,10 @@ def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, valid
 
 
-def _similarity(matrices, axis: str, token) -> SimilarityMatrix:
+def _similarity(matrices, axis: str) -> SimilarityMatrix:
+    """Mean over token positions of the cosine between two slices' rows;
+    a position whose row is zero in either slice is left out of that
+    pair's mean."""
     if len(matrices) < 2:
         raise DegenerateInputError(
             f"need at least two {axis} slices, got {len(matrices)}"
@@ -89,42 +93,25 @@ def _similarity(matrices, axis: str, token) -> SimilarityMatrix:
     valid = np.empty(stack.shape[:2], dtype=bool)
     for k in range(stack.shape[0]):
         units[k], valid[k] = _unit_rows(stack[k])
-
-    if token == TOKEN_MEAN:
-        dots = np.einsum("ibd,jbd->ij", units, units)
-        counts = valid.astype(np.float64) @ valid.astype(np.float64).T
-        if np.any(counts == 0.0):
-            raise DegenerateInputError(
-                "some slice pair has no token with nonzero rows in both"
-            )
-        entries = dots / counts
-    else:
-        token = int(token)
-        if not 0 <= token < stack.shape[1]:
-            raise DimensionError(
-                f"token index {token} out of range for {stack.shape[1]} rows"
-            )
-        if not valid[:, token].all():
-            raise DegenerateInputError(
-                f"token {token} has a zero row in some slice"
-            )
-        rows = units[:, token, :]
-        entries = rows @ rows.T
+    dots = np.einsum("ibd,jbd->ij", units, units)
+    counts = valid.astype(np.float64) @ valid.astype(np.float64).T
+    if np.any(counts == 0.0):
+        raise DegenerateInputError(
+            "some slice pair has no token with nonzero rows in both"
+        )
+    entries = dots / counts
     return SimilarityMatrix(entries=np.clip(entries, -1.0, 1.0), axis=axis)
 
 
-def temporal_similarity(activation_series, token=TOKEN_MEAN) -> SimilarityMatrix:
-    """Cosine similarity between activation snapshots at pairs of steps.
-
-    ``token`` selects one block position, or "mean" to average the cosine
-    over positions (zero rows are skipped pairwise).
-    """
-    return _similarity(activation_series, "timestep", token)
+def temporal_similarity(activation_series) -> SimilarityMatrix:
+    """Cosine similarity between activation snapshots at pairs of steps,
+    averaged over positions (zero rows are skipped pairwise)."""
+    return _similarity(activation_series, "timestep")
 
 
-def cross_layer_similarity(value_caches, token=TOKEN_MEAN) -> SimilarityMatrix:
+def cross_layer_similarity(value_caches) -> SimilarityMatrix:
     """Cosine similarity between per-layer caches of the same step."""
-    return _similarity(value_caches, "layer", token)
+    return _similarity(value_caches, "layer")
 
 
 @dataclass(frozen=True)
@@ -144,23 +131,21 @@ class DriftHistogram:
     skipped_rows: int
     tau: float | None
 
-    @property
-    def zero_mode_fraction(self) -> float:
-        return self.zero_mode_count / self.total if self.total else 0.0
-
 
 def drift_scores_for_layer(trace, layer: int) -> tuple[np.ndarray, int]:
     """All consecutive-step query drift scores of one layer in a trace.
 
     Returns the scores plus the count of row pairs skipped because one side
-    was exactly zero. Pairs never cross block boundaries.
+    was exactly zero. Pairs never cross block boundaries, and a block of
+    one step adds none. Only the one layer is scored: each block's
+    trajectory is cut down to it before ``trajectory_drifts`` runs.
     """
     parts = []
     for trajectory in trace.q_trajectories():
         if layer < 0 or (trajectory and layer >= len(trajectory[0])):
             raise DimensionError(f"layer {layer} out of range")
-        for prev, cur in zip(trajectory, trajectory[1:]):
-            parts.append(row_drift(cur[layer], prev[layer]))
+        one_layer = [(step[layer],) for step in trajectory]
+        parts += [s for (s,) in trajectory_drifts(one_layer)]
     s = np.concatenate(parts) if parts else np.empty(0)
     scores = s[np.isfinite(s)]
     if not scores.size:

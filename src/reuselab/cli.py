@@ -39,7 +39,7 @@ from .drift import (
     allocate_quantiles,
     layerwise_drift,
     quantile_threshold,
-    row_drift,
+    trajectory_drifts,
 )
 from .errors import ConfigError, StateError
 from .linalg import condition_kappa
@@ -48,8 +48,8 @@ from .model import embed_tokens
 from .reuse import (
     MODES,
     forward_full,
+    replay_reuse,
     reuse_accounting,
-    simulate_reuse_counterfactual,
 )
 from .sampler import SamplerConfig, coupled_generate, diffusion_generate
 from .theory import lipschitz_G, verify_run
@@ -452,20 +452,6 @@ def cmd_analyze(config: RunConfig, trace_path=None) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _frozen_block_scores(trace, L: int):
-    """Per block, the step-indexed frozen drift scores a replay needs.
-
-    Entry 0 of every block is None (no previous queries); exactly zero
-    rows score inf so the replay never reuses them.
-    """
-    blocks = []
-    for trajectory in trace.q_trajectories():
-        steps = [[row_drift(cur[ell], prev[ell]) for ell in range(L)]
-                 for prev, cur in zip(trajectory, trajectory[1:])]
-        blocks.append([None] + steps)
-    return blocks
-
-
 def cmd_bench(config: RunConfig, phi_grid) -> int:
     weights = _load_run_weights(config)
     mode = config.reuse.mode
@@ -482,8 +468,9 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
     # grid point; per-point numbers then differ only through tau.
     calibration = _calibration_scores(weights, config.sampler)
     _, reference = diffusion_generate(weights, config.sampler, None, "full")
-    block_scores = _frozen_block_scores(reference, cfg.L)
-    layer_steps = sum(len(t) for t in reference.q_trajectories()) * cfg.L
+    trajectories = reference.q_trajectories()
+    block_scores = [[None] + trajectory_drifts(t) for t in trajectories]
+    layer_steps = sum(len(t) for t in trajectories) * cfg.L
     full_flops, _, _ = flops_for_trace(reference, config.model, "full")
     cost = CostModel.from_config(config.model)
     per_token_saving = (cost.kv_saving_per_token() if mode == "kv"
@@ -498,13 +485,11 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
         total_reused = 0
         eligible = 0
         for scores in block_scores:
-            if len(scores) < 2:
-                continue  # single-step block: gate forces a full refresh
-            replay = simulate_reuse_counterfactual(
+            reused, slots = replay_reuse(
                 scores, profile.tau_layer, config.reuse.skip_first_layers,
                 config.reuse.refresh_interval)
-            total_reused += replay.total_reused
-            eligible += replay.eligible_slots
+            total_reused += reused
+            eligible += slots
         reuse_fraction = (total_reused / (eligible * cfg.B)
                           if eligible else 0.0)
         saved_fraction = per_token_saving * total_reused / full_flops

@@ -1,12 +1,17 @@
-"""Drift scoring, layerwise statistics, and reuse-budget allocation.
+"""Drift scoring, the reuse threshold, layerwise statistics, and
+reuse-budget allocation.
 
 A token's drift between consecutive denoising steps is one minus the cosine
-of its head-0 query vectors. ``row_drift`` is the one kernel that scores it:
-every caller (the reuse gate, calibration, histograms and the bench replay)
-scores whole query matrices through it, and rows that are exactly zero get
-an infinite score. Layers with low average drift get a larger share of the
-global reuse budget phi_bar via a temperature softmax, and each layer's
-threshold tau is an order statistic of its calibration scores.
+of its head-0 query vectors. ``row_drift`` is the one kernel that scores it,
+on whole query matrices, and rows that are exactly zero get an infinite
+score. ``trajectory_drifts`` is the one pass that scores a trajectory's
+consecutive steps with it (calibration, histograms and the bench replay all
+read their scores from it), and ``below_threshold`` is the one reuse rule:
+a finite score at most the layer threshold. The live gate (``reuse_set``)
+and the bench replay both decide through it. Layers with low average drift
+get a larger share of the global reuse budget phi_bar via a temperature
+softmax, and each layer's threshold tau is an order statistic of its
+calibration scores.
 """
 
 from __future__ import annotations
@@ -169,13 +174,36 @@ def row_drift(cur, prev) -> np.ndarray:
     return s
 
 
+def trajectory_drifts(trajectory) -> list:
+    """Drift of every consecutive step pair of one trajectory.
+
+    Args:
+        trajectory: a list over timesteps of lists over layers of head-0
+            query matrices (token rows).
+
+    Returns:
+        Per step pair (t - 1, t), per layer, the ``row_drift`` vector of
+        step t against step t - 1 (inf on exactly zero rows). A trajectory
+        of fewer than two steps has no pairs.
+
+    Raises:
+        DimensionError: two steps hold different numbers of layers.
+    """
+    drifts = []
+    for prev, cur in zip(trajectory, trajectory[1:]):
+        if len(cur) != len(prev):
+            raise DimensionError("inconsistent layer count in trace")
+        drifts.append([row_drift(c, p) for c, p in zip(cur, prev)])
+    return drifts
+
+
 def layerwise_drift(calibration_traces):
     """Drift scores per layer over all (step, token) pairs of all traces.
 
     Args:
-        calibration_traces: iterable of traces; a trace is a list over
-            timesteps of lists over layers of head-0 query matrices
-            (token rows).
+        calibration_traces: iterable of traces; a trace is a trajectory as
+            ``trajectory_drifts`` takes it. A trace of fewer than two
+            timesteps adds no pairs.
 
     Returns:
         (s_layer, skipped_pairs, layer_scores): per-layer mean drift as a
@@ -184,23 +212,19 @@ def layerwise_drift(calibration_traces):
         trace, step and token order.
 
     Raises:
-        DegenerateInputError: no traces, or a trace with < 2 timesteps.
+        DegenerateInputError: some layer has no usable (step, token) pair
+            (which includes no traces, or no trace of two timesteps).
+        DimensionError: the traces hold different numbers of layers.
     """
-    traces = list(calibration_traces)
-    if not traces:
-        raise DegenerateInputError("calibration requires at least one trace")
-    if any(len(trace) < 2 for trace in traces):
-        raise DegenerateInputError("calibration traces need >= 2 timesteps")
-    n_layers = len(traces[0][0])
-    per_layer = [[] for _ in range(n_layers)]
-    for trace in traces:
-        for prev_layers, cur_layers in zip(trace, trace[1:]):
-            if len(cur_layers) != n_layers or len(prev_layers) != n_layers:
-                raise DimensionError("inconsistent layer count in trace")
-            for ell in range(n_layers):
-                per_layer[ell].append(row_drift(cur_layers[ell],
-                                                prev_layers[ell]))
-    s_layer = np.empty(n_layers)
+    steps = [step for trace in calibration_traces
+             for step in trajectory_drifts(trace)]
+    if not steps:
+        raise DegenerateInputError(
+            "calibration found no pair of consecutive timesteps")
+    if len({len(step) for step in steps}) != 1:
+        raise DimensionError("inconsistent layer count in trace")
+    per_layer = list(zip(*steps))
+    s_layer = np.empty(len(per_layer))
     skipped = 0
     layer_scores = []
     for ell, parts in enumerate(per_layer):
@@ -260,6 +284,22 @@ def quantile_threshold(scores, phi: float):
     return float(ordered[k - 1])
 
 
+def below_threshold(scores, tau) -> np.ndarray:
+    """Indices of the drift scores that are finite and <= tau: the reuse
+    rule of the live gate and of the bench replay.
+
+    None (reuse disabled) selects no row. inf (a zero row) and NaN fail
+    ``s <= tau`` for every finite tau and for a NaN tau; only tau = inf
+    needs them masked out.
+    """
+    if tau is None:
+        return np.empty(0, dtype=np.int64)
+    keep = scores <= tau
+    if tau == math.inf:
+        keep &= np.isfinite(scores)
+    return keep.nonzero()[0]
+
+
 def reuse_set(q_t, q_prev, tau) -> np.ndarray:
     """Token indices whose head-0 query drift is <= tau.
 
@@ -269,10 +309,4 @@ def reuse_set(q_t, q_prev, tau) -> np.ndarray:
     """
     if tau is None or q_prev is None:
         return np.empty(0, dtype=np.int64)
-    s = row_drift(q_t, q_prev)
-    keep = s <= tau
-    # inf (a zero row) and NaN fail s <= tau for every finite tau; only
-    # tau = inf needs them masked out.
-    if tau == math.inf:
-        keep &= np.isfinite(s)
-    return keep.nonzero()[0]
+    return below_threshold(row_drift(q_t, q_prev), tau)

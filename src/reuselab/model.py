@@ -91,7 +91,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    """Per-layer parameter matrices (all float64 ndarrays)."""
+    """Per-layer parameter matrices (all float64 ndarrays), made read-only
+    on construction, so that what is computed from them once per model
+    stays true."""
 
     w_q: np.ndarray  # d x d
     w_k: np.ndarray  # d x d
@@ -99,6 +101,10 @@ class LayerWeights:
     w_o: np.ndarray  # d x d
     w_u: np.ndarray  # d x d_int
     w_d: np.ndarray  # d_int x d
+
+    def __post_init__(self) -> None:
+        for _, a in self.named():
+            a.flags.writeable = False
 
     def named(self):
         return (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v),
@@ -111,6 +117,9 @@ class ModelWeights:
 
     ``r_emb`` is the maximum Euclidean row norm of ``emb`` (so every raw
     embedding row has norm <= r_emb); after ``init_weights`` it equals 1.
+    ``emb`` is made read-only on construction, as the layers' matrices
+    are, so the per-model caches (``_input_table`` here and the bound
+    constants of ``theory``) need no check that the arrays are unchanged.
     """
 
     config: ModelConfig
@@ -118,6 +127,9 @@ class ModelWeights:
     emb: np.ndarray  # n_vocab x d
     mask_token: int
     r_emb: float
+
+    def __post_init__(self) -> None:
+        self.emb.flags.writeable = False
 
     @functools.cached_property
     def _input_table(self):

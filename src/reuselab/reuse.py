@@ -27,6 +27,8 @@ caller; o mode's layer outputs and distributions, which it hands out and
 later returns again, are read-only.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
+``replay_reuse`` decides slots from frozen drift scores by the same two
+rules (``gate``, then ``drift.below_threshold``) and only counts them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import reuse_set
+from .drift import below_threshold, reuse_set
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -346,7 +348,8 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
     Returns:
         (probs, decisions, q_head0): per-token distributions, the per-layer
         decisions, and the per-layer head-0 query matrices of this step
-        (used for calibration and counterfactual replay).
+        (the trace keeps them; calibration, the drift histograms and the
+        bench replay score them).
     """
     cfg = state.config
     if x.shape != (cfg.B, cfg.d):
@@ -431,58 +434,23 @@ def reuse_accounting(decisions, B: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CounterfactualReuse:
-    """Reuse statistics replayed from frozen drift scores at a new tau."""
+def replay_reuse(scores, tau_layer, skip_first_layers: int,
+                 refresh_interval: int) -> tuple[int, int]:
+    """(rows reused, eligible slots) of one block replayed from frozen
+    drift scores at the thresholds ``tau_layer``.
 
-    reused_per_slot: np.ndarray   # T x L ints
-    delta_l2_per_step: np.ndarray  # T reals, norm of the full staleness
-    eligible_slots: int
-
-    @property
-    def total_reused(self) -> int:
-        return int(self.reused_per_slot.sum())
-
-
-def simulate_reuse_counterfactual(scores, tau_layer, skip_first_layers: int,
-                                  refresh_interval: int) -> CounterfactualReuse:
-    """Replay gating/thresholding/staleness over a frozen score trajectory.
-
-    Args:
-        scores: per step, per layer, length-B drift score arrays; entry
-            None (whole step, typically step 0) or math.inf (single token)
-            means drift is undefined there and the token cannot be reused.
-        tau_layer: per-layer threshold or None sentinel.
-        skip_first_layers / refresh_interval: gate knobs.
-
-    Because thresholding a fixed score is monotone in tau, every statistic
-    returned here is monotone in tau as well; live reruns would instead
-    change the scores themselves.
+    ``scores`` holds, per step, the per-layer score vectors of
+    ``drift.trajectory_drifts``, or None where the step has no previous one
+    (step 0). Each slot is decided as live decoding decides it: ``gate``,
+    then ``below_threshold``. Thresholding a fixed score is monotone in
+    tau, so the reused count is too; live reruns would instead change the
+    scores themselves.
     """
-    n_steps = len(scores)
-    first = next(s for s in scores if s is not None)
-    n_layers = len(first)
-    B = len(first[0])
-    delta = np.zeros((n_layers, B), dtype=np.int64)
-    reused_per_slot = np.zeros((n_steps, n_layers), dtype=np.int64)
-    delta_l2 = np.zeros(n_steps)
-    eligible = 0
-    for t in range(n_steps):
-        for ell in range(n_layers):
-            allowed = gate(ell, t, skip_first_layers, refresh_interval)
-            if allowed:
+    reused = eligible = 0
+    for t, step in enumerate(scores):
+        for ell, tau in enumerate(tau_layer):
+            if gate(ell, t, skip_first_layers, refresh_interval):
                 eligible += 1
-            tau = tau_layer[ell]
-            if allowed and tau is not None and scores[t] is not None:
-                s = np.asarray(scores[t][ell], dtype=np.float64)
-                reused = np.flatnonzero(s <= tau)
-            else:
-                reused = _NO_ROWS
-            reused_per_slot[t, ell] = reused.size
-            update_staleness(delta[ell], reused)
-        delta_l2[t] = staleness_norm(delta)
-    return CounterfactualReuse(
-        reused_per_slot=reused_per_slot,
-        delta_l2_per_step=delta_l2,
-        eligible_slots=eligible,
-    )
+                if step is not None:
+                    reused += below_threshold(step[ell], tau).size
+    return reused, eligible

@@ -86,8 +86,8 @@ class _WeightConstants:
     norm (its 2->inf norm), and kappa_q.
 
     kappa_q is taken on first use, since a singular W_Q has none and only
-    some bounds need it; it reads a copy of W_Q made with the rest, so
-    every constant describes the same arrays.
+    some bounds need it. The weight arrays are read-only, so it describes
+    the same W_Q as the rest.
     """
 
     def __init__(self, weights: ModelWeights) -> None:
@@ -97,36 +97,26 @@ class _WeightConstants:
             frobenius_norm(m) for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
         self.emb_2_to_1 = norm_2_to_1_upper(weights.emb)
         self.emb_2_to_inf = norm_2_to_inf(weights.emb)
-        self._w_q = lw.w_q.copy()
+        self._w_q = lw.w_q
 
     @cached_property
     def kappa_q(self) -> float:
         return condition_kappa(self._w_q)
 
 
-def _constants_digest(weights: ModelWeights) -> int:
-    """A 64-bit digest (the built-in hash) of the shapes and bytes of every
-    array the weight-only constants read: an in-place edit changes it.
-    (r_emb, a field of the frozen weights, is read by G on every call and
-    kept nowhere.)"""
-    arrays = [m for _, m in weights.layers[0].named()] + [weights.emb]
-    return hash(tuple((a.shape, hash(a.tobytes())) for a in arrays))
-
-
 def _weight_constants(weights: ModelWeights) -> _WeightConstants:
     """The weight-only constants of a model, computed once per model.
 
     They are kept on the weights object itself, as ``cached_property``
-    keeps a value, so they go when the model does, next to the digest of
-    the arrays they were computed from: a call after an in-place edit
-    computes them again.
+    keeps a value, so they go when the model does. The weight arrays are
+    read-only, so nothing can change what they were computed from; a model
+    with other arrays (``dataclasses.replace``) is another object and takes
+    its own.
     """
-    digest = _constants_digest(weights)
     kept = vars(weights).get("_theory_constants")
-    if kept is None or kept[0] != digest:
-        kept = (digest, _WeightConstants(weights))
-        vars(weights)["_theory_constants"] = kept
-    return kept[1]
+    if kept is None:
+        kept = vars(weights)["_theory_constants"] = _WeightConstants(weights)
+    return kept
 
 
 class _StepBounds:
@@ -364,15 +354,15 @@ def _softmax_check_logits(seed) -> np.ndarray:
     ``logits[0, i]`` and ``logits[1, i]`` are pair i.
 
     Pair by pair, one stream draws the size n in [2, width], the scale
-    10**U(-2, 2), and then the two sides' n logits from N(0, scale).
+    10**U(-2, 2), and then the two sides' n logits from N(0, scale) in one
+    draw of 2n, the first n for side 0: the same numbers as two draws of n.
     """
     rng = np.random.default_rng([int(seed), SOFTMAX_CHECK_PAIRS])
     logits = np.full((2, SOFTMAX_CHECK_PAIRS, SOFTMAX_CHECK_WIDTH), -np.inf)
     for i in range(SOFTMAX_CHECK_PAIRS):
         n = int(rng.integers(2, SOFTMAX_CHECK_WIDTH + 1))
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        logits[0, i, :n] = rng.normal(0.0, scale, n)
-        logits[1, i, :n] = rng.normal(0.0, scale, n)
+        logits[:, i, :n] = rng.normal(0.0, scale, (2, n))
     return logits
 
 

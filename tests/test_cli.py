@@ -141,6 +141,26 @@ class TestCalibrate:
         second = sha256("out/profile.json"), sha256("out/calibration_scores.json")
         assert first == second
 
+    def test_one_step_block_adds_no_pairs(self, workdir, capsys):
+        # The calibration prompt fixes 6 of 12 tokens, which leaves the
+        # second block 2 masked positions: at 2 unmasked per step it
+        # resolves in one step and has no step pair to score. Calibration
+        # and bench skip it, as analyze does.
+        sampler = {"gen_length": 12, "block_size": 4, "steps_per_block": 4,
+                   "tokens_unmasked_per_step": 2}
+        Path("cfg.json").write_text(json.dumps(
+            {"sampler": sampler, "paths": {"output_dir": "out"}}))
+        config = RunConfig.from_dict(json.loads(Path("cfg.json").read_text()))
+        traces = cli._calibration_traces(init_weights(config.model),
+                                         config.sampler)
+        assert 1 in {len(t) for trace in traces
+                     for t in trace.q_trajectories()}
+        assert run("init-model", "--config", "cfg.json") == 0
+        assert run("calibrate", "--config", "cfg.json") == 0
+        assert run("bench", "--config", "cfg.json", "--mode", "kv") == 0
+        assert run("analyze", "--config", "cfg.json", "--tau", "0.05") == 0
+        assert "error" not in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # generate

@@ -14,11 +14,13 @@ from reuselab.cli import RunConfig, _calibration_traces
 from reuselab.drift import (
     DriftProfile,
     allocate_quantiles,
+    below_threshold,
     drift_score,
     layerwise_drift,
     quantile_threshold,
     reuse_set,
     row_drift,
+    trajectory_drifts,
 )
 from reuselab.errors import DegenerateInputError, DimensionError, FormatError
 from reuselab.model import ModelConfig, embed_tokens, init_weights
@@ -228,6 +230,26 @@ def test_layerwise_drift_input_validation():
         layerwise_drift([])
     with pytest.raises(DegenerateInputError):
         layerwise_drift([one_layer_trace([[1.0, 0.0]])])  # single step
+    two_layers = [[np.ones((1, 2)), np.ones((1, 2))]] * 2
+    with pytest.raises(DimensionError):
+        layerwise_drift([one_layer_trace([[1.0, 0.0]], [[0.0, 1.0]]),
+                         two_layers])
+    with pytest.raises(DimensionError):
+        trajectory_drifts([two_layers[0], [np.ones((1, 2))]])
+
+
+def test_layerwise_drift_skips_one_step_traces():
+    # A trace of one step has no pair: it adds nothing, and only a layer
+    # with no usable pair in any trace raises.
+    one_step = one_layer_trace([[1.0, 0.0]])
+    two_step = one_layer_trace([[1.0, 0.0]], [[0.0, 1.0]])
+    assert trajectory_drifts(one_step) == []
+    want = layerwise_drift([two_step])
+    for traces in ([one_step, two_step], [two_step, one_step]):
+        s, skipped, layer_scores = layerwise_drift(traces)
+        assert s.tolist() == want[0].tolist() == [1.0]
+        assert skipped == want[1] == 0
+        assert [x.tolist() for x in layer_scores] == [[1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +365,14 @@ def test_reuse_set_skips_zero_rows():
     cur = np.array([[1.0, 0.0], [0.0, 0.0]])
     for tau in (1.0, math.inf):
         assert list(reuse_set(cur, prev, tau=tau)) == [0]
+
+
+def test_below_threshold_selects_only_finite_scores_within_tau():
+    scores = np.array([0.0, 0.5, 2.0, math.inf, math.nan])
+    want = {None: [], -1.0: [], 0.0: [0], 0.5: [0, 1], 2.0: [0, 1, 2],
+            math.inf: [0, 1, 2], math.nan: []}
+    for tau, rows in want.items():
+        assert below_threshold(scores, tau).tolist() == rows
 
 
 def test_reuse_set_monotone_in_tau():

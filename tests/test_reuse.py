@@ -23,15 +23,14 @@ from reuselab.model import (
 )
 from reuselab.reuse import (
     MODES,
-    CounterfactualReuse,
     ReuseState,
     _age_staleness,
     forward_full,
     gate,
     layer_step,
     model_step,
+    replay_reuse,
     reuse_accounting,
-    simulate_reuse_counterfactual,
     staleness_norm,
     update_staleness,
 )
@@ -837,15 +836,24 @@ def frozen_scores(rng, n_steps, n_layers, B):
     return scores
 
 
-def test_counterfactual_staleness_monotone_in_tau():
+def replayed_per_step(scores, tau_layer, skip, refresh):
+    """Rows the replay reuses at each step: the differences of its counts
+    over the growing prefixes of the score trajectory."""
+    totals = [replay_reuse(scores[:t], tau_layer, skip, refresh)[0]
+              for t in range(len(scores) + 1)]
+    return np.diff(totals).tolist()
+
+
+def test_counterfactual_monotone_in_tau():
     rng = np.random.default_rng(61)
     scores = frozen_scores(rng, n_steps=8, n_layers=3, B=4)
     taus = [0.0, 0.05, 0.1, 0.2, 0.4]
-    runs = [simulate_reuse_counterfactual(scores, (t,) * 3, 0, 2)
-            for t in taus]
-    for lo, hi in zip(runs, runs[1:]):
-        assert np.all(lo.delta_l2_per_step <= hi.delta_l2_per_step + 1e-12)
-        assert lo.total_reused <= hi.total_reused
+    runs = [replay_reuse(scores, (t,) * 3, 0, 2) for t in taus]
+    reused = [r for r, _ in runs]
+    assert reused == sorted(reused)
+    # Every slot at odd steps is eligible, and every score is <= 0.4.
+    assert {e for _, e in runs} == {4 * 3}
+    assert reused[0] == 0 and reused[-1] == 4 * 3 * 4
 
 
 def test_counterfactual_matches_live_run_on_frozen_inputs():
@@ -858,61 +866,73 @@ def test_counterfactual_matches_live_run_on_frozen_inputs():
     scores = [None]
     for t in range(5):
         _, decision = layer_step(w.layers[0], x, state, 0, t)
-        live.append(decision.reused_count)
+        live.append(decision)
         if t > 0:
             scores.append([np.zeros(3)])  # identical queries: drift 0
-    sim = simulate_reuse_counterfactual(scores, (0.5,), 0, 2)
-    assert list(sim.reused_per_slot[:, 0]) == live
-    assert isinstance(sim, CounterfactualReuse)
+    assert replayed_per_step(scores, (0.5,), 0, 2) \
+        == [d.reused_count for d in live]
+    assert replay_reuse(scores, (0.5,), 0, 2) \
+        == (sum(d.reused_count for d in live), sum(d.eligible for d in live))
 
 
 @pytest.mark.parametrize("mode", ["kv", "o"])
-def test_live_staleness_matches_counterfactual_replay(mode):
+def test_live_decode_matches_counterfactual_replay(mode):
     # Replaying the drift scores recorded in a live decode gives, slot by
-    # slot, the live reused counts and staleness norms, bit for bit: per
-    # layer (a replay with every other layer disabled) and over the whole
-    # staleness matrix.
+    # slot, the live reused counts (per layer, by a replay with every other
+    # layer disabled), and the live eligible slots. Layer 1's head-0
+    # queries are zero rows, which neither the live gate nor the replay
+    # reuses, whatever tau is, tau = inf included.
     cfg = ModelConfig(L=3, H=2, d=16, d_int=32, n_vocab=32, B=8, seed=6)
-    tau, skip, refresh = 0.02, 1, 3
-    profile = DriftProfile(
-        s_layer=(0.0,) * cfg.L, phi_layer=(1.0,) * cfg.L,
-        tau_layer=(tau,) * cfg.L, phi_bar=1.0, epsilon=1.0)
+    skip, refresh = 1, 3
     sc = sampler.SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
                                steps_per_block=cfg.B,
                                tokens_unmasked_per_step=1, temperature=1.0,
                                seed=4)
-    _, trace = sampler.diffusion_generate(
-        init_weights(cfg), sc, profile, mode, skip_first_layers=skip,
-        refresh_interval=refresh)
-    reused = 0
-    for block in range(2):
-        records = [r for r in trace.records if r.block == block]
-        scores = [None] + [
-            [row_drift(cur.q_head0[ell], prev.q_head0[ell])
-             for ell in range(cfg.L)]
-            for prev, cur in zip(records, records[1:])]
-        whole = simulate_reuse_counterfactual(scores, (tau,) * cfg.L,
-                                              skip, refresh)
-        assert [r.staleness_l2 for r in records] \
-            == whole.delta_l2_per_step.tolist()
-        for ell in range(cfg.L):
-            only = tuple(tau if j == ell else None for j in range(cfg.L))
-            sim = simulate_reuse_counterfactual(scores, only, skip, refresh)
-            live = [r.decisions[ell] for r in records]
-            assert [d.reused_count for d in live] \
-                == sim.reused_per_slot[:, ell].tolist()
-            assert [d.staleness_l2 for d in live] \
-                == sim.delta_l2_per_step.tolist()
-            reused += sum(d.reused_count for d in live)
-    assert reused > 0
+    w = zero_head0_queries(init_weights(cfg), (1,))
+    for tau in (0.02, math.inf):
+        profile = DriftProfile(
+            s_layer=(0.0,) * cfg.L, phi_layer=(1.0,) * cfg.L,
+            tau_layer=(tau,) * cfg.L, phi_bar=1.0, epsilon=1.0)
+        _, trace = sampler.diffusion_generate(
+            w, sc, profile, mode, skip_first_layers=skip,
+            refresh_interval=refresh)
+        reused = 0
+        for block in range(2):
+            records = [r for r in trace.records if r.block == block]
+            scores = [None] + [
+                [row_drift(cur.q_head0[ell], prev.q_head0[ell])
+                 for ell in range(cfg.L)]
+                for prev, cur in zip(records, records[1:])]
+            eligible = sum(d.eligible for r in records for d in r.decisions)
+            for ell in range(cfg.L):
+                only = tuple(tau if j == ell else None
+                             for j in range(cfg.L))
+                live = [r.decisions[ell].reused_count for r in records]
+                assert live == replayed_per_step(scores, only, skip, refresh)
+                assert replay_reuse(scores, only, skip, refresh) \
+                    == (sum(live), eligible)
+                reused += sum(live)
+                if ell == 1:
+                    assert not any(live)
+        assert reused > 0
 
 
 def test_counterfactual_respects_sentinel_and_inf():
     scores = [None, [np.array([0.0, math.inf])], [np.array([0.0, 0.0])]]
-    sim = simulate_reuse_counterfactual(scores, (None,), 0, 3)
-    assert sim.total_reused == 0
-    sim2 = simulate_reuse_counterfactual(scores, (1.0,), 0, 3)
-    assert list(sim2.reused_per_slot[:, 0]) == [0, 1, 2]
+    assert replay_reuse(scores, (None,), 0, 3) == (0, 2)
+    assert replayed_per_step(scores, (1.0,), 0, 3) == [0, 1, 2]
     # A refresh interval of 2 forces a full recompute at step 2.
-    sim3 = simulate_reuse_counterfactual(scores, (1.0,), 0, 2)
-    assert list(sim3.reused_per_slot[:, 0]) == [0, 1, 0]
+    assert replayed_per_step(scores, (1.0,), 0, 2) == [0, 1, 0]
+    assert replay_reuse(scores, (1.0,), 0, 2) == (1, 1)
+
+
+def test_counterfactual_at_infinite_tau_matches_live_gate():
+    # A zero query row has drift inf: the live gate never reuses it, even
+    # at tau = inf, and the replay of its score must not either.
+    prev = np.array([[1.0, 2.0], [0.0, 0.0]])
+    cur = prev.copy()
+    scores = [None, [row_drift(cur, prev)]]
+    assert scores[1][0].tolist() == [0.0, math.inf]
+    live = reuse_set(cur, prev, math.inf)
+    assert live.tolist() == [0]
+    assert replay_reuse(scores, (math.inf,), 0, 2) == (live.size, 1)

@@ -409,8 +409,9 @@ REUSING_RUN = {"kv": (23, 2), "o": (21, 3)}
 @pytest.mark.parametrize("mode", ["kv", "o"])
 def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
     # kappa_q and the spectral norms depend on the weights only: the first
-    # call on a weights object takes them, every later call on it shares
-    # them, and an in-place edit of a weight makes them be taken again.
+    # call on a weights object takes them and every later call on it
+    # shares them. The weights cannot be edited in place; a model with an
+    # edited matrix is a new object and takes its own.
     cfg, w = theory_model()
     calls = collections.Counter()
 
@@ -442,7 +443,13 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
     before = every_bound()
     assert calls == {}
 
-    w.layers[0].w_v[0, 0] += 1.0
+    with pytest.raises(ValueError):
+        w.layers[0].w_v[0, 0] += 1.0
+    assert every_bound() == before
+    w_v = w.layers[0].w_v.copy()
+    w_v[0, 0] += 1.0
+    w = dataclasses.replace(
+        w, layers=(dataclasses.replace(w.layers[0], w_v=w_v),))
     after = every_bound()
     assert calls == {"spectral": 6, "kappa": 1}
     assert after[0] != before[0]
@@ -478,12 +485,17 @@ def test_weight_constants_keep_no_model_alive():
 
 def test_weight_constants_follow_each_model():
     # Two weights objects with equal arrays each take their own constants;
-    # editing one leaves the other's as they were.
+    # neither can be edited in place, and a replaced copy with an edited
+    # embedding takes fresh ones, leaving the original's as they were.
     cfg, w = theory_model()
     _, twin = theory_model()
     G = lipschitz_G(w)
-    twin.emb[0] *= 2.0
-    assert lipschitz_G(twin) != G
+    assert lipschitz_G(twin) == G
+    with pytest.raises(ValueError):
+        twin.emb[0] *= 2.0
+    emb = twin.emb.copy()
+    emb[0] *= 2.0
+    assert lipschitz_G(dataclasses.replace(twin, emb=emb)) != G
     assert lipschitz_G(w) == G
     assert lipschitz_G(dataclasses.replace(w, r_emb=2.0 * w.r_emb)) != G
 
