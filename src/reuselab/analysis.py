@@ -250,33 +250,19 @@ def flops_for_trace(trace, config: ModelConfig, mode=None):
     return full, actual, saved / full
 
 
-def write_csv_with_metadata(target, metadata: dict, header, rows) -> None:
-    """Write rows as CSV preceded by one ``#``-prefixed JSON metadata line.
-
-    ``target`` is a path or a text file object.
-    """
-    if hasattr(target, "write"):
-        _write_csv(target, metadata, header, rows)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, metadata, header, rows)
+def write_csv_with_metadata(path, metadata: dict, header, rows) -> None:
+    """Write rows as CSV preceded by one ``#``-prefixed JSON metadata line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_csv(fh, metadata, header, rows) -> None:
-    fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def read_csv_with_metadata(source) -> tuple[dict, list, list]:
+def read_csv_with_metadata(path) -> tuple[dict, list, list]:
     """Inverse of write_csv_with_metadata: (metadata, header, rows)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# "):
         raise DegenerateInputError("missing JSON metadata line")
     metadata = json.loads(lines[0][2:])
@@ -287,16 +273,16 @@ def read_csv_with_metadata(source) -> tuple[dict, list, list]:
     return metadata, parsed[0], parsed[1:]
 
 
-def similarity_csv(sim: SimilarityMatrix, target, **extra_metadata) -> None:
+def similarity_csv(sim: SimilarityMatrix, path, **extra_metadata) -> None:
     """Emit a similarity matrix in long form (i, j, similarity)."""
     metadata = {"kind": "similarity", "axis": sim.axis, "n": sim.n}
     metadata.update(extra_metadata)
     rows = [(i, j, repr(float(sim.entries[i, j])))
             for i in range(sim.n) for j in range(sim.n)]
-    write_csv_with_metadata(target, metadata, ("i", "j", "similarity"), rows)
+    write_csv_with_metadata(path, metadata, ("i", "j", "similarity"), rows)
 
 
-def histogram_csv(hist: DriftHistogram, target, **extra_metadata) -> None:
+def histogram_csv(hist: DriftHistogram, path, **extra_metadata) -> None:
     """Emit a drift histogram, zero-mode bin first."""
     metadata = {
         "kind": "drift_histogram",
@@ -311,5 +297,5 @@ def histogram_csv(hist: DriftHistogram, target, **extra_metadata) -> None:
     for b in range(HISTOGRAM_BINS):
         rows.append((str(b), repr(hist.bin_edges[b]), repr(hist.bin_edges[b + 1]),
                      hist.counts[b]))
-    write_csv_with_metadata(target, metadata,
+    write_csv_with_metadata(path, metadata,
                             ("bin", "low", "high", "count"), rows)

@@ -119,8 +119,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
-        """The configuration a JSON run file describes; a section it
-        leaves out keeps its default.
+        """The configuration a JSON run file describes: each field it gives
+        replaces the run default, section by section.
 
         Raises:
             ConfigError: if ``data`` or a section is not a JSON object, a
@@ -133,7 +133,6 @@ class RunConfig:
         unknown = sorted(data.keys() - _SECTIONS.keys())
         if unknown:
             raise ConfigError(f"unknown config section(s) {unknown}")
-        parts = {}
         for name, section in data.items():
             if not isinstance(section, dict):
                 raise ConfigError(
@@ -148,17 +147,14 @@ class RunConfig:
                 if type(value) not in _JSON_TYPES[types[key]]:
                     raise ConfigError(f"config section {name!r}: {key} must "
                                       f"be {types[key]}, got {value!r}")
-            parts[name] = _SECTIONS[name](**section)
-        return dataclasses.replace(cls.default(), **parts)
+        return cls.default().merged(data)
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "sampler": dataclasses.asdict(self.sampler),
-            "drift": dataclasses.asdict(self.drift),
-            "reuse": dataclasses.asdict(self.reuse),
-            "paths": dataclasses.asdict(self.paths),
-        }
+    def merged(self, sections: dict) -> "RunConfig":
+        """This configuration with the given fields of each named section
+        replaced; every other field keeps its value."""
+        return dataclasses.replace(self, **{
+            name: dataclasses.replace(getattr(self, name), **fields)
+            for name, fields in sections.items()})
 
 
 # The settings class of each section of a JSON run file, and the JSON
@@ -215,6 +211,25 @@ def _resolve_profile(config: RunConfig) -> DriftProfile:
             f"profile covers {profile.L} layers, model has {L}"
         )
     return profile
+
+
+def _decode(weights, config: RunConfig):
+    """(tokens, trace, profile) of the run's decode; no profile in full mode."""
+    mode = config.reuse.mode
+    profile = _resolve_profile(config) if mode != "full" else None
+    tokens, trace = diffusion_generate(
+        weights, config.sampler, profile, mode,
+        skip_first_layers=config.reuse.skip_first_layers,
+        refresh_interval=config.reuse.refresh_interval,
+    )
+    return tokens, trace, profile
+
+
+def _one_block(config: RunConfig) -> SamplerConfig:
+    """The run's sampler cut to one block of the model: verify and bench
+    couple exactly one block, whatever gen_length is."""
+    B = config.model.B
+    return dataclasses.replace(config.sampler, gen_length=B, block_size=B)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +341,7 @@ def cmd_calibrate(config: RunConfig, prompts: int = CALIBRATION_PROMPTS) -> int:
 def cmd_generate(config: RunConfig) -> int:
     weights = _load_run_weights(config)
     mode = config.reuse.mode
-    profile = _resolve_profile(config) if mode != "full" else None
-    tokens, trace = diffusion_generate(
-        weights, config.sampler, profile, mode,
-        skip_first_layers=config.reuse.skip_first_layers,
-        refresh_interval=config.reuse.refresh_interval,
-    )
+    tokens, trace, _ = _decode(weights, config)
     out = _output_dir(config)
     (out / "tokens.json").write_text(
         json.dumps([int(t) for t in tokens]) + "\n", encoding="utf-8")
@@ -367,11 +377,8 @@ def cmd_verify(config: RunConfig, trials: int,
     if mode == "full":
         raise ConfigError("verify checks a reuse mode; pass --mode kv or o")
     profile = _resolve_profile(config)
-    # Verification couples exactly one block regardless of gen_length.
-    run = dataclasses.replace(config.sampler, gen_length=config.model.B,
-                              block_size=config.model.B)
     report = verify_run(
-        weights, run, profile, mode, trials,
+        weights, _one_block(config), profile, mode, trials,
         skip_first_layers=config.reuse.skip_first_layers,
         refresh_interval=config.reuse.refresh_interval,
         debug_zero_bounds=debug_zero_bounds,
@@ -405,12 +412,7 @@ def cmd_verify(config: RunConfig, trials: int,
 def cmd_analyze(config: RunConfig, trace_path=None) -> int:
     weights = _load_run_weights(config)
     mode = config.reuse.mode
-    profile = _resolve_profile(config) if mode != "full" else None
-    tokens, trace = diffusion_generate(
-        weights, config.sampler, profile, mode,
-        skip_first_layers=config.reuse.skip_first_layers,
-        refresh_interval=config.reuse.refresh_interval,
-    )
+    tokens, trace, profile = _decode(weights, config)
     if trace_path is not None:
         fresh = [json.dumps(r, sort_keys=True) for r in trace.jsonl_records()]
         stored = Path(trace_path).read_text(encoding="utf-8").splitlines()
@@ -476,8 +478,6 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
     per_token_saving = (cost.kv_saving_per_token() if mode == "kv"
                         else cost.o_saving_per_token())
 
-    coupled_cfg = dataclasses.replace(config.sampler, gen_length=cfg.B,
-                                      block_size=cfg.B)
     rows = []
     for phi_bar in phi_grid:
         profile = _budget_profile(*calibration, phi_bar,
@@ -494,7 +494,7 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
                           if eligible else 0.0)
         saved_fraction = per_token_saving * total_reused / full_flops
         pair = coupled_generate(
-            weights, coupled_cfg, profile, mode,
+            weights, _one_block(config), profile, mode,
             skip_first_layers=config.reuse.skip_first_layers,
             refresh_interval=config.reuse.refresh_interval)
         mean_error = float(pair.per_step_l1_gap.mean())
@@ -521,24 +521,32 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# Every common flag as (flag, RunConfig section, field, type, help). A
+# flag given replaces that one field of the run the --config file sets.
+_FLAGS = (
+    ("--weights", "paths", "weights", str, "weight file path override"),
+    ("--output-dir", "paths", "output_dir", str, "output directory override"),
+    ("--phi-bar", "drift", "phi_bar", float, "global reuse budget"),
+    ("--epsilon", "drift", "epsilon", float, "allocation softmax temperature"),
+    ("--mode", "reuse", "mode", str, "reuse mode"),
+    ("--tau", "drift", "tau_override", float,
+     "flat threshold override (skips calibration)"),
+    ("--skip-layers", "reuse", "skip_first_layers", int,
+     "layers exempt from reuse, from the bottom"),
+    ("--refresh-interval", "reuse", "refresh_interval", int,
+     "force a full refresh every this many steps"),
+    ("--seed", "sampler", "seed", int, "sampler seed override"),
+    ("--block-size", "sampler", "block_size", int, "decode block length"),
+    ("--steps", "sampler", "steps_per_block", int, "denoising steps per block"),
+    ("--gen-length", "sampler", "gen_length", int, "total tokens to decode"),
+)
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--weights", help="weight file path override")
-    parser.add_argument("--output-dir", help="output directory override")
-    parser.add_argument("--phi-bar", type=float, help="global reuse budget")
-    parser.add_argument("--epsilon", type=float,
-                        help="allocation softmax temperature")
-    parser.add_argument("--mode", choices=MODES, help="reuse mode")
-    parser.add_argument("--tau", type=float, dest="tau",
-                        help="flat threshold override (skips calibration)")
-    parser.add_argument("--skip-layers", type=int,
-                        help="layers exempt from reuse, from the bottom")
-    parser.add_argument("--refresh-interval", type=int,
-                        help="force a full refresh every this many steps")
-    parser.add_argument("--seed", type=int, help="sampler seed override")
-    parser.add_argument("--block-size", type=int, help="decode block length")
-    parser.add_argument("--steps", type=int, help="denoising steps per block")
-    parser.add_argument("--gen-length", type=int, help="total tokens to decode")
+    for flag, _, _, kind, help_text in _FLAGS:
+        parser.add_argument(flag, type=kind, help=help_text,
+                            choices=MODES if flag == "--mode" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,56 +589,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        config = RunConfig.from_dict(data)
-    else:
-        config = RunConfig.default()
-
-    drift_over = {}
-    if args.phi_bar is not None:
-        drift_over["phi_bar"] = args.phi_bar
-    if args.epsilon is not None:
-        drift_over["epsilon"] = args.epsilon
-    if args.tau is not None:
-        drift_over["tau_override"] = args.tau
-    if drift_over:
-        config = dataclasses.replace(
-            config, drift=dataclasses.replace(config.drift, **drift_over))
-
-    reuse_over = {}
-    if args.mode is not None:
-        reuse_over["mode"] = args.mode
-    if args.skip_layers is not None:
-        reuse_over["skip_first_layers"] = args.skip_layers
-    if args.refresh_interval is not None:
-        reuse_over["refresh_interval"] = args.refresh_interval
-    if reuse_over:
-        config = dataclasses.replace(
-            config, reuse=dataclasses.replace(config.reuse, **reuse_over))
-
-    sampler_over = {}
-    if args.seed is not None:
-        sampler_over["seed"] = args.seed
-    if args.block_size is not None:
-        sampler_over["block_size"] = args.block_size
-    if args.steps is not None:
-        sampler_over["steps_per_block"] = args.steps
-    if args.gen_length is not None:
-        sampler_over["gen_length"] = args.gen_length
-    if sampler_over:
-        config = dataclasses.replace(
-            config, sampler=dataclasses.replace(config.sampler, **sampler_over))
-
-    path_over = {}
-    if args.weights is not None:
-        path_over["weights"] = args.weights
-    if args.output_dir is not None:
-        path_over["output_dir"] = args.output_dir
-    if path_over:
-        config = dataclasses.replace(
-            config, paths=dataclasses.replace(config.paths, **path_over))
-    return config
+    """The run a command line describes: the --config file (or the run
+    defaults) with every common flag given applied on top."""
+    data = (json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if args.config else {})
+    flags = {}
+    for flag, section, field, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            flags.setdefault(section, {})[field] = value
+    return RunConfig.from_dict(data).merged(flags)
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,6 @@ calibration scores.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ from .linalg import (
     cosine,
     softmax_rows,
 )
-
-log = logging.getLogger(__name__)
 
 # JSON spelling of the "no reuse at this layer" threshold (None in memory).
 DISABLED = "disabled"
@@ -261,7 +258,11 @@ def allocate_quantiles(s_layer, phi_bar: float, epsilon: float,
     if clamp:
         over = int((phi > 1.0).sum())
         if over:
-            log.info("allocate_quantiles: clamped %d layer(s) to 1.0", over)
+            # Imported here: nothing else needs logging, and start-up
+            # should not pay for it.
+            import logging
+            logging.getLogger(__name__).info(
+                "allocate_quantiles: clamped %d layer(s) to 1.0", over)
         phi = np.clip(phi, 0.0, 1.0)
     return phi
 

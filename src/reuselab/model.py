@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,17 +76,6 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d // self.H
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.L, "H": self.H, "d": self.d, "d_int": self.d_int,
-            "n_vocab": self.n_vocab, "B": self.B,
-            "activation": self.activation, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -315,7 +304,7 @@ def save_weights(weights: ModelWeights, path) -> None:
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps({
-        "config": weights.config.to_dict(),
+        "config": asdict(weights.config),
         "mask_token": weights.mask_token,
         "r_emb": weights.r_emb,
         "tensors": manifest,
@@ -371,7 +360,7 @@ def load_weights(path) -> ModelWeights:
     if missing:
         raise FormatError(f"weight file header lacks {sorted(missing)}")
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid model config in header: {exc}") from exc
     mask_token, r_emb = header["mask_token"], header["r_emb"]

@@ -86,9 +86,7 @@ class GenerationTrace:
     """Per-step record stream of one generation run."""
 
     mode: str
-    block_size: int
     records: list = field(default_factory=list)
-    final_tokens: np.ndarray | None = None
 
     def decisions_flat(self):
         return [d for rec in self.records for d in rec.decisions]
@@ -342,7 +340,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
         if given.min() < 0 or given.max() >= cfg.n_vocab:
             raise DegenerateInputError("initial token out of range")
         tokens = given.copy()
-    trace = GenerationTrace(mode=mode, block_size=cfg.B)
+    trace = GenerationTrace(mode=mode)
 
     for b in range(config.gen_length // cfg.B):
         state.reset_block()
@@ -372,7 +370,6 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                 decisions=decisions, q_head0=q_head0,
                 unmasked=chosen, confidences=conf,
                 staleness_l2=state.staleness_l2()))
-    trace.final_tokens = tokens.copy()
     return tokens, trace
 
 

@@ -4,7 +4,7 @@ The bounds cover the single-layer, single-head regime. ``lipschitz_G`` bounds
 how much one denoising step can amplify an input perturbation;
 ``kv_step_bound`` and ``o_step_bound`` bound the L1 gap a single reuse step
 can open between the exact and the reusing model at the same input; and
-``cumulative_bound`` chains the two through the recursion
+``cumulative_series`` chains the two through the recursion
 ``e_{t+1} = G * e_t + b_t``. ``verify_run`` replays coupled generation runs
 and counts how often any measured error exceeds its bound (the expected
 count is zero; a violation means an implementation bug, not a tight run).
@@ -301,11 +301,6 @@ def cumulative_series(G: float, per_step_bounds) -> np.ndarray:
             raise DegenerateInputError(f"per-step bounds must be >= 0, got {b}")
         series[t + 1] = G * series[t] + b
     return series
-
-
-def cumulative_bound(G: float, per_step_bounds) -> float:
-    """Final entry of the error recursion over the given per-step bounds."""
-    return float(cumulative_series(G, per_step_bounds)[-1])
 
 
 def softmax_lipschitz_gap(z, z_prime):

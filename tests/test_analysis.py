@@ -1,6 +1,5 @@
 """Tests for similarity diagnostics, drift histograms, and FLOP accounting."""
 
-import io
 import json
 import math
 
@@ -75,7 +74,7 @@ def pairwise_mean_cosine(matrices):
 
 def synthetic_trace(decisions_per_step, mode="kv", B=4, q_step_arrays=None):
     """Hand-built trace: one StepRecord per entry of decisions_per_step."""
-    trace = GenerationTrace(mode=mode, block_size=B)
+    trace = GenerationTrace(mode=mode)
     for s, decisions in enumerate(decisions_per_step):
         q = q_step_arrays[s] if q_step_arrays is not None else [np.ones((B, 2))]
         trace.records.append(StepRecord(
@@ -323,7 +322,7 @@ def test_flops_validation():
     with pytest.raises(ConfigError):
         flops_for_trace(trace, cfg, "turbo")
     with pytest.raises(DegenerateInputError):
-        flops_for_trace(GenerationTrace(mode="full", block_size=4), cfg)
+        flops_for_trace(GenerationTrace(mode="full"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +362,14 @@ def test_histogram_csv_round_trip(tmp_path):
     assert sum(int(r[3]) for r in rows) == 4
 
 
-def test_csv_writer_accepts_file_objects():
-    buf = io.StringIO()
-    write_csv_with_metadata(buf, {"a": 1}, ("x",), [(1,), (2,)])
-    text = buf.getvalue()
-    assert text.splitlines()[0] == '# {"a": 1}'
-    metadata, header, rows = read_csv_with_metadata(io.StringIO(text))
+def test_csv_round_trip_and_missing_metadata_line(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv_with_metadata(path, {"a": 1}, ("x",), [(1,), (2,)])
+    assert path.read_text().splitlines()[0] == '# {"a": 1}'
+    metadata, header, rows = read_csv_with_metadata(path)
     assert metadata == {"a": 1}
     assert header == ["x"]
     assert rows == [["1"], ["2"]]
+    path.write_text("x\n1\n")
     with pytest.raises(DegenerateInputError):
-        read_csv_with_metadata(io.StringIO("x\n1\n"))
+        read_csv_with_metadata(path)

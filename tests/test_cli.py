@@ -34,6 +34,11 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def parse(*argv) -> RunConfig:
+    """The RunConfig a command line builds, without running the command."""
+    return cli.build_config(cli.build_parser().parse_args(list(argv)))
+
+
 def write_config(path, *, L=1, H=1, seed=1, sampler_seed=11, gen_length=8,
                  steps=8, phi_bar=0.5, mode="full", weights="model.dare",
                  output_dir="out", **drift_extra):
@@ -378,6 +383,51 @@ class TestConfigPlumbing:
         profile = json.loads(Path("out/profile.json").read_text())
         assert profile["phi_bar"] == 0.2
 
+    @pytest.mark.parametrize("data, flags", [
+        ({"sampler": {"seed": 3}}, ("--seed", "3")),
+        ({"drift": {"tau_override": 0.25}}, ("--tau", "0.25")),
+        ({"reuse": {"mode": "kv"}}, ("--mode", "kv")),
+    ], ids=["sampler-seed", "drift-tau", "reuse-mode"])
+    def test_config_file_and_flag_build_the_same_run(self, workdir, data,
+                                                     flags):
+        Path("cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        assert parse("generate", "--config", "cfg.json") \
+            == parse("generate", *flags)
+
+    def test_partial_section_keeps_the_run_defaults(self):
+        default = RunConfig.default()
+        assert RunConfig.from_dict({"model": {"L": 2}}) == dataclasses.replace(
+            default, model=dataclasses.replace(default.model, L=2))
+
+    # (flag, argument, section, field, value), written out by hand so that
+    # a flag wired to the wrong field fails; every value differs from the
+    # run default.
+    COMMON_FLAGS = [
+        ("--weights", "w.dare", "paths", "weights", "w.dare"),
+        ("--output-dir", "elsewhere", "paths", "output_dir", "elsewhere"),
+        ("--phi-bar", "0.25", "drift", "phi_bar", 0.25),
+        ("--epsilon", "2.5", "drift", "epsilon", 2.5),
+        ("--mode", "o", "reuse", "mode", "o"),
+        ("--tau", "0.125", "drift", "tau_override", 0.125),
+        ("--skip-layers", "1", "reuse", "skip_first_layers", 1),
+        ("--refresh-interval", "5", "reuse", "refresh_interval", 5),
+        ("--seed", "3", "sampler", "seed", 3),
+        ("--block-size", "2", "sampler", "block_size", 2),
+        ("--steps", "6", "sampler", "steps_per_block", 6),
+        ("--gen-length", "12", "sampler", "gen_length", 12),
+    ]
+
+    @pytest.mark.parametrize("flag, text, section, field, value",
+                             COMMON_FLAGS, ids=[f[0] for f in COMMON_FLAGS])
+    def test_common_flag_sets_exactly_its_field(self, flag, text, section,
+                                                field, value):
+        want = dataclasses.asdict(RunConfig.default())
+        assert want[section][field] != value
+        want[section][field] = value
+        got = dataclasses.asdict(parse("generate", flag, text))
+        assert got == want
+        assert type(got[section][field]) is type(value)
+
     def test_per_head_scoring_is_rejected(self, workdir, capsys):
         write_config("cfg.json", per_head=True)
         assert run("init-model", "--config", "cfg.json") == 2
@@ -420,7 +470,8 @@ class TestConfigPlumbing:
 
     def test_run_config_round_trips(self, workdir):
         config = RunConfig.default()
-        again = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        data = json.loads(json.dumps(dataclasses.asdict(config)))
+        again = RunConfig.from_dict(data)
         assert again == config
 
     def test_nan_temperature_in_config_file_fails(self, workdir, capsys):
@@ -433,15 +484,17 @@ class TestConfigPlumbing:
         assert not Path("model.dare").exists()
 
     def test_import_does_not_load_scipy(self):
-        # scipy is needed for GELU models only and is imported on first use.
+        # scipy is needed for GELU models only and is imported on first use;
+        # logging only when allocate_quantiles clamps a layer.
         src = str(Path(reuselab.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, reuselab.cli; print('scipy' in sys.modules)"],
+             "import sys, reuselab.cli; "
+             "print('scipy' in sys.modules, 'logging' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
     def test_mismatched_weights_are_rejected(self, workdir):
         write_config("cfg.json", seed=1)

@@ -297,6 +297,16 @@ def test_allocate_clamps_into_unit_interval():
     assert raw[0] > 1.0
 
 
+def test_allocate_logs_clamp_events(caplog):
+    # logging is imported only when a clamp happens; the record still
+    # reaches a caller that configured logging.
+    with caplog.at_level("INFO", logger="reuselab.drift"):
+        allocate_quantiles([0.0, 50.0], phi_bar=0.9, epsilon=0.1)
+        allocate_quantiles([0.7, 0.7], phi_bar=0.3, epsilon=1.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "allocate_quantiles: clamped 1 layer(s) to 1.0"]
+
+
 def test_allocate_validates_arguments():
     with pytest.raises(DegenerateInputError):
         allocate_quantiles([0.1], phi_bar=0.3, epsilon=0.0)

@@ -20,7 +20,6 @@ from reuselab.model import ModelConfig, init_weights
 from reuselab.sampler import SamplerConfig
 from reuselab.theory import (
     TheoryReport,
-    cumulative_bound,
     cumulative_series,
     kv_step_bound,
     lipschitz_G,
@@ -285,12 +284,11 @@ def test_step_bounds_use_the_config_passed():
 def test_cumulative_hand_recursion():
     series = cumulative_series(2.0, (1.0, 1.0, 1.0))
     assert series.tolist() == [0.0, 1.0, 3.0, 7.0]
-    assert cumulative_bound(2.0, (1.0, 1.0, 1.0)) == 7.0
 
 
 def test_cumulative_zero_cases():
-    assert cumulative_bound(5.0, (0.0, 0.0, 0.0)) == 0.0
-    assert cumulative_bound(0.0, (3.0, 2.0, 9.0)) == 9.0
+    assert cumulative_series(5.0, (0.0, 0.0, 0.0))[-1] == 0.0
+    assert cumulative_series(0.0, (3.0, 2.0, 9.0))[-1] == 9.0
     assert cumulative_series(2.0, ()).tolist() == [0.0]
 
 
