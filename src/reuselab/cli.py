@@ -63,13 +63,20 @@ SCORES_FILENAME = "calibration_scores.json"
 class DriftSettings:
     """Budget and temperature for threshold calibration.
 
-    ``tau_override`` bypasses calibration with one flat threshold. Drift is
-    always scored on head 0.
+    ``tau_override`` bypasses calibration with one flat threshold, which,
+    as in a profile, must be a number >= 0. Drift is always scored on
+    head 0.
     """
 
     phi_bar: float = 0.5
     epsilon: float = 1.0
     tau_override: float | None = None
+
+    def __post_init__(self) -> None:
+        # Negated so that NaN, for which every comparison is False, fails.
+        if self.tau_override is not None and not self.tau_override >= 0.0:
+            raise ConfigError(
+                f"tau_override must be a number >= 0, got {self.tau_override!r}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,10 @@ class ReuseSettings:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.refresh_interval < 1:
+            raise ConfigError("refresh_interval must be >= 1")
+        if self.skip_first_layers < 0:
+            raise ConfigError("skip_first_layers must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class ModelConfig:
         if self.activation not in G_SIGMA:
             raise DimensionError(f"unknown activation {self.activation!r}")
 
-    @property
-    def d_head(self) -> int:
-        return self.d // self.H
-
 
 @dataclass(frozen=True)
 class LayerWeights:

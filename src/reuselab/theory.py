@@ -40,25 +40,14 @@ SOFTMAX_CHECK_WIDTH = 64
 SOFTMAX_CHECK_SLACK = 1e-9
 
 
-def _theory_config(weights: ModelWeights, config: ModelConfig | None) -> ModelConfig:
-    cfg = weights.config if config is None else config
+def _check_regime(weights: ModelWeights) -> ModelConfig:
+    """The weights' config, if the closed-form bounds cover it."""
+    cfg = weights.config
     if cfg.L != 1 or cfg.H != 1:
         raise RegimeError(
             f"closed-form bounds cover L=1, H=1 models only, got L={cfg.L}, H={cfg.H}"
         )
     return cfg
-
-
-def lipschitz_G(weights: ModelWeights, config: ModelConfig | None = None) -> float:
-    """One-step amplification constant of the denoising map.
-
-    Product of operator norms of the weight stack, times the batch size,
-    times an attention-sensitivity factor driven by the query/key norms and
-    the largest raw embedding row norm. The 2->1 norm of the embedding is
-    replaced by its sum-of-row-norms upper bound, which inflates G but keeps
-    the bound direction.
-    """
-    return _StepBounds(weights, config).G
 
 
 def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
@@ -78,152 +67,48 @@ def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
     return 2.0 * tau * d * kappa_q ** 2 / (2.0 + tau * (kappa_q ** 2 - 1.0))
 
 
-class _WeightConstants:
-    """The constants that depend on the weights alone: the six layer-0
-    matrices' spectral norms (``sigma``, by name, ``w_q`` ...), the
-    Frobenius norms of W_O, W_V, W_K and W_Q (in that order), the
-    embedding's sum of row norms (its 2->1 upper bound) and largest row
-    norm (its 2->inf norm), and kappa_q.
+class _ModelBounds:
+    """The constants of one model's bounds, built from the layer-0
+    spectral and Frobenius norms and the embedding's row norms: ``G``
+    (``lipschitz_G``), ``C_W``, the o-mode scale ``o_scale`` and the
+    per-token o coefficients, and kappa_q.
 
     kappa_q is taken on first use, since a singular W_Q has none and only
-    some bounds need it. The weight arrays are read-only, so it describes
-    the same W_Q as the rest.
+    the bounds at tau > 0 need it. The weight arrays are read-only, so it
+    describes the same W_Q as the rest.
     """
 
     def __init__(self, weights: ModelWeights) -> None:
+        cfg = _check_regime(weights)
         lw = weights.layers[0]
-        self.sigma = {name: spectral_norm(m) for name, m in lw.named()}
-        self.frobenius_ovkq = tuple(
-            frobenius_norm(m) for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
-        self.emb_2_to_1 = norm_2_to_1_upper(weights.emb)
-        self.emb_2_to_inf = norm_2_to_inf(weights.emb)
-        self._w_q = lw.w_q
+        s = {name: spectral_norm(m) for name, m in lw.named()}
+        r, b, d = weights.r_emb, cfg.B, cfg.d
+        self.d, self.B, self._w_q = d, b, lw.w_q
+        stack = (norm_2_to_1_upper(weights.emb) * s["w_d"]
+                 * G_SIGMA[cfg.activation] * s["w_u"] * s["w_o"] * s["w_v"])
+        self.G = stack * (b * (
+            2.0 * r * r * s["w_q"] * s["w_k"] / math.sqrt(d) + 1.0))
+        self.o_scale = (norm_2_to_inf(weights.emb) * s["w_d"]
+                        * G_SIGMA[cfg.activation] * s["w_u"])
+        # C_W folds in the sqrt(2) and batch factors, so the kv bound is
+        # C_W * sqrt(tau_tilde) * ||Delta||_2. Its product starts with the
+        # o-mode scale's four factors in the same left-to-right order, so
+        # starting from that partial product keeps every bit.
+        sv = s["w_v"]
+        self.C_W = math.sqrt(2.0) * b * (
+            self.o_scale * s["w_o"] * (sv + sv * s["w_q"] / math.sqrt(d)))
+        # The factors of o_terms' query, keys and values terms, each the
+        # left-to-right product that multiplies a token's movement.
+        f_o, f_v, f_k, f_q = (frobenius_norm(m)
+                              for m in (lw.w_o, lw.w_v, lw.w_k, lw.w_q))
+        four = f_o * f_v * f_k * f_q
+        self.o_coefficients = (b * math.sqrt(d) * four,
+                               math.sqrt(b * d) * four * math.sqrt(b),
+                               f_o * f_v * math.sqrt(b))
 
     @cached_property
     def kappa_q(self) -> float:
         return condition_kappa(self._w_q)
-
-
-def _weight_constants(weights: ModelWeights) -> _WeightConstants:
-    """The weight-only constants of a model, computed once per model.
-
-    They are kept on the weights object itself, as ``cached_property``
-    keeps a value, so they go when the model does. The weight arrays are
-    read-only, so nothing can change what they were computed from; a model
-    with other arrays (``dataclasses.replace``) is another object and takes
-    its own.
-    """
-    kept = vars(weights).get("_theory_constants")
-    if kept is None:
-        kept = vars(weights)["_theory_constants"] = _WeightConstants(weights)
-    return kept
-
-
-class _StepBounds:
-    """The constants and per-step reuse bounds of one model, config and
-    threshold tau.
-
-    The weight-only constants are shared by every ``_StepBounds`` of a
-    model (``_weight_constants``), so ``verify_run``, ``lipschitz_G``,
-    ``kv_step_bound`` and ``o_step_bound`` take each spectral norm once
-    per model. They are looked up on first use, so a bound that is 0 for
-    its tau or staleness alone reads no weight. The products that depend
-    on the config (G, C_W, the o-mode scale, the per-token o coefficients)
-    and on tau (tau_tilde and the factors built from it) are computed on
-    first use and then kept, so a caller that evaluates many steps of one
-    run pays for them once. Each formula lives here only.
-    """
-
-    def __init__(self, weights: ModelWeights, config: ModelConfig | None,
-                 tau: float | None = None) -> None:
-        self.weights = weights
-        self.cfg = _theory_config(weights, config)
-        self.tau = tau
-
-    @cached_property
-    def consts(self) -> _WeightConstants:
-        return _weight_constants(self.weights)
-
-    @cached_property
-    def G(self) -> float:
-        """``lipschitz_G``."""
-        cfg = self.cfg
-        s = self.consts.sigma
-        r = self.weights.r_emb
-        stack = (
-            self.consts.emb_2_to_1
-            * s["w_d"]
-            * G_SIGMA[cfg.activation]
-            * s["w_u"]
-            * s["w_o"]
-            * s["w_v"]
-        )
-        attention_gain = cfg.B * (
-            2.0 * r * r * s["w_q"] * s["w_k"] / math.sqrt(cfg.d) + 1.0
-        )
-        return stack * attention_gain
-
-    @cached_property
-    def o_scale(self) -> float:
-        s = self.consts.sigma
-        return (
-            self.consts.emb_2_to_inf
-            * s["w_d"]
-            * G_SIGMA[self.cfg.activation]
-            * s["w_u"]
-        )
-
-    @cached_property
-    def C_W(self) -> float:
-        """The constant with the sqrt(2) and batch factors folded in, so
-        the per-step key/value reuse bound is
-        ``C_W * sqrt(tau_tilde) * ||Delta||_2``. Its product starts with
-        the o-mode scale's four factors in the same left-to-right order,
-        so starting from that partial product keeps every bit."""
-        s = self.consts.sigma
-        sv = s["w_v"]
-        prefactor = (
-            self.o_scale
-            * s["w_o"]
-            * (sv + sv * s["w_q"] / math.sqrt(self.cfg.d))
-        )
-        return math.sqrt(2.0) * self.cfg.B * prefactor
-
-    @cached_property
-    def _o_coefficients(self) -> tuple:
-        """The per-token factors of the query, keys and values terms of
-        ``o_terms``, each the left-to-right product that multiplies a
-        token's movement."""
-        f_o, f_v, f_k, f_q = self.consts.frobenius_ovkq
-        four = f_o * f_v * f_k * f_q
-        b = self.cfg.B
-        d = self.cfg.d
-        return (b * math.sqrt(d) * four,
-                math.sqrt(b * d) * four * math.sqrt(b),
-                f_o * f_v * math.sqrt(b))
-
-    @cached_property
-    def _tau_tilde(self) -> float:
-        return tau_tilde(self.tau, self.cfg.d, self.consts.kappa_q)
-
-    @cached_property
-    def _kv_factor(self) -> float:
-        """``C_W * sqrt(tau_tilde)``, the factor of ||Delta||_2."""
-        return self.C_W * math.sqrt(self._tau_tilde)
-
-    @cached_property
-    def _displacement(self) -> float:
-        """sqrt(2 * tau_tilde): how far an accepted token's input row
-        moves in one step at most."""
-        return math.sqrt(2.0 * self._tau_tilde)
-
-    def kv(self, delta_l2: float) -> float:
-        tau = self.tau
-        if tau is None or tau == 0.0 or delta_l2 == 0.0:
-            return 0.0
-        if delta_l2 < 0.0:
-            raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
-        return self._kv_factor * float(delta_l2)
 
     def o_terms(self, displacement: float, delta) -> float:
         """Sum over stale tokens of the three attention-output deviation
@@ -235,17 +120,16 @@ class _StepBounds:
         times ``displacement``; the keys/values terms spread that movement
         across the whole block, hence the extra sqrt(B) factors.
         """
-        cfg = self.cfg
         if displacement < 0.0:
             raise DegenerateInputError(
                 f"displacement must be >= 0, got {displacement}")
         delta = np.asarray(delta)
-        if delta.shape != (cfg.B,):
+        if delta.shape != (self.B,):
             raise DegenerateInputError(
-                f"delta must have one entry per block token ({cfg.B}), "
+                f"delta must have one entry per block token ({self.B}), "
                 f"got {delta.shape}"
             )
-        query, keys, values = self._o_coefficients
+        query, keys, values = self.o_coefficients
         total = 0.0
         for delta_i in delta:
             if delta_i == 0:
@@ -254,36 +138,62 @@ class _StepBounds:
             total += query * move + keys * move + values * move
         return total
 
-    def o(self, delta) -> float:
-        delta = np.asarray(delta)
-        tau = self.tau
-        if tau is None or tau == 0.0 or not (delta > 0).any():
-            return 0.0
-        return self.o_scale * self.o_terms(self._displacement, delta)
+
+def _model_bounds(weights: ModelWeights) -> _ModelBounds:
+    """The bound constants of a model, computed once per model and kept
+    on the weights object itself, as ``cached_property`` keeps a value, so
+    they go when the model does. The weight arrays are read-only; a model
+    with other arrays (``dataclasses.replace``) is another object and
+    takes its own."""
+    kept = vars(weights).get("_theory_bounds")
+    if kept is None:
+        kept = vars(weights)["_theory_bounds"] = _ModelBounds(weights)
+    return kept
 
 
-def kv_step_bound(
-    weights: ModelWeights,
-    config: ModelConfig | None,
-    tau: float | None,
-    delta_l2: float,
-) -> float:
-    """Bound on the summed per-token L1 output gap opened by one step of
-    key/value reuse with staleness vector of Euclidean norm ``delta_l2``.
+def lipschitz_G(weights: ModelWeights) -> float:
+    """One-step amplification constant of the denoising map.
+
+    Product of operator norms of the weight stack, times the batch size,
+    times an attention-sensitivity factor driven by the query/key norms and
+    the largest raw embedding row norm. The 2->1 norm of the embedding is
+    replaced by its sum-of-row-norms upper bound, which inflates G but keeps
+    the bound direction.
     """
-    return _StepBounds(weights, config, tau).kv(delta_l2)
+    return _model_bounds(weights).G
 
 
-def o_step_bound(
-    weights: ModelWeights,
-    config: ModelConfig | None,
-    tau: float | None,
-    delta,
-) -> float:
+def kv_step_bound(weights: ModelWeights, tau: float | None,
+                  delta_l2: float) -> float:
     """Bound on the summed per-token L1 output gap opened by one step of
-    attention-output reuse with per-token staleness counts ``delta``.
+    key/value reuse with staleness vector of Euclidean norm ``delta_l2``:
+    ``C_W * sqrt(tau_tilde) * delta_l2``, and 0 when tau is None or 0 or
+    nothing is stale, without reading a constant.
     """
-    return _StepBounds(weights, config, tau).o(delta)
+    _check_regime(weights)
+    if tau is None or tau == 0.0 or delta_l2 == 0.0:
+        return 0.0
+    if delta_l2 < 0.0:
+        raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
+    bounds = _model_bounds(weights)
+    return (bounds.C_W * math.sqrt(tau_tilde(tau, bounds.d, bounds.kappa_q))
+            * float(delta_l2))
+
+
+def o_step_bound(weights: ModelWeights, tau: float | None, delta) -> float:
+    """Bound on the summed per-token L1 output gap opened by one step of
+    attention-output reuse with per-token staleness counts ``delta``: the
+    o-mode scale times ``o_terms`` at the displacement sqrt(2 * tau_tilde),
+    the farthest an accepted token's input row moves in one step; and 0
+    when tau is None or 0 or nothing is stale, without reading a constant.
+    """
+    _check_regime(weights)
+    delta = np.asarray(delta)
+    if tau is None or tau == 0.0 or not (delta > 0).any():
+        return 0.0
+    bounds = _model_bounds(weights)
+    tt = tau_tilde(tau, bounds.d, bounds.kappa_q)
+    return bounds.o_scale * bounds.o_terms(math.sqrt(2.0 * tt), delta)
 
 
 def cumulative_series(G: float, per_step_bounds) -> np.ndarray:
@@ -428,16 +338,16 @@ def verify_run(
     driven by the trial-averaged per-step bounds, (c) softmax contraction on
     SOFTMAX_CHECK_PAIRS random logit pairs, checked in one batched
     ``softmax_lipschitz_gap`` pass. Trials use independent seeds derived
-    from the run seed, so the report is reproducible. The weight-only
-    constants are taken once per model and shared with every later call
-    on the same weights; tau_tilde and the factors built from it once per
-    run.
+    from the run seed, so the report is reproducible. Each per-step bound
+    is a ``kv_step_bound`` or ``o_step_bound`` call; the bound constants
+    are taken once per model and shared with every later call on the same
+    weights. A NaN bound, per step or cumulative, is a violation.
 
     ``debug_zero_bounds`` replaces G and every per-step bound with zero; a
     lossy run must then report violations. It exists to prove the harness
     can fail and has no other use.
     """
-    cfg = _theory_config(weights, None)
+    cfg = _check_regime(weights)
     if mode not in ("kv", "o"):
         raise ConfigError(f"verify_run covers modes 'kv' and 'o', got {mode!r}")
     if trials < 1:
@@ -452,7 +362,6 @@ def verify_run(
     gaps = np.zeros((trials, T))
     embed_errors = np.zeros((trials, T + 1))
     violations = 0
-    step_bounds = _StepBounds(weights, cfg, tau)
 
     for k in range(trials):
         trial_config = dataclasses.replace(run_config, seed=int(trial_seeds[k]))
@@ -466,35 +375,36 @@ def verify_run(
         )
         for t in range(T):
             if mode == "kv":
-                b = step_bounds.kv(pair.per_step_delta_l2[t])
+                b = kv_step_bound(weights, tau, pair.per_step_delta_l2[t])
             else:
-                b = step_bounds.o(pair.per_step_delta[t][0])
+                b = o_step_bound(weights, tau, pair.per_step_delta[t][0])
             if debug_zero_bounds:
                 b = 0.0
             bounds[k, t] = b
             gaps[k, t] = pair.per_step_l1_gap[t]
-            if gaps[k, t] > b:
+            if not gaps[k, t] <= b:
                 violations += 1
         embed_errors[k] = pair.per_step_embed_error
 
     mean_bounds = bounds.mean(axis=0)
     mean_gaps = gaps.mean(axis=0)
     mean_embed = embed_errors.mean(axis=0)
-    G = 0.0 if debug_zero_bounds else step_bounds.G
+    constants = _model_bounds(weights)
+    G = 0.0 if debug_zero_bounds else constants.G
     series = cumulative_series(G, mean_bounds)
     for t in range(T + 1):
-        if mean_embed[t] > series[t]:
+        if not mean_embed[t] <= series[t]:
             violations += 1
 
     l1, linf = _softmax_gaps(_softmax_check_logits(trial_seeds[0]))
     violations += int((l1 > linf + SOFTMAX_CHECK_SLACK).sum())
 
-    kappa = step_bounds.consts.kappa_q
+    kappa = constants.kappa_q
     return TheoryReport(
         G=G,
         kappa_q=kappa,
         tau_tilde=tau_tilde(0.0 if tau is None else tau, cfg.d, kappa),
-        C_W=step_bounds.C_W,
+        C_W=constants.C_W,
         mode=mode,
         tau=tau,
         trials=trials,

@@ -273,6 +273,17 @@ class TestVerify:
         assert run("verify", "--weights", "m.dare", "--output-dir", "out",
                    "--trials", "2") == 2
 
+    @pytest.mark.parametrize("mode", ["kv", "o"])
+    def test_nan_bound_is_a_violation(self, workdir, mode):
+        # At tau = inf every bound with stale tokens is NaN, which no
+        # measured gap lies below.
+        assert run("init-model", "--weights", "m.dare",
+                   "--output-dir", "out") == 0
+        assert run("verify", "--weights", "m.dare", "--output-dir", "out",
+                   "--mode", mode, "--tau", "inf", "--trials", "5") == 1
+        report = json.loads(Path("out/report.json").read_text())
+        assert report["violations"] > 0
+
     def test_multi_layer_model_is_rejected(self, workdir):
         write_config("cfg.json", L=2, mode="kv", tau_override=0.1)
         assert run("init-model", "--config", "cfg.json") == 0
@@ -368,6 +379,22 @@ class TestBench:
                    "--mode", "kv", "--phi-grid", "0.5,1.5") == 2
         assert run("bench", "--weights", "m.dare", "--output-dir", "out",
                    "--mode", "kv", "--phi-grid", ",") == 2
+
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--refresh-interval", "0", "refresh_interval must be >= 1"),
+        ("--skip-layers", "-1", "skip_first_layers must be >= 0"),
+    ], ids=["refresh-interval", "skip-layers"])
+    def test_bad_gate_settings_are_usage_errors(self, workdir, capsys, flag,
+                                                value, words):
+        # bench replays the gate without a ReuseState, so the settings
+        # are checked where the run is built, as for generate and verify.
+        assert run("init-model", "--weights", "m.dare",
+                   "--output-dir", "out") == 0
+        capsys.readouterr()
+        assert run("bench", "--weights", "m.dare", "--output-dir", "out",
+                   "--mode", "kv", "--phi-grid", "0.5", flag, value) == 2
+        assert words in capsys.readouterr().err
+        assert not Path("out/bench.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +549,18 @@ class TestConfigPlumbing:
         capsys.readouterr()
         assert run("generate", "--config", "cfg.json") == 2
         assert "error: threshold -0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    def test_bad_tau_override_exits_2(self, workdir, capsys, tau):
+        # --tau and a config file's tau_override take the threshold rule
+        # a profile does: a number >= 0.
+        assert run("init-model", "--output-dir", "out") == 0
+        write_config("cfg.json", mode="kv", tau_override=tau)
+        capsys.readouterr()
+        assert run("generate", "--mode", "kv", "--tau", repr(tau),
+                   "--output-dir", "out") == 2
+        assert "tau_override must be a number >= 0" in capsys.readouterr().err
+        assert run("generate", "--config", "cfg.json") == 2
+        assert "tau_override must be a number >= 0" in capsys.readouterr().err
+        assert not Path("out/tokens.json").exists()

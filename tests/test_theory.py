@@ -144,15 +144,15 @@ def test_tau_tilde_rejects_bad_domain():
 # ---------------------------------------------------------------------------
 
 def test_kv_step_bound_zero_cases():
-    cfg, w = theory_model()
-    assert kv_step_bound(w, cfg, 0.05, 0.0) == 0.0
-    assert kv_step_bound(w, cfg, 0.0, 2.0) == 0.0
-    assert kv_step_bound(w, cfg, None, 2.0) == 0.0
+    _, w = theory_model()
+    assert kv_step_bound(w, 0.05, 0.0) == 0.0
+    assert kv_step_bound(w, 0.0, 2.0) == 0.0
+    assert kv_step_bound(w, None, 2.0) == 0.0
 
 
 def test_kv_step_bound_fixture_matches_scalar_reevaluation():
     cfg, w = theory_model()
-    got = kv_step_bound(w, cfg, 0.05, 2.0)
+    got = kv_step_bound(w, 0.05, 2.0)
     assert abs(got - KV_BOUND_D8_TAU005_DELTA2) < 1e-6
 
     # Re-evaluate the formula as one scalar expression with the package
@@ -183,20 +183,20 @@ def test_kv_step_bound_fixture_matches_scalar_reevaluation():
 
 
 def test_kv_step_bound_linear_in_staleness_norm():
-    cfg, w = theory_model()
-    one = kv_step_bound(w, cfg, 0.05, 1.0)
-    three = kv_step_bound(w, cfg, 0.05, 3.0)
+    _, w = theory_model()
+    one = kv_step_bound(w, 0.05, 1.0)
+    three = kv_step_bound(w, 0.05, 3.0)
     assert abs(three - 3.0 * one) / three < 1e-12
     with pytest.raises(DegenerateInputError):
-        kv_step_bound(w, cfg, 0.05, -1.0)
+        kv_step_bound(w, 0.05, -1.0)
 
 
 def test_kv_step_constant_ties_out():
     cfg, w = theory_model()
     kappa = condition_kappa(w.layers[0].w_q)
     tt = tau_tilde(0.05, cfg.d, kappa)
-    expect = theory._StepBounds(w, None).C_W * math.sqrt(tt) * 2.0
-    got = kv_step_bound(w, cfg, 0.05, 2.0)
+    expect = theory._model_bounds(w).C_W * math.sqrt(tt) * 2.0
+    got = kv_step_bound(w, 0.05, 2.0)
     assert abs(got - expect) / expect < 1e-12
 
 
@@ -205,15 +205,15 @@ def test_kv_step_constant_ties_out():
 # ---------------------------------------------------------------------------
 
 def test_o_step_bound_zero_cases():
-    cfg, w = theory_model()
-    assert o_step_bound(w, cfg, 0.05, (0, 0, 0, 0)) == 0.0
-    assert o_step_bound(w, cfg, 0.0, (1, 0, 2, 0)) == 0.0
-    assert o_step_bound(w, cfg, None, (1, 0, 2, 0)) == 0.0
+    _, w = theory_model()
+    assert o_step_bound(w, 0.05, (0, 0, 0, 0)) == 0.0
+    assert o_step_bound(w, 0.0, (1, 0, 2, 0)) == 0.0
+    assert o_step_bound(w, None, (1, 0, 2, 0)) == 0.0
 
 
 def test_o_step_bound_fixture_matches_scalar_reevaluation():
     cfg, w = theory_model()
-    got = o_step_bound(w, cfg, 0.05, (1, 0, 2, 0))
+    got = o_step_bound(w, 0.05, (1, 0, 2, 0))
     assert abs(got - O_BOUND_D8_TAU005_DELTA_1020) / got < 1e-9
 
     lw = w.layers[0]
@@ -239,42 +239,41 @@ def test_o_step_terms_zero_query_map_leaves_values_term():
     _, w = theory_model()
     lw = dataclasses.replace(w.layers[0], w_q=np.zeros_like(w.layers[0].w_q))
     wq0 = dataclasses.replace(w, layers=(lw,))
-    got = theory._StepBounds(wq0, None).o_terms(1.0, (1, 0, 2, 0))
+    got = theory._model_bounds(wq0).o_terms(1.0, (1, 0, 2, 0))
     fro = lambda a: float(np.linalg.norm(a))
     expect = fro(lw.w_o) * fro(lw.w_v) * 2.0 * (1.0 + 2.0)
     assert abs(got - expect) / expect < 1e-12
 
 
 def test_o_step_bound_scales_with_staleness():
-    cfg, w = theory_model()
-    one = o_step_bound(w, cfg, 0.05, (1, 0, 2, 0))
-    two = o_step_bound(w, cfg, 0.05, (2, 0, 4, 0))
+    _, w = theory_model()
+    one = o_step_bound(w, 0.05, (1, 0, 2, 0))
+    two = o_step_bound(w, 0.05, (2, 0, 4, 0))
     assert abs(two - 2.0 * one) / two < 1e-12
 
 
 def test_o_step_terms_rejects_bad_inputs():
     _, w = theory_model()
-    bounds = theory._StepBounds(w, None)
+    bounds = theory._model_bounds(w)
     with pytest.raises(DegenerateInputError):
         bounds.o_terms(-1.0, (1, 0, 2, 0))
     with pytest.raises(DegenerateInputError):
         bounds.o_terms(1.0, (1, 0))
 
 
-def test_step_bounds_use_the_config_passed():
-    # Both bounds read B from the config the caller passes, not from the
-    # weights' own config; on that own config the values keep their bits.
+def test_step_bounds_read_the_weights_config():
+    # Both bounds read B from the weights' own config. A B = 8 model has
+    # the same arrays, so its kv bound doubles and its o bound needs one
+    # staleness entry per token of its block.
     cfg, w = theory_model()
-    wide = dataclasses.replace(cfg, B=8)
-    assert o_step_bound(w, cfg, 0.05, (1, 0, 2, 0)) \
+    wide = init_weights(dataclasses.replace(cfg, B=8))
+    assert (wide.emb == w.emb).all()
+    assert o_step_bound(w, 0.05, (1, 0, 2, 0)) \
         == O_BOUND_D8_TAU005_DELTA_1020
-    assert o_step_bound(w, None, 0.05, (1, 0, 2, 0)) \
-        == O_BOUND_D8_TAU005_DELTA_1020
-    assert kv_step_bound(w, wide, 0.05, 2.0) \
-        == 2.0 * kv_step_bound(w, cfg, 0.05, 2.0)
-    assert o_step_bound(w, wide, 0.05, (1, 0, 2, 0, 0, 0, 0, 0)) > 0.0
+    assert kv_step_bound(wide, 0.05, 2.0) == 2.0 * kv_step_bound(w, 0.05, 2.0)
+    assert o_step_bound(wide, 0.05, (1, 0, 2, 0, 0, 0, 0, 0)) > 0.0
     with pytest.raises(DegenerateInputError):
-        o_step_bound(w, wide, 0.05, (1, 0, 2, 0))
+        o_step_bound(wide, 0.05, (1, 0, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +366,18 @@ def test_verify_run_o_mode_has_no_violations():
     assert max(report.per_step_empirical) > 0.0
 
 
+@pytest.mark.parametrize("mode", ["kv", "o"])
+@pytest.mark.parametrize("tau", [math.inf, 1e308])
+def test_verify_run_counts_nan_bounds_as_violations(mode, tau):
+    # tau_tilde is inf / inf there, so every bound at a step with stale
+    # tokens is NaN. No gap lies below a NaN bound.
+    _, w = theory_model()
+    report = verify_run(w, run_config(), flat_profile(tau), mode, trials=3)
+    assert any(math.isnan(b) for b in report.per_step_bound)
+    assert math.isnan(report.cumulative_bound)
+    assert report.violations > 0
+
+
 @pytest.mark.parametrize("mode, seed", [("kv", 11), ("o", 23)])
 def test_verify_run_leaks_no_floating_point_warnings(mode, seed):
     _, w = theory_model()
@@ -410,7 +421,7 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
     # call on a weights object takes them and every later call on it
     # shares them. The weights cannot be edited in place; a model with an
     # edited matrix is a new object and takes its own.
-    cfg, w = theory_model()
+    _, w = theory_model()
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -425,8 +436,8 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
                         counted("spectral", theory.spectral_norm))
 
     def every_bound():
-        return (lipschitz_G(w), kv_step_bound(w, cfg, 0.05, 2.0),
-                o_step_bound(w, cfg, 0.05, (1, 0, 2, 0)))
+        return (lipschitz_G(w), kv_step_bound(w, 0.05, 2.0),
+                o_step_bound(w, 0.05, (1, 0, 2, 0)))
 
     for run_mode in (mode, "o" if mode == "kv" else "kv"):
         seed, trials = REUSING_RUN[run_mode]
@@ -459,17 +470,17 @@ def test_verify_run_computes_weight_constants_once(mode, monkeypatch):
 def test_zero_step_bounds_read_no_weight_constants(monkeypatch):
     # A bound that is 0 for its tau or staleness alone neither takes the
     # constants nor digests the weights.
-    cfg, w = theory_model()
+    _, w = theory_model()
 
     def unread(weights):
         raise AssertionError("weight constants read")
 
-    monkeypatch.setattr(theory, "_weight_constants", unread)
-    assert kv_step_bound(w, cfg, None, 2.0) == 0.0
-    assert kv_step_bound(w, cfg, 0.0, 2.0) == 0.0
-    assert kv_step_bound(w, cfg, 0.05, 0.0) == 0.0
-    assert o_step_bound(w, cfg, None, (1, 0, 2, 0)) == 0.0
-    assert o_step_bound(w, cfg, 0.05, (0, 0, 0, 0)) == 0.0
+    monkeypatch.setattr(theory, "_model_bounds", unread)
+    assert kv_step_bound(w, None, 2.0) == 0.0
+    assert kv_step_bound(w, 0.0, 2.0) == 0.0
+    assert kv_step_bound(w, 0.05, 0.0) == 0.0
+    assert o_step_bound(w, None, (1, 0, 2, 0)) == 0.0
+    assert o_step_bound(w, 0.05, (0, 0, 0, 0)) == 0.0
 
 
 def test_weight_constants_keep_no_model_alive():
@@ -485,7 +496,7 @@ def test_weight_constants_follow_each_model():
     # Two weights objects with equal arrays each take their own constants;
     # neither can be edited in place, and a replaced copy with an edited
     # embedding takes fresh ones, leaving the original's as they were.
-    cfg, w = theory_model()
+    _, w = theory_model()
     _, twin = theory_model()
     G = lipschitz_G(w)
     assert lipschitz_G(twin) == G
@@ -599,7 +610,7 @@ def test_verify_run_reports_are_pinned(mode):
 
 def test_lipschitz_g_and_kv_constant_match_the_step_bounds():
     _, w = theory_model()
-    bounds = theory._StepBounds(w, None)
+    bounds = theory._model_bounds(w)
     assert lipschitz_G(w) == bounds.G
 
 
@@ -614,7 +625,7 @@ def test_verify_run_report_rows_align_with_series():
 
 
 def test_verify_run_validation():
-    cfg, w = theory_model()
+    _, w = theory_model()
     profile = flat_profile(0.05)
     with pytest.raises(ConfigError):
         verify_run(w, run_config(), profile, "full", trials=2)
