@@ -47,6 +47,7 @@ from .model import ModelConfig, init_weights, load_weights, save_weights
 from .model import embed_tokens
 from .reuse import (
     MODES,
+    check_gate_settings,
     forward_full,
     replay_reuse,
     reuse_accounting,
@@ -90,10 +91,7 @@ class ReuseSettings:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.refresh_interval < 1:
-            raise ConfigError("refresh_interval must be >= 1")
-        if self.skip_first_layers < 0:
-            raise ConfigError("skip_first_layers must be >= 0")
+        check_gate_settings(self.skip_first_layers, self.refresh_interval)
 
 
 @dataclass(frozen=True)

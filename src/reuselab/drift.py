@@ -18,11 +18,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, FormatError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+)
 from .linalg import (
     _SAFE_NORM_MAX,
     _SAFE_NORM_MIN,
@@ -42,8 +48,9 @@ _PROFILE_KEYS = frozenset(("s_layer", "phi_layer", "tau_layer", "phi_bar",
 class DriftProfile:
     """Calibration result: per-layer drift scores, quantiles, thresholds.
 
-    ``tau_layer`` entries are floats, or None where the layer's budget
-    rounded down to zero tokens (reuse disabled there).
+    ``tau_layer`` entries are numbers >= 0, or None where the layer's
+    budget rounded down to zero tokens (reuse disabled there); any other
+    entry, NaN included, raises ConfigError.
     """
 
     s_layer: tuple[float, ...]
@@ -52,6 +59,12 @@ class DriftProfile:
     phi_bar: float
     epsilon: float
     skipped_pairs: int = 0
+
+    def __post_init__(self) -> None:
+        for t in self.tau_layer:
+            if t is not None and not _is_threshold(t):
+                raise ConfigError(
+                    f"threshold {t!r} is neither None nor a number >= 0")
 
     @property
     def L(self) -> int:
@@ -102,12 +115,18 @@ class DriftProfile:
         )
 
 
+def _is_threshold(t) -> bool:
+    """The threshold rule: a real number (not a bool) >= 0. NaN fails the
+    comparison, as it fails every one."""
+    return (isinstance(t, numbers.Real) and not isinstance(t, bool)
+            and t >= 0.0)
+
+
 def _parse_threshold(t):
     """A stored threshold: None for the disabled sentinel, else a float."""
     if t == DISABLED:
         return None
-    # Negated so that NaN, for which every comparison is False, fails.
-    if type(t) not in (int, float) or not t >= 0.0:
+    if not _is_threshold(t):
         raise FormatError(
             f"threshold {t!r} is neither {DISABLED!r} nor a number >= 0")
     return float(t)

@@ -225,31 +225,60 @@ def embed_ids(weights: ModelWeights, idx: np.ndarray) -> np.ndarray:
     return table[idx]
 
 
+def block_matmul(blocks: int):
+    """The product ``x @ w`` for a stack of ``blocks`` equal blocks of
+    rows, as one product per block: ``np.matmul`` itself for one block.
+
+    A stack goes through a 3-D product, for which numpy makes one BLAS call
+    per block at that block's own shape, so every block's rows have the
+    bits of the block's own 2-D product. One flat product over all rows
+    would not keep them: BLAS splits a larger product differently.
+    """
+    if blocks == 1:
+        return np.matmul
+
+    def per_block(x, w):
+        return (x.reshape(blocks, -1, x.shape[1]) @ w).reshape(
+            len(x), w.shape[1])
+    return per_block
+
+
 def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   n_heads: int) -> np.ndarray:
+                   n_heads: int, blocks: int = 1) -> np.ndarray:
     """Pre-W_O attention output for the given query rows against a full
     key/value set.
 
-    One head is plain 2-D products. More heads go through one stacked
-    product: the heads are strided views of the same columns a per-head
-    slice would take, so every head's product is the same BLAS call on the
-    same memory, and each head's output is written straight into its
-    columns of the result through a strided ``out=`` view, which BLAS
-    addresses like a contiguous block. The softmax runs in place on the
-    scores, which this function allocated, in ``softmax_rows``' order of
-    operations (max shift, exp, sum, divide). The result is bitwise the
+    The arguments may stack ``blocks`` blocks, each block's query rows and
+    each block's keys and values in turn; a block's queries attend to its
+    own keys and values only.
+
+    One head of one block is plain 2-D products. Anything more goes
+    through one stacked product over (block, head) pairs: the heads are
+    strided views of the same columns a per-head slice would take, so
+    every pair's product is the same BLAS call on the same memory layout,
+    and each output is written straight into its columns of the result
+    through a strided ``out=`` view, which BLAS addresses like a
+    contiguous block. The softmax runs in place on the scores, which this
+    function allocated, in ``softmax_rows``' order of operations (max
+    shift, exp, sum, divide). The result is bitwise the per-block,
     per-head computation, and no argument is written to.
     """
     n, d = q_rows.shape
     dh = d // n_heads
     out = np.empty((n, d))
-    if n_heads == 1:
+    if blocks == 1 and n_heads == 1:
         q, k_t, v_h, out_h = q_rows, k.T, v, out
-    else:
+    elif blocks == 1:
         q = q_rows.reshape(n, n_heads, dh).transpose(1, 0, 2)  # H x n x dh
         k_t = k.reshape(-1, n_heads, dh).transpose(1, 2, 0)    # H x dh x B
         v_h = v.reshape(-1, n_heads, dh).transpose(1, 0, 2)    # H x B x dh
         out_h = out.reshape(n, n_heads, dh).transpose(1, 0, 2)  # H x n x dh
+    else:
+        # blocks x H x rows x dh, and blocks x H x dh x B for the keys
+        q, v_h, out_h = (
+            a.reshape(blocks, -1, n_heads, dh).transpose(0, 2, 1, 3)
+            for a in (q_rows, v, out))
+        k_t = k.reshape(blocks, -1, n_heads, dh).transpose(0, 2, 3, 1)
     scores = q @ k_t
     scores /= math.sqrt(dh)
     scores -= scores.max(axis=-1, keepdims=True)
@@ -259,13 +288,18 @@ def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out
 
 
-def mlp(lw: LayerWeights, o: np.ndarray, activation: str) -> np.ndarray:
-    return activation_fn(activation)(o @ lw.w_u) @ lw.w_d
+def mlp(lw: LayerWeights, o: np.ndarray, activation: str,
+        matmul=np.matmul) -> np.ndarray:
+    """The MLP of one layer; ``matmul`` is a ``block_matmul`` product for
+    a stack of blocks."""
+    return matmul(activation_fn(activation)(matmul(o, lw.w_u)), lw.w_d)
 
 
-def unembed(weights: ModelWeights, h: np.ndarray) -> np.ndarray:
-    """Per-token next-token distributions from the last hidden state."""
-    return softmax_rows(h @ weights.emb.T)
+def unembed(weights: ModelWeights, h: np.ndarray,
+            matmul=np.matmul) -> np.ndarray:
+    """Per-token next-token distributions from the last hidden state;
+    ``matmul`` is a ``block_matmul`` product for a stack of blocks."""
+    return softmax_rows(matmul(h, weights.emb.T))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,21 @@ differ only in the splice:
   ``model_step`` returns last step's distributions without the unembedding.
 
 Full mode is the same step with no slot eligible, and ``forward_full`` is
-one full-mode ``model_step`` on a fresh state. The caches are owned by
-``ReuseState`` alone. The ones updated in place are never returned to a
-caller; o mode's layer outputs and distributions, which it hands out and
-later returns again, are read-only.
+one full-mode ``model_step`` on a fresh state.
+
+A state, and every step on it, may hold a stack of n blocks (n * B rows,
+block by block) that run in lockstep, as the coupled trials of a bound
+check do. Every product runs per block (``model.block_matmul``), and a row
+subset is multiplied per block at the shape a one-block step gives it, so
+each block's rows, caches and decisions have the bits of that block run
+alone (``ReuseState.block_decisions`` splits the decisions). The o-mode
+skips above fire on a stack only when they fire for every block in it: a
+block computed where its own run would skip gets the skipped result bit
+for bit.
+
+The caches are owned by ``ReuseState`` alone. The ones updated in place
+are never returned to a caller; o mode's layer outputs and distributions,
+which it hands out and later returns again, are read-only.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
 ``replay_reuse`` decides slots from frozen drift scores by the same two
@@ -33,6 +44,7 @@ rules (``gate``, then ``drift.below_threshold``) and only counts them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +62,7 @@ from .model import (
     ModelConfig,
     ModelWeights,
     attention_rows,
+    block_matmul,
     mlp,
     unembed,
 )
@@ -66,7 +79,8 @@ class ReuseDecision:
     """Outcome of one (layer, step) slot.
 
     ``reused`` and ``refreshed`` are disjoint index arrays whose union is
-    all B positions. ``eligible`` records whether the gate allowed reuse at
+    all rows of the step: the B positions of a block, or every row of a
+    stack of blocks. ``eligible`` records whether the gate allowed reuse at
     this slot at all; ``staleness_l2`` is the norm of the layer's staleness
     row after the step. One is built per layer step; with slots its
     constructor sets each field through a slot, not an instance dict,
@@ -102,6 +116,10 @@ class ReuseDecision:
 class ReuseState:
     """Single-owner mutable state of one generation (one block at a time).
 
+    The state may instead hold a stack of ``n_blocks`` blocks run in
+    lockstep: every array below then stacks the blocks' rows, block by
+    block, and the staleness matrix has n_blocks * B columns.
+
     Caches are per layer; entries are None until the layer has run once.
     ``prev_q_head0`` holds the last step's head-0 queries and
     ``prev_o_pre`` the pre-W_O attention output, in every mode. ``prev_k``
@@ -115,8 +133,8 @@ class ReuseState:
     ``prev_probs``, the pair (top layer output, distributions computed from
     it) of the last step that ran the unembedding.
 
-    ``all_rows`` is the read-only index array 0..B-1 that decisions
-    refreshing or reusing every row share.
+    ``all_rows`` is the read-only index array over all rows that
+    decisions refreshing or reusing every row share.
     """
 
     config: ModelConfig
@@ -124,6 +142,7 @@ class ReuseState:
     tau_layer: tuple
     skip_first_layers: int = 0
     refresh_interval: int = 1
+    n_blocks: int = 1
     prev_q_head0: list = field(init=False)
     prev_k: list = field(init=False)
     prev_v: list = field(init=False)
@@ -137,15 +156,15 @@ class ReuseState:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.refresh_interval < 1:
-            raise ConfigError("refresh_interval must be >= 1")
-        if self.skip_first_layers < 0:
-            raise ConfigError("skip_first_layers must be >= 0")
+        check_gate_settings(self.skip_first_layers, self.refresh_interval)
+        if self.n_blocks < 1:
+            raise ConfigError("n_blocks must be >= 1")
         if len(self.tau_layer) != self.config.L:
             raise DimensionError(
                 f"tau_layer has {len(self.tau_layer)} entries for "
                 f"{self.config.L} layers")
-        self.all_rows = np.arange(self.config.B, dtype=np.int64)
+        self.all_rows = np.arange(self.n_blocks * self.config.B,
+                                  dtype=np.int64)
         self.all_rows.flags.writeable = False
         self.reset_block()
 
@@ -159,11 +178,61 @@ class ReuseState:
         self.prev_in = [None] * L
         self.prev_out = [None] * L
         self.prev_probs = (None, None)
-        self.delta = np.zeros((L, self.config.B), dtype=np.int64)
+        self.delta = np.zeros((L, self.n_blocks * self.config.B),
+                              dtype=np.int64)
 
     def staleness_l2(self) -> float:
         """Euclidean norm of the whole staleness matrix."""
         return staleness_norm(self.delta)
+
+    def block_staleness(self):
+        """(matrices, norms): per block of the stack, a copy of its L x B
+        staleness matrix, and that matrix's Euclidean norm with the bits of
+        ``staleness_l2`` on a one-block state."""
+        L, B = self.config.L, self.config.B
+        per_block = self.delta.reshape(L, self.n_blocks, B).transpose(
+            1, 0, 2).copy()
+        # Integer sums of squares are exact, and so is their conversion to
+        # float below 2**53; sqrt rounds correctly in both.
+        norms = np.sqrt((per_block * per_block).sum(axis=(1, 2)))
+        return list(per_block), norms
+
+    def block_decisions(self, decisions) -> list:
+        """Per block of the stack, the per-layer decisions of the step just
+        run, as a one-block run of that block makes them.
+
+        A row was reused exactly where its staleness counter is now
+        positive (``_age_staleness``), so each block's index sets and
+        norm are read from the staleness matrix after the step.
+        """
+        n, B = self.n_blocks, self.config.B
+        if n == 1:
+            return [list(decisions)]
+        rows = self.all_rows[:B]
+        per_block = [[] for _ in range(n)]
+        for dec in decisions:
+            ell, t, eligible = dec.layer, dec.step, dec.eligible
+            if not dec.reused.size:
+                for out in per_block:
+                    out.append(ReuseDecision(
+                        layer=ell, step=t, reused=_NO_ROWS, refreshed=rows,
+                        eligible=eligible, staleness_l2=0.0))
+                continue
+            delta = self.delta[ell].reshape(n, B)
+            reused = delta > 0
+            ends = reused.sum(axis=1).cumsum().tolist()
+            reused_at = reused.nonzero()[1]
+            refreshed_at = (~reused).nonzero()[1]
+            norms = np.sqrt((delta * delta).sum(axis=1)).tolist()
+            lo = 0
+            for j, out in enumerate(per_block):
+                hi = ends[j]
+                out.append(ReuseDecision(
+                    layer=ell, step=t, reused=reused_at[lo:hi],
+                    refreshed=refreshed_at[j * B - lo:(j + 1) * B - hi],
+                    eligible=eligible, staleness_l2=norms[j]))
+                lo = hi
+        return per_block
 
 
 def staleness_norm(delta: np.ndarray) -> float:
@@ -175,6 +244,14 @@ def staleness_norm(delta: np.ndarray) -> float:
     2**53.
     """
     return math.sqrt(np.vdot(delta, delta))
+
+
+def check_gate_settings(skip_first_layers: int, refresh_interval: int) -> None:
+    """Raise ConfigError unless the two gate settings are in range."""
+    if refresh_interval < 1:
+        raise ConfigError("refresh_interval must be >= 1")
+    if skip_first_layers < 0:
+        raise ConfigError("skip_first_layers must be >= 0")
 
 
 def gate(layer: int, step: int, skip_first_layers: int,
@@ -269,6 +346,8 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     """
     cfg = state.config
     mode = state.mode
+    n = state.n_blocks
+    matmul = block_matmul(n)
     if t > 0 and mode != "full" and state.prev_k[ell] is None:
         raise StateError(
             f"no cached activations for layer {ell} at step {t}; "
@@ -278,7 +357,7 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     if eligible and mode == "o" and ell and _input_unchanged(state, x_t, ell):
         reused = state.all_rows
     else:
-        q = x_t @ lw.w_q
+        q = matmul(x_t, lw.w_q)
         q0 = q[:, :cfg.d // cfg.H]
         reused = (reuse_set(q0, state.prev_q_head0[ell], state.tau_layer[ell])
                   if eligible else _NO_ROWS)
@@ -293,9 +372,9 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
             return state.prev_out[ell], decision
 
     if not reused.size:
-        k = x_t @ lw.w_k
-        v = x_t @ lw.w_v
-        o_pre = attention_rows(q, k, v, cfg.H)
+        k = matmul(x_t, lw.w_k)
+        v = matmul(x_t, lw.w_v)
+        o_pre = attention_rows(q, k, v, cfg.H, n)
     elif mode == "kv":
         # Only refreshed rows are projected, into the cache in place. A
         # one-row product goes through gemv, whose bits differ from the
@@ -305,33 +384,73 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
         # OpenBLAS 0.3.31 (Haswell kernels) for d <= 384 and for d from
         # 768 to 2048, the sizes checked; for d from 448 to 640, products
         # of 2-4 rows differed from them in the last bits. o mode's skips
-        # reuse whole matrices and take no row-subset product.
+        # reuse whole matrices and take no row-subset product. Rows are
+        # gathered with take, which copies what fancy indexing copies in
+        # less time at these sizes.
         k = state.prev_k[ell]
         v = state.prev_v[ell]
-        if refreshed.size == 1:
-            i = refreshed[0]
-            x_r = x_t[[i, (i + 1) % cfg.B]]
-            k[i] = (x_r @ lw.w_k)[0]
-            v[i] = (x_r @ lw.w_v)[0]
-        elif refreshed.size:
-            x_r = x_t[refreshed]
-            k[refreshed] = x_r @ lw.w_k
-            v[refreshed] = x_r @ lw.w_v
-        o_pre = attention_rows(q, k, v, cfg.H)
+        for count, rows in _refresh_groups(refreshed, n, cfg.B):
+            matmul_m = block_matmul(len(rows) // count)
+            if count == 1:
+                pairs = _row_pairs(len(x_t), cfg.B).take(rows, axis=0)
+                x_r = x_t.take(pairs.ravel(), axis=0)
+                k[rows] = matmul_m(x_r, lw.w_k)[::2]
+                v[rows] = matmul_m(x_r, lw.w_v)[::2]
+            else:
+                x_r = x_t.take(rows, axis=0)
+                k[rows] = matmul_m(x_r, lw.w_k)
+                v[rows] = matmul_m(x_r, lw.w_v)
+        o_pre = attention_rows(q, k, v, cfg.H, n)
     else:
-        k = x_t @ lw.w_k
-        v = x_t @ lw.w_v
+        k = matmul(x_t, lw.w_k)
+        v = matmul(x_t, lw.w_v)
         o_pre = state.prev_o_pre[ell]
-        o_pre[refreshed] = attention_rows(q[refreshed], k, v, cfg.H)
+        for count, rows in _refresh_groups(refreshed, n, cfg.B):
+            m = len(rows) // count
+            k_m, v_m = k, v
+            if m < n:
+                kv_rows = _block_rows(rows[::count] // cfg.B, cfg.B)
+                k_m, v_m = k.take(kv_rows, axis=0), v.take(kv_rows, axis=0)
+            o_pre[rows] = attention_rows(q.take(rows, axis=0), k_m, v_m,
+                                         cfg.H, m)
 
     state.prev_k[ell] = k
     state.prev_v[ell] = v
     state.prev_o_pre[ell] = o_pre
-    h = mlp(lw, o_pre @ lw.w_o, cfg.activation)
+    h = mlp(lw, matmul(o_pre, lw.w_o), cfg.activation, matmul)
     if mode == "o":
         h.flags.writeable = False
         state.prev_out[ell] = h
     return h, decision
+
+
+def _block_rows(blocks: np.ndarray, B: int) -> np.ndarray:
+    """The row indices of the given blocks of B rows, block by block."""
+    return (blocks[:, None] * B + np.arange(B)).ravel()
+
+
+@functools.lru_cache
+def _row_pairs(n_rows: int, B: int) -> np.ndarray:
+    """Each of n_rows rows, blocks of B, paired with the next row of its
+    block, i + 1 mod B: a read-only (n_rows, 2) index array."""
+    rows = np.arange(n_rows, dtype=np.int64)
+    pairs = np.stack((rows, rows - rows % B + (rows + 1) % B), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _refresh_groups(refreshed: np.ndarray, n: int, B: int):
+    """The refreshed rows of a stack of n blocks of B rows, grouped by how
+    many rows each block refreshes: (count, rows) per count > 0, each
+    group's rows block by block, so that one product per block over a
+    group's rows has the shape a one-block step gives it."""
+    if n == 1:
+        return ((len(refreshed), refreshed),) if refreshed.size else ()
+    block = refreshed // B
+    counts = np.bincount(block, minlength=n)[block]
+    # A set, not np.unique, which imports numpy.ma (about 1.2 MB).
+    return [(count, refreshed[counts == count])
+            for count in sorted(set(counts.tolist()))]
 
 
 # One entry per mode, all one function: the benchmark wraps each mode's entry.
@@ -352,8 +471,9 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
         bench replay score them).
     """
     cfg = state.config
-    if x.shape != (cfg.B, cfg.d):
-        raise DimensionError(f"input shape {x.shape} != ({cfg.B}, {cfg.d})")
+    rows = state.n_blocks * cfg.B
+    if x.shape != (rows, cfg.d):
+        raise DimensionError(f"input shape {x.shape} != ({rows}, {cfg.d})")
     step_fn = _LAYER_STEPS[state.mode]
     cur = x
     decisions = []
@@ -364,18 +484,21 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
         q_head0.append(state.prev_q_head0[ell])
     top, probs = state.prev_probs
     if cur is not top:
-        probs = unembed(weights, cur)
+        probs = unembed(weights, cur, block_matmul(state.n_blocks))
         if state.mode == "o":
             probs.flags.writeable = False
             state.prev_probs = (cur, probs)
     return probs, decisions, q_head0
 
 
-def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:
-    if x.shape != (config.B, config.d):
+def _check_forward_input(config: ModelConfig, x: np.ndarray) -> int:
+    """The number of blocks ``x`` stacks, once its shape and row norms
+    are checked."""
+    if x.ndim != 2 or x.shape[1] != config.d or not x.shape[0] \
+            or x.shape[0] % config.B:
         raise DimensionError(
-            f"input shape {x.shape} != ({config.B}, {config.d})"
-        )
+            f"input shape {x.shape} is not a stack of ({config.B}, "
+            f"{config.d}) blocks")
     target = math.sqrt(config.d)
     # The arithmetic of np.linalg.norm(x, axis=1) and np.allclose(norms,
     # target, rtol=1e-9, atol=1e-9) without their wrappers' overhead; a
@@ -385,6 +508,7 @@ def _check_forward_input(config: ModelConfig, x: np.ndarray) -> None:
         raise DegenerateInputError(
             "input rows must be normalized to norm sqrt(d)"
         )
+    return x.shape[0] // config.B
 
 
 def forward_full(weights: ModelWeights, x: np.ndarray):
@@ -393,17 +517,19 @@ def forward_full(weights: ModelWeights, x: np.ndarray):
 
     Args:
         weights: model parameters.
-        x: B x d input with rows normalized to norm sqrt(d).
+        x: B x d input with rows normalized to norm sqrt(d), or a stack of
+            such blocks (n * B rows), each of which gets the bits of its
+            own pass.
 
     Returns:
-        (probs, state): probs is B x n_vocab with rows summing to 1; the
-        state's per-layer caches hold this pass's head-0 queries
+        (probs, state): probs has one row per input row, each summing to
+        1; the state's per-layer caches hold this pass's head-0 queries
         (``prev_q_head0``), K, V and pre-W_O attention output.
     """
     config = weights.config
-    _check_forward_input(config, x)
+    n_blocks = _check_forward_input(config, x)
     state = ReuseState(config=config, mode="full",
-                       tau_layer=(None,) * config.L)
+                       tau_layer=(None,) * config.L, n_blocks=n_blocks)
     probs, _, _ = model_step(weights, state, x, 0)
     return probs, state
 
@@ -446,6 +572,7 @@ def replay_reuse(scores, tau_layer, skip_first_layers: int,
     tau, so the reused count is too; live reruns would instead change the
     scores themselves.
     """
+    check_gate_settings(skip_first_layers, refresh_interval)
     reused = eligible = 0
     for t, step in enumerate(scores):
         for ell, tau in enumerate(tau_layer):

@@ -11,14 +11,18 @@ fully resolved.
 a reuse-free reference branch in lockstep, resampling every position each
 step through a maximal coupling so the two token strings agree wherever
 the two distributions overlap. The recorded per-step gaps are what the
-bound harness checks. Each step couples the whole block in one call to
-``couple_rows``, which validates both distribution matrices and finds the
-bitwise-equal rows in one vectorized pass, then makes, row by row, the
-draws ``maximal_coupling_sample`` would make for each pair. A reference
-pass at the reuse branch's input runs only on steps where some layer
-reused a row: on the other steps every layer took the full-mode path on
-the same input, so the reuse branch's distribution is the reference one
-bit for bit. Acceptance criterion 01 and
+bound harness checks. Given several seeds it runs one trial per seed, all
+in lockstep: each step is one ``model_step`` over the stack of the
+trials' blocks, and every trial gets the bits of its own one-seed run.
+Each step couples every block in one call to ``couple_blocks``, which
+validates both distribution matrices and finds the bitwise-equal rows in
+one vectorized pass, then makes, block by block from that trial's own
+generator, the draws ``maximal_coupling_sample`` would make for each pair
+(one batched draw for a block whose pairs are all equal). A reference
+pass at the reuse branch's input runs only for blocks where some layer
+reused a row: for the others every layer took the full-mode path on the
+same input, so the reuse branch's distribution is the reference one bit
+for bit. Acceptance criterion 01 and
 ``test_model_step_full_matches_forward_full`` check that identity.
 """
 
@@ -35,7 +39,13 @@ from .errors import ConfigError, DegenerateInputError, DimensionError
 # imported only because perfbench's span tracer wraps it by this module's
 # name; drop it when perfbench gains a span for embed_ids.
 from .model import ModelWeights, embed_ids, embed_tokens  # noqa: F401
-from .reuse import ReuseState, _check_forward_input, forward_full, model_step
+from .reuse import (
+    ReuseState,
+    _block_rows,
+    _check_forward_input,
+    forward_full,
+    model_step,
+)
 
 _DIST_ATOL = 1e-9
 
@@ -147,7 +157,7 @@ def _check_rows(P):
         raise DegenerateInputError(
             "input rows are not normalized probability vectors")
     cdf = np.cumsum(a, axis=1)
-    if not all(abs(t - 1.0) <= _DIST_ATOL for t in cdf[:, -1].tolist()):
+    if not (np.abs(cdf[:, -1] - 1.0) <= _DIST_ATOL).all():
         raise DegenerateInputError(
             "input rows are not normalized probability vectors")
     return a, cdf
@@ -212,44 +222,63 @@ def maximal_coupling_sample(p, q, rng):
     return _couple(pa, qa, overlap, float(overlap.sum()), rng)
 
 
-def couple_rows(P, Q, rng):
-    """One maximal-coupling draw per row pair (P[i], Q[i]).
+def couple_blocks(P, Q, rngs):
+    """One maximal-coupling draw per row pair (P[i], Q[i]), for a stack of
+    len(rngs) equal blocks of rows, each block drawing from its own
+    generator.
 
-    Returns (j, jhat), two int64 vectors. The draws, and the state ``rng``
-    is left in, are those of calling ``maximal_coupling_sample(P[i], Q[i],
-    rng)`` for i in row order: the checks, the equality test and the
-    overlaps are batched, and the row reductions they use add in the 1-D
-    order. When every row pair is bitwise equal, one draw per row is made
-    in a batch, as ``_sample_candidates`` does.
+    Returns (j, jhat), two int64 vectors. The draws of block b, and the
+    state ``rngs[b]`` is left in, are those of calling
+    ``maximal_coupling_sample(P[i], Q[i], rngs[b])`` for the block's rows
+    i in order. The checks, the equality test and the overlaps are batched
+    over the whole stack, and the row reductions they use add in the 1-D
+    order. A block whose row pairs are all bitwise equal makes one
+    ``random(B)`` call on its generator, and the draws of all such blocks
+    are made in one batch, as ``_sample_candidates`` makes its draws.
 
     Raises:
         DegenerateInputError: if a row has a negative or NaN entry, or does
             not sum to 1 within 1e-9.
-        DimensionError: if P and Q are not non-empty matrices of one shape.
+        DimensionError: if P and Q are not non-empty matrices of one shape,
+            or their rows do not split into len(rngs) blocks.
     """
     P, cdf_p = _check_rows(P)
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape != P.shape:
         _check_rows(Q)  # bad values in Q outrank the shape, as for one pair
         raise DimensionError("P and Q must share a shape")
+    n = len(rngs)
+    if not n or len(P) % n:
+        raise DimensionError(f"{len(P)} rows do not split into {n} blocks")
+    B = len(P) // n
     equal = (P == Q).all(axis=1)
-    if equal.all():
-        # Q is P bit for bit, so Q passed P's check. rng.random(n)
-        # continues the stream as n scalar calls would, and counting
-        # cdf <= u is bisect_right on a nondecreasing CDF.
-        u = rng.random(len(P)) * cdf_p[:, -1]
-        j = np.minimum((cdf_p <= u[:, None]).sum(axis=1), P.shape[1] - 1)
-        return j, j.copy()
-    _check_rows(Q)
-    overlap = np.minimum(P, Q)
-    alpha = overlap.sum(axis=1).tolist()
     j = np.empty(len(P), dtype=np.int64)
     jhat = np.empty(len(P), dtype=np.int64)
-    for i, same in enumerate(equal.tolist()):
-        if same:
-            j[i] = jhat[i] = _draw(cdf_p[i].tolist(), rng)
-        else:
-            j[i], jhat[i] = _couple(P[i], Q[i], overlap[i], alpha[i], rng)
+    block_equal = equal.reshape(n, B).all(axis=1).tolist()
+    if not all(block_equal):
+        # Rows equal to P passed P's check; the rest are checked here.
+        _check_rows(Q)
+        overlap = np.minimum(P, Q)
+        alpha = overlap.sum(axis=1).tolist()
+        same = equal.tolist()
+    draws = []
+    for b, rng in enumerate(rngs):
+        if block_equal[b]:
+            # rng.random(B) continues the stream as B scalar calls would.
+            draws.append(rng.random(B))
+            continue
+        for i in range(b * B, (b + 1) * B):
+            if same[i]:
+                j[i] = jhat[i] = _draw(cdf_p[i].tolist(), rng)
+            else:
+                j[i], jhat[i] = _couple(P[i], Q[i], overlap[i], alpha[i], rng)
+    if draws:
+        # Counting cdf <= u is bisect_right on a nondecreasing CDF.
+        rows = _block_rows(np.flatnonzero(block_equal), B)
+        cdf = cdf_p[rows]
+        u = np.concatenate(draws) * cdf[:, -1]
+        j[rows] = jhat[rows] = np.minimum((cdf <= u[:, None]).sum(axis=1),
+                                          P.shape[1] - 1)
     return j, jhat
 
 
@@ -396,7 +425,8 @@ class CoupledPair:
 def coupled_generate(weights: ModelWeights, config: SamplerConfig,
                      drift_profile, mode: str, *,
                      skip_first_layers: int = 0,
-                     refresh_interval: int = 2) -> CoupledPair:
+                     refresh_interval: int = 2,
+                     seeds=None):
     """Run the reference and reuse branches coupled step by step.
 
     Both branches start from the all-mask block and resample every position
@@ -412,6 +442,13 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     nothing ran the full-mode computation, so its distribution is the
     reference one exactly and its gap is 0; the input-norm check of
     ``forward_full`` still runs on it.
+
+    With ``seeds``, one trial per seed (``config.seed`` is not used) runs
+    in lockstep and a list of CoupledPair is returned, each the pair a
+    one-seed run at that seed returns, bit for bit: every step is one
+    ``model_step`` over the stack of the trials' blocks, the reference
+    passes run as one ``forward_full`` over the blocks that need them, and
+    each trial draws from its own generator (``couple_blocks``).
     """
     cfg = weights.config
     if mode not in ("kv", "o"):
@@ -419,52 +456,77 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     if config.gen_length != cfg.B or config.block_size != cfg.B:
         raise ConfigError("coupled runs cover exactly one block")
     tau_layer = _resolve_taus(drift_profile, cfg.L, mode)
+    trial_seeds = [config.seed] if seeds is None else list(seeds)
+    n = len(trial_seeds)
+    if not n:
+        raise ConfigError("coupled runs need at least one seed")
     state = ReuseState(config=cfg, mode=mode, tau_layer=tau_layer,
                        skip_first_layers=skip_first_layers,
-                       refresh_interval=refresh_interval)
-    rng = np.random.default_rng(config.seed)
+                       refresh_interval=refresh_interval, n_blocks=n)
+    rngs = [np.random.default_rng(seed) for seed in trial_seeds]
     T = config.steps_per_block
     B = cfg.B
-    x_tokens = _mask_ids(weights, B)
+    x_tokens = _mask_ids(weights, n * B)
     xhat_tokens = x_tokens.copy()
 
-    embed_err = np.zeros(T + 1)
-    l1_gap = np.zeros(T)
-    delta_l2 = np.zeros(T)
-    deltas = []
-    decisions_flat = []
+    embed_err = np.zeros((n, T + 1))
+    l1_gap = np.zeros((n, T))
+    delta_l2 = np.zeros((n, T))
+    deltas = [[] for _ in range(n)]
+    decisions = [[] for _ in range(n)]
 
     for t in range(T):
         x_hat = embed_ids(weights, xhat_tokens)
-        p_hat, decisions, _ = model_step(weights, state, x_hat, t)
-        if any(d.reused.size for d in decisions):
-            p_ref, _ = forward_full(weights, x_hat)
-        else:
-            # Every layer recomputed every row, which is the full pass on
-            # this input: p_hat is the reference distribution bit for bit.
+        p_hat, step_decisions, _ = model_step(weights, state, x_hat, t)
+        per_block_delta, delta_l2[:, t] = state.block_staleness()
+        for out, delta in zip(deltas, per_block_delta):
+            out.append(delta)
+        for out, block in zip(decisions,
+                              state.block_decisions(step_decisions)):
+            out.extend(block)
+        # A block with no stale row reused nothing this step: every layer
+        # recomputed every row, which is the full pass on its input, so
+        # p_hat is its reference distribution bit for bit.
+        reused = delta_l2[:, t] > 0
+        if not reused.all():
             _check_forward_input(cfg, x_hat)
-            p_ref = p_hat
-        if (x_tokens == xhat_tokens).all():
-            p_full = p_ref
-        else:
-            p_full, _ = forward_full(weights, embed_ids(weights, x_tokens))
-        l1_gap[t] = float(np.abs(p_ref - p_hat).sum())
-        delta_l2[t] = state.staleness_l2()
-        deltas.append(state.delta.copy())
-        decisions_flat.extend(decisions)
-        x_tokens, xhat_tokens = couple_rows(p_full, p_hat, rng)
-        if (x_tokens == xhat_tokens).all():
-            embed_err[t + 1] = 0.0
-        else:
+        p_ref = _replace_blocks(p_hat, reused, lambda rows: forward_full(
+            weights, x_hat[rows])[0])
+        differ = (x_tokens != xhat_tokens).reshape(n, B).any(axis=1)
+        p_full = _replace_blocks(p_ref, differ, lambda rows: forward_full(
+            weights, embed_ids(weights, x_tokens[rows]))[0])
+        # One sum per block over its B * n_vocab entries, in the order of
+        # the one-block run's sum over the whole matrix; 0 where p_ref is
+        # p_hat.
+        l1_gap[:, t] = np.abs(p_ref - p_hat).reshape(n, -1).sum(axis=1)
+        x_tokens, xhat_tokens = couple_blocks(p_full, p_hat, rngs)
+        if (x_tokens != xhat_tokens).any():
+            # 0 for a block whose two strings agree: its rows are equal.
             diff = embed_ids(weights, x_tokens) \
                 - embed_ids(weights, xhat_tokens)
-            embed_err[t + 1] = float(np.linalg.norm(diff, axis=1).sum())
-    return CoupledPair(
-        full_tokens=x_tokens,
-        reuse_tokens=xhat_tokens,
-        per_step_embed_error=embed_err,
-        per_step_l1_gap=l1_gap,
-        per_step_delta_l2=delta_l2,
-        per_step_delta=deltas,
-        decisions=decisions_flat,
-    )
+            embed_err[:, t + 1] = np.linalg.norm(diff, axis=1).reshape(
+                n, B).sum(axis=1)
+    pairs = [CoupledPair(
+        full_tokens=x_tokens[k * B:(k + 1) * B],
+        reuse_tokens=xhat_tokens[k * B:(k + 1) * B],
+        per_step_embed_error=embed_err[k],
+        per_step_l1_gap=l1_gap[k],
+        per_step_delta_l2=delta_l2[k],
+        per_step_delta=deltas[k],
+        decisions=decisions[k],
+    ) for k in range(n)]
+    return pairs[0] if seeds is None else pairs
+
+
+def _replace_blocks(p: np.ndarray, blocks: np.ndarray, compute):
+    """``p`` with the rows of the marked blocks (a bool per block) replaced
+    by ``compute(rows)``, which gets their row indices; ``p`` itself when
+    no block is marked, and what ``compute`` returns when every one is."""
+    if not blocks.any():
+        return p
+    rows = _block_rows(np.flatnonzero(blocks), len(p) // len(blocks))
+    if len(rows) == len(p):
+        return compute(rows)
+    out = p.copy()
+    out[rows] = compute(rows)
+    return out

@@ -8,6 +8,9 @@ can open between the exact and the reusing model at the same input; and
 ``e_{t+1} = G * e_t + b_t``. ``verify_run`` replays coupled generation runs
 and counts how often any measured error exceeds its bound (the expected
 count is zero; a violation means an implementation bug, not a tight run).
+It runs all of its trials in one lockstep ``coupled_generate`` call, whose
+trials have the bits of one-seed runs, so the report is that of running
+them one after another.
 """
 
 from __future__ import annotations
@@ -338,9 +341,10 @@ def verify_run(
     driven by the trial-averaged per-step bounds, (c) softmax contraction on
     SOFTMAX_CHECK_PAIRS random logit pairs, checked in one batched
     ``softmax_lipschitz_gap`` pass. Trials use independent seeds derived
-    from the run seed, so the report is reproducible. Each per-step bound
-    is a ``kv_step_bound`` or ``o_step_bound`` call; the bound constants
-    are taken once per model and shared with every later call on the same
+    from the run seed, so the report is reproducible; they run in lockstep
+    through one ``coupled_generate`` call. Each per-step bound is a
+    ``kv_step_bound`` or ``o_step_bound`` call; the bound constants are
+    taken once per model and shared with every later call on the same
     weights. A NaN bound, per step or cumulative, is a violation.
 
     ``debug_zero_bounds`` replaces G and every per-step bound with zero; a
@@ -363,16 +367,16 @@ def verify_run(
     embed_errors = np.zeros((trials, T + 1))
     violations = 0
 
-    for k in range(trials):
-        trial_config = dataclasses.replace(run_config, seed=int(trial_seeds[k]))
-        pair = coupled_generate(
-            weights,
-            trial_config,
-            drift_profile,
-            mode,
-            skip_first_layers=skip_first_layers,
-            refresh_interval=refresh_interval,
-        )
+    pairs = coupled_generate(
+        weights,
+        run_config,
+        drift_profile,
+        mode,
+        skip_first_layers=skip_first_layers,
+        refresh_interval=refresh_interval,
+        seeds=[int(seed) for seed in trial_seeds],
+    )
+    for k, pair in enumerate(pairs):
         for t in range(T):
             if mode == "kv":
                 b = kv_step_bound(weights, tau, pair.per_step_delta_l2[t])

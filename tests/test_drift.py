@@ -22,7 +22,12 @@ from reuselab.drift import (
     row_drift,
     trajectory_drifts,
 )
-from reuselab.errors import DegenerateInputError, DimensionError, FormatError
+from reuselab.errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+)
 from reuselab.model import ModelConfig, embed_tokens, init_weights
 
 
@@ -503,6 +508,22 @@ def test_drift_profile_per_layer_lists_must_match(over):
 def test_drift_profile_that_is_not_an_object_is_a_format_error(text):
     with pytest.raises(FormatError):
         DriftProfile.from_json(text)
+
+
+@pytest.mark.parametrize("tau", [-1.0, -0.5, float("nan"), "0.5", True])
+def test_drift_profile_built_in_code_applies_the_threshold_rule(tau):
+    # The rule from_json applies to stored thresholds holds for a profile
+    # built in code too; there it is a ConfigError.
+    with pytest.raises(ConfigError):
+        DriftProfile(s_layer=(0.1, 0.8), phi_layer=(0.45, 0.15),
+                     tau_layer=(0.02, tau), phi_bar=0.3, epsilon=1.0)
+
+
+def test_drift_profile_built_in_code_accepts_valid_thresholds():
+    taus = (None, 0, 0.0, 0.5, float("inf"), np.float64(0.25))
+    profile = DriftProfile(s_layer=(0.0,) * 6, phi_layer=(0.0,) * 6,
+                           tau_layer=taus, phi_bar=0.5, epsilon=1.0)
+    assert profile.tau_layer == taus
 
 
 def test_drift_profile_accepts_disabled_zero_and_integer_thresholds():

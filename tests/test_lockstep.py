@@ -1,0 +1,243 @@
+"""Tests for lockstep trials: a stack of n blocks run through one forward
+pass gives every block the bits of that block run alone.
+
+``coupled_generate`` with ``seeds`` runs its trials as one stack, and
+``verify_run`` makes one such call for all of its trials. The bits guards
+below check the two numpy rules the stack relies on, at every shape the
+tests here reach, so that on a BLAS that breaks them a guard fails by name
+before a digest moves.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from reuselab import reuse, sampler, theory
+from reuselab.cli import RunConfig
+from reuselab.drift import DriftProfile
+from reuselab.errors import ConfigError, DimensionError
+from reuselab.model import (
+    ModelConfig,
+    attention_rows,
+    block_matmul,
+    embed_tokens,
+    init_weights,
+)
+from reuselab.reuse import forward_full
+from reuselab.sampler import SamplerConfig, couple_blocks, coupled_generate
+
+# The golden coupled models, the benchmark's mid-model and the largest
+# model the tests run (d_int 512).
+LOCKSTEP_MODELS = {
+    "default": RunConfig.default().model,
+    "l2h2-gelu": ModelConfig(L=2, H=2, d=8, d_int=16, n_vocab=32, B=4,
+                             activation="gelu", seed=3),
+    "l4h2-d64": ModelConfig(L=4, H=2, d=64, d_int=128, n_vocab=32, B=32,
+                            seed=1),
+    "l2h4-d256": ModelConfig(L=2, H=4, d=256, d_int=512, n_vocab=32, B=16,
+                             seed=2),
+}
+TAUS = (0.0, 0.05, 0.5)
+REFRESH = (1, 2, 3)
+STACKS = (1, 2, 25)
+STEPS = 8
+# A stack of MAX_BLOCKS trials splits into sub-stacks of any size up to it
+# (the blocks that need a reference pass, the blocks that refresh one
+# number of rows).
+MAX_BLOCKS = max(STACKS)
+
+
+def flat_profile(tau, L):
+    return DriftProfile(s_layer=(0.0,) * L, phi_layer=(1.0,) * L,
+                        tau_layer=(tau,) * L, phi_bar=1.0, epsilon=1.0)
+
+
+def sampler_config(cfg, seed=0):
+    return SamplerConfig(gen_length=cfg.B, block_size=cfg.B,
+                         steps_per_block=STEPS,
+                         tokens_unmasked_per_step=-(-cfg.B // STEPS),
+                         temperature=1.0, seed=seed)
+
+
+def pair_fields(pair) -> list:
+    """Every CoupledPair field, decisions included, as comparable bits."""
+    arrays = [pair.full_tokens, pair.reuse_tokens,
+              pair.per_step_embed_error, pair.per_step_l1_gap,
+              pair.per_step_delta_l2, *pair.per_step_delta]
+    out = [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes())
+           for a in arrays]
+    for d in pair.decisions:
+        out.append((d.layer, d.step, d.eligible,
+                    d.reused.dtype.str, d.reused.tobytes(),
+                    d.refreshed.dtype.str, d.refreshed.tobytes(),
+                    np.float64(d.staleness_l2).tobytes()))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# bits guards
+# ---------------------------------------------------------------------------
+
+def model_matrices(cfg):
+    """Every right-hand side a forward pass multiplies rows by: the four
+    d x d projections share one shape, so W_Q stands for them."""
+    w = init_weights(cfg)
+    lw = w.layers[0]
+    return {"w_q": lw.w_q, "w_u": lw.w_u, "w_d": lw.w_d, "emb.T": w.emb.T}
+
+
+@pytest.mark.parametrize("model, matrix", [
+    (model, matrix) for model in LOCKSTEP_MODELS
+    for matrix in ("w_q", "w_u", "w_d", "emb.T")])
+def test_per_block_products_keep_each_blocks_bits(model, matrix):
+    # Per block a product takes B rows (a whole block) or 2 to B - 1 (a kv
+    # splice, or the two-row product a one-row splice takes); one row,
+    # which no product here takes, is checked as well.
+    cfg = LOCKSTEP_MODELS[model]
+    w = model_matrices(cfg)[matrix]
+    gen = np.random.default_rng(7)
+    for rows in range(1, cfg.B + 1):
+        x = gen.normal(size=(MAX_BLOCKS * rows, w.shape[0]))
+        want = np.concatenate([x[j * rows:(j + 1) * rows] @ w
+                               for j in range(MAX_BLOCKS)])
+        for n in range(2, MAX_BLOCKS + 1):
+            got = block_matmul(n)(x[:n * rows], w)
+            assert np.array_equal(got, want[:n * rows]), (
+                f"per-block {matrix} product differs from the block's own "
+                f"at k={w.shape[0]}, rows={rows}, n={n}")
+
+
+@pytest.mark.parametrize("model", sorted(LOCKSTEP_MODELS))
+def test_stacked_attention_keeps_each_blocks_bits(model):
+    # Query rows per block from 1 (the stacked product of one-row blocks
+    # runs gemv per block, as a one-row block does) to B.
+    cfg = LOCKSTEP_MODELS[model]
+    gen = np.random.default_rng(11)
+    k = gen.normal(size=(MAX_BLOCKS * cfg.B, cfg.d))
+    v = gen.normal(size=(MAX_BLOCKS * cfg.B, cfg.d))
+    for rows in range(1, cfg.B + 1):
+        q = gen.normal(size=(MAX_BLOCKS * rows, cfg.d))
+        want = np.concatenate([
+            attention_rows(q[j * rows:(j + 1) * rows],
+                           k[j * cfg.B:(j + 1) * cfg.B],
+                           v[j * cfg.B:(j + 1) * cfg.B], cfg.H)
+            for j in range(MAX_BLOCKS)])
+        for n in range(2, MAX_BLOCKS + 1):
+            got = attention_rows(q[:n * rows], k[:n * cfg.B],
+                                 v[:n * cfg.B], cfg.H, n)
+            assert np.array_equal(got, want[:n * rows]), (
+                f"stacked attention differs from the block's own at "
+                f"H={cfg.H}, d={cfg.d}, rows={rows}, B={cfg.B}, n={n}")
+
+
+# ---------------------------------------------------------------------------
+# stacks against one-block runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", sorted(LOCKSTEP_MODELS))
+def test_forward_full_on_a_stack_keeps_each_blocks_bits(model):
+    cfg = LOCKSTEP_MODELS[model]
+    w = init_weights(cfg)
+    gen = np.random.default_rng(3)
+    blocks = [embed_tokens(w, gen.integers(cfg.n_vocab, size=cfg.B))
+              for _ in range(3)]
+    probs, state = forward_full(w, np.concatenate(blocks))
+    assert state.n_blocks == 3
+    for j, x in enumerate(blocks):
+        want, one = forward_full(w, x)
+        rows = slice(j * cfg.B, (j + 1) * cfg.B)
+        assert np.array_equal(probs[rows], want)
+        for ell in range(cfg.L):
+            for cache in ("prev_q_head0", "prev_k", "prev_v", "prev_o_pre"):
+                assert np.array_equal(getattr(state, cache)[ell][rows],
+                                      getattr(one, cache)[ell])
+
+
+@pytest.mark.parametrize("model, mode", [
+    (model, mode) for model in LOCKSTEP_MODELS for mode in ("kv", "o")])
+def test_lockstep_trials_match_one_trial_runs(model, mode):
+    cfg = LOCKSTEP_MODELS[model]
+    w = init_weights(cfg)
+    seeds = [int(s) for s in
+             np.random.SeedSequence(29).generate_state(MAX_BLOCKS)]
+    for tau, refresh in itertools.product(TAUS, REFRESH):
+        profile = flat_profile(tau, cfg.L)
+        one = [pair_fields(coupled_generate(
+                   w, sampler_config(cfg, seed), profile, mode,
+                   refresh_interval=refresh))
+               for seed in seeds]
+        for n in STACKS:
+            pairs = coupled_generate(w, sampler_config(cfg), profile, mode,
+                                     refresh_interval=refresh,
+                                     seeds=seeds[:n])
+            assert len(pairs) == n
+            for k, pair in enumerate(pairs):
+                assert pair_fields(pair) == one[k], (
+                    f"trial {k} of {n} differs from its one-trial run at "
+                    f"tau={tau}, refresh={refresh}")
+
+
+def test_coupled_generate_needs_a_seed():
+    cfg = LOCKSTEP_MODELS["default"]
+    w = init_weights(cfg)
+    with pytest.raises(ConfigError):
+        coupled_generate(w, sampler_config(cfg), flat_profile(0.05, cfg.L),
+                         "kv", seeds=[])
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_verify_run_steps_its_trials_together(mode, monkeypatch):
+    # One reuse step per step, and at most two reference passes (at the
+    # reuse branch's input, and at the reference branch's own): 3T
+    # model_step calls for all 25 trials, reference passes included.
+    calls = []
+    model_step = reuse.model_step
+
+    def counted(*args):
+        calls.append(args[1].n_blocks)
+        return model_step(*args)
+
+    monkeypatch.setattr(reuse, "model_step", counted)
+    monkeypatch.setattr(sampler, "model_step", counted)
+    cfg = LOCKSTEP_MODELS["default"]
+    w = init_weights(cfg)
+    report = theory.verify_run(w, sampler_config(cfg, 4),
+                               flat_profile(0.05, cfg.L), mode, 25)
+    assert report.violations == 0
+    assert STEPS <= len(calls) <= 3 * STEPS
+    assert calls.count(25) >= STEPS
+
+
+# ---------------------------------------------------------------------------
+# coupling a stack
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kinds", ["equal", "mixed", "differ"])
+def test_couple_blocks_matches_one_block_coupling(kinds):
+    # Each block draws from its own generator as a one-block call does on
+    # the block alone, and leaves it in the same state.
+    gen = np.random.default_rng(13)
+    n, B, V = 6, 4, 9
+    P = gen.random((n * B, V)) + 1e-3
+    P /= P.sum(axis=1, keepdims=True)
+    Q = P.copy()
+    if kinds != "equal":
+        changed = [1, 4] if kinds == "mixed" else range(n)
+        for b in changed:
+            Q[b * B + 2] = np.roll(Q[b * B + 2], 1)
+    rngs = [np.random.default_rng(s) for s in range(n)]
+    alone = [np.random.default_rng(s) for s in range(n)]
+    j, jhat = couple_blocks(P, Q, rngs)
+    for b in range(n):
+        rows = slice(b * B, (b + 1) * B)
+        want_j, want_jhat = couple_blocks(P[rows], Q[rows], [alone[b]])
+        assert j[rows].tolist() == want_j.tolist()
+        assert jhat[rows].tolist() == want_jhat.tolist()
+        assert rngs[b].bit_generator.state == alone[b].bit_generator.state
+
+
+def test_couple_blocks_needs_whole_blocks():
+    P = np.full((5, 2), 0.5)
+    with pytest.raises(DimensionError):
+        couple_blocks(P, P, [np.random.default_rng(0)] * 2)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reuselab import reuse, sampler
+from reuselab.cli import ReuseSettings
 from reuselab.drift import DriftProfile, reuse_set, row_drift
 from reuselab.errors import ConfigError, DimensionError, StateError
 from reuselab.model import (
@@ -924,6 +925,21 @@ def test_counterfactual_respects_sentinel_and_inf():
     # A refresh interval of 2 forces a full recompute at step 2.
     assert replayed_per_step(scores, (1.0,), 0, 2) == [0, 1, 0]
     assert replay_reuse(scores, (1.0,), 0, 2) == (1, 1)
+
+
+@pytest.mark.parametrize("skip, refresh", [(0, 0), (0, -1), (-1, 2)])
+def test_gate_settings_are_checked_alike(skip, refresh):
+    # A refresh interval of 0 used to reach gate's step % 0 in the replay.
+    cfg, _ = make_model()
+    scores = [None, [np.array([0.0, 0.0, 0.0])]]
+    with pytest.raises(ConfigError):
+        replay_reuse(scores, (0.5,), skip, refresh)
+    with pytest.raises(ConfigError):
+        ReuseState(config=cfg, mode="kv", tau_layer=(0.5,),
+                   skip_first_layers=skip, refresh_interval=refresh)
+    with pytest.raises(ConfigError):
+        ReuseSettings(mode="kv", skip_first_layers=skip,
+                      refresh_interval=refresh)
 
 
 def test_counterfactual_at_infinite_tau_matches_live_gate():

@@ -19,7 +19,7 @@ from reuselab.sampler import (
     CoupledPair,
     SamplerConfig,
     _sample_candidates,
-    couple_rows,
+    couple_blocks,
     coupled_generate,
     diffusion_generate,
     maximal_coupling_sample,
@@ -180,6 +180,11 @@ def test_coupling_draw_stream_is_pinned():
 # ---------------------------------------------------------------------------
 # block coupling
 # ---------------------------------------------------------------------------
+
+def couple_rows(P, Q, rng):
+    """couple_blocks on one block drawing from ``rng``."""
+    return couple_blocks(P, Q, [rng])
+
 
 def looped_coupling(P, Q, rng):
     """The reference for couple_rows: one maximal_coupling_sample per row
