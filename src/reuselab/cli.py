@@ -37,6 +37,7 @@ from .analysis import (
 from .drift import (
     DriftProfile,
     allocate_quantiles,
+    is_threshold,
     layerwise_drift,
     quantile_threshold,
     trajectory_drifts,
@@ -74,8 +75,8 @@ class DriftSettings:
     tau_override: float | None = None
 
     def __post_init__(self) -> None:
-        # Negated so that NaN, for which every comparison is False, fails.
-        if self.tau_override is not None and not self.tau_override >= 0.0:
+        if self.tau_override is not None \
+                and not is_threshold(self.tau_override):
             raise ConfigError(
                 f"tau_override must be a number >= 0, got {self.tau_override!r}")
 
@@ -502,11 +503,11 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
         reuse_fraction = (total_reused / (eligible * cfg.B)
                           if eligible else 0.0)
         saved_fraction = per_token_saving * total_reused / full_flops
-        pair = coupled_generate(
+        run = coupled_generate(
             weights, _one_block(config), profile, mode,
             skip_first_layers=config.reuse.skip_first_layers,
             refresh_interval=config.reuse.refresh_interval)
-        mean_error = float(pair.per_step_l1_gap.mean())
+        mean_error = float(run.per_step_l1_gap[0].mean())
         rows.append((repr(float(phi_bar)), repr(reuse_fraction),
                      repr(saved_fraction), repr(mean_error)))
 

@@ -62,7 +62,7 @@ class DriftProfile:
 
     def __post_init__(self) -> None:
         for t in self.tau_layer:
-            if t is not None and not _is_threshold(t):
+            if t is not None and not is_threshold(t):
                 raise ConfigError(
                     f"threshold {t!r} is neither None nor a number >= 0")
 
@@ -115,7 +115,7 @@ class DriftProfile:
         )
 
 
-def _is_threshold(t) -> bool:
+def is_threshold(t) -> bool:
     """The threshold rule: a real number (not a bool) >= 0. NaN fails the
     comparison, as it fails every one."""
     return (isinstance(t, numbers.Real) and not isinstance(t, bool)
@@ -126,7 +126,7 @@ def _parse_threshold(t):
     """A stored threshold: None for the disabled sentinel, else a float."""
     if t == DISABLED:
         return None
-    if not _is_threshold(t):
+    if not is_threshold(t):
         raise FormatError(
             f"threshold {t!r} is neither {DISABLED!r} nor a number >= 0")
     return float(t)

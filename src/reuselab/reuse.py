@@ -27,8 +27,10 @@ A state, and every step on it, may hold a stack of n blocks (n * B rows,
 block by block) that run in lockstep, as the coupled trials of a bound
 check do. Every product runs per block (``model.block_matmul``), and a row
 subset is multiplied per block at the shape a one-block step gives it, so
-each block's rows, caches and decisions have the bits of that block run
-alone (``ReuseState.block_decisions`` splits the decisions). The o-mode
+each block's rows, caches and staleness counters have the bits of that
+block run alone. A stacked step's decisions cover all rows of the stack;
+a block's own decisions are read from its columns of the staleness
+matrix, whose counters are > 0 exactly on the reused rows. The o-mode
 skips above fire on a stack only when they fire for every block in it: a
 block computed where its own run would skip gets the skipped result bit
 for bit.
@@ -184,55 +186,6 @@ class ReuseState:
     def staleness_l2(self) -> float:
         """Euclidean norm of the whole staleness matrix."""
         return staleness_norm(self.delta)
-
-    def block_staleness(self):
-        """(matrices, norms): per block of the stack, a copy of its L x B
-        staleness matrix, and that matrix's Euclidean norm with the bits of
-        ``staleness_l2`` on a one-block state."""
-        L, B = self.config.L, self.config.B
-        per_block = self.delta.reshape(L, self.n_blocks, B).transpose(
-            1, 0, 2).copy()
-        # Integer sums of squares are exact, and so is their conversion to
-        # float below 2**53; sqrt rounds correctly in both.
-        norms = np.sqrt((per_block * per_block).sum(axis=(1, 2)))
-        return list(per_block), norms
-
-    def block_decisions(self, decisions) -> list:
-        """Per block of the stack, the per-layer decisions of the step just
-        run, as a one-block run of that block makes them.
-
-        A row was reused exactly where its staleness counter is now
-        positive (``_age_staleness``), so each block's index sets and
-        norm are read from the staleness matrix after the step.
-        """
-        n, B = self.n_blocks, self.config.B
-        if n == 1:
-            return [list(decisions)]
-        rows = self.all_rows[:B]
-        per_block = [[] for _ in range(n)]
-        for dec in decisions:
-            ell, t, eligible = dec.layer, dec.step, dec.eligible
-            if not dec.reused.size:
-                for out in per_block:
-                    out.append(ReuseDecision(
-                        layer=ell, step=t, reused=_NO_ROWS, refreshed=rows,
-                        eligible=eligible, staleness_l2=0.0))
-                continue
-            delta = self.delta[ell].reshape(n, B)
-            reused = delta > 0
-            ends = reused.sum(axis=1).cumsum().tolist()
-            reused_at = reused.nonzero()[1]
-            refreshed_at = (~reused).nonzero()[1]
-            norms = np.sqrt((delta * delta).sum(axis=1)).tolist()
-            lo = 0
-            for j, out in enumerate(per_block):
-                hi = ends[j]
-                out.append(ReuseDecision(
-                    layer=ell, step=t, reused=reused_at[lo:hi],
-                    refreshed=refreshed_at[j * B - lo:(j + 1) * B - hi],
-                    eligible=eligible, staleness_l2=norms[j]))
-                lo = hi
-        return per_block
 
 
 def staleness_norm(delta: np.ndarray) -> float:

@@ -11,9 +11,11 @@ fully resolved.
 a reuse-free reference branch in lockstep, resampling every position each
 step through a maximal coupling so the two token strings agree wherever
 the two distributions overlap. The recorded per-step gaps are what the
-bound harness checks. Given several seeds it runs one trial per seed, all
-in lockstep: each step is one ``model_step`` over the stack of the
-trials' blocks, and every trial gets the bits of its own one-seed run.
+bound harness checks. It runs one trial per seed, all in lockstep: each
+step is one ``model_step`` over the stack of the trials' blocks, and
+every trial gets the bits of its own one-seed run. It returns one
+``CoupledRun`` whose arrays stack the trials on a leading axis; the
+per-step staleness matrices are the record of every reuse decision.
 Each step couples every block in one call to ``couple_blocks``, which
 validates both distribution matrices and finds the bitwise-equal rows in
 one vectorized pass, then makes, block by block from that trial's own
@@ -403,30 +405,35 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
 
 
 @dataclass
-class CoupledPair:
-    """Lockstep full/reuse run measurements over one block of T steps.
+class CoupledRun:
+    """Lockstep full/reuse measurements of n trials over one block of T
+    steps, stacked: every field has a leading trial axis.
 
-    Index conventions: per_step_embed_error[t] compares the two branches'
-    input embeddings at step t (entry 0 is the shared all-mask start,
-    entry T the final strings); the other arrays are indexed by the step
-    that produced them (0..T-1), with staleness taken after the step's
-    reuse decisions.
+    Index conventions: per_step_embed_error[k, t] compares trial k's two
+    branches' input embeddings at step t (entry 0 is the shared all-mask
+    start, entry T the final strings); the other step arrays are indexed
+    by the step that produced them (0..T-1), with staleness taken after
+    the step's reuse decisions.
+
+    per_step_delta[k, t] is trial k's L x B staleness matrix after step t,
+    and it records every reuse decision: layer ell reused a row at step t
+    exactly where its counter is > 0, refreshed the rows whose counter is
+    0, and was eligible where ``reuse.gate`` opens the (ell, t) slot.
     """
 
-    full_tokens: np.ndarray
-    reuse_tokens: np.ndarray
-    per_step_embed_error: np.ndarray   # length T + 1
-    per_step_l1_gap: np.ndarray        # length T
-    per_step_delta_l2: np.ndarray      # length T
-    per_step_delta: list               # length T, each an L x B int matrix
-    decisions: list                    # flat ReuseDecision list
+    full_tokens: np.ndarray            # (n, B)
+    reuse_tokens: np.ndarray           # (n, B)
+    per_step_embed_error: np.ndarray   # (n, T + 1)
+    per_step_l1_gap: np.ndarray        # (n, T)
+    per_step_delta_l2: np.ndarray      # (n, T)
+    per_step_delta: np.ndarray         # (n, T, L, B) int64
 
 
 def coupled_generate(weights: ModelWeights, config: SamplerConfig,
                      drift_profile, mode: str, *,
                      skip_first_layers: int = 0,
                      refresh_interval: int = 2,
-                     seeds=None):
+                     seeds=None) -> CoupledRun:
     """Run the reference and reuse branches coupled step by step.
 
     Both branches start from the all-mask block and resample every position
@@ -443,10 +450,10 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     reference one exactly and its gap is 0; the input-norm check of
     ``forward_full`` still runs on it.
 
-    With ``seeds``, one trial per seed (``config.seed`` is not used) runs
-    in lockstep and a list of CoupledPair is returned, each the pair a
-    one-seed run at that seed returns, bit for bit: every step is one
-    ``model_step`` over the stack of the trials' blocks, the reference
+    One trial runs per seed of ``seeds``, or one at ``config.seed`` when
+    ``seeds`` is None. Trial k of the returned run has the bits of a
+    one-trial run at its seed: the trials run in lockstep, every step is
+    one ``model_step`` over the stack of the trials' blocks, the reference
     passes run as one ``forward_full`` over the blocks that need them, and
     each trial draws from its own generator (``couple_blocks``).
     """
@@ -465,29 +472,22 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
                        refresh_interval=refresh_interval, n_blocks=n)
     rngs = [np.random.default_rng(seed) for seed in trial_seeds]
     T = config.steps_per_block
-    B = cfg.B
+    L, B = cfg.L, cfg.B
     x_tokens = _mask_ids(weights, n * B)
     xhat_tokens = x_tokens.copy()
 
     embed_err = np.zeros((n, T + 1))
     l1_gap = np.zeros((n, T))
-    delta_l2 = np.zeros((n, T))
-    deltas = [[] for _ in range(n)]
-    decisions = [[] for _ in range(n)]
+    delta = np.zeros((n, T, L, B), dtype=np.int64)
 
     for t in range(T):
         x_hat = embed_ids(weights, xhat_tokens)
-        p_hat, step_decisions, _ = model_step(weights, state, x_hat, t)
-        per_block_delta, delta_l2[:, t] = state.block_staleness()
-        for out, delta in zip(deltas, per_block_delta):
-            out.append(delta)
-        for out, block in zip(decisions,
-                              state.block_decisions(step_decisions)):
-            out.extend(block)
+        p_hat, _, _ = model_step(weights, state, x_hat, t)
+        delta[:, t] = state.delta.reshape(L, n, B).transpose(1, 0, 2)
         # A block with no stale row reused nothing this step: every layer
         # recomputed every row, which is the full pass on its input, so
         # p_hat is its reference distribution bit for bit.
-        reused = delta_l2[:, t] > 0
+        reused = delta[:, t].any(axis=(1, 2))
         if not reused.all():
             _check_forward_input(cfg, x_hat)
         p_ref = _replace_blocks(p_hat, reused, lambda rows: forward_full(
@@ -506,16 +506,18 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
                 - embed_ids(weights, xhat_tokens)
             embed_err[:, t + 1] = np.linalg.norm(diff, axis=1).reshape(
                 n, B).sum(axis=1)
-    pairs = [CoupledPair(
-        full_tokens=x_tokens[k * B:(k + 1) * B],
-        reuse_tokens=xhat_tokens[k * B:(k + 1) * B],
-        per_step_embed_error=embed_err[k],
-        per_step_l1_gap=l1_gap[k],
-        per_step_delta_l2=delta_l2[k],
-        per_step_delta=deltas[k],
-        decisions=decisions[k],
-    ) for k in range(n)]
-    return pairs[0] if seeds is None else pairs
+    # Integer sums of squares are exact, and so is their conversion to
+    # float below 2**53; sqrt rounds correctly, so each norm has the bits
+    # of ``reuse.staleness_norm`` on that trial's matrix.
+    delta_l2 = np.sqrt((delta * delta).sum(axis=(2, 3)))
+    return CoupledRun(
+        full_tokens=x_tokens.reshape(n, B),
+        reuse_tokens=xhat_tokens.reshape(n, B),
+        per_step_embed_error=embed_err,
+        per_step_l1_gap=l1_gap,
+        per_step_delta_l2=delta_l2,
+        per_step_delta=delta,
+    )
 
 
 def _replace_blocks(p: np.ndarray, blocks: np.ndarray, compute):

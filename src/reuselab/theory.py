@@ -10,7 +10,8 @@ and counts how often any measured error exceeds its bound (the expected
 count is zero; a violation means an implementation bug, not a tight run).
 It runs all of its trials in one lockstep ``coupled_generate`` call, whose
 trials have the bits of one-seed runs, so the report is that of running
-them one after another.
+them one after another; the gaps, embedding errors and staleness come
+straight from the returned ``CoupledRun``, one row per trial.
 """
 
 from __future__ import annotations
@@ -360,14 +361,8 @@ def verify_run(
         raise ConfigError("verify_run needs a drift profile matching the model")
     tau = drift_profile.tau_layer[0]
 
-    T = run_config.steps_per_block
     trial_seeds = np.random.SeedSequence(run_config.seed).generate_state(trials)
-    bounds = np.zeros((trials, T))
-    gaps = np.zeros((trials, T))
-    embed_errors = np.zeros((trials, T + 1))
-    violations = 0
-
-    pairs = coupled_generate(
+    run = coupled_generate(
         weights,
         run_config,
         drift_profile,
@@ -376,29 +371,23 @@ def verify_run(
         refresh_interval=refresh_interval,
         seeds=[int(seed) for seed in trial_seeds],
     )
-    for k, pair in enumerate(pairs):
-        for t in range(T):
-            if mode == "kv":
-                b = kv_step_bound(weights, tau, pair.per_step_delta_l2[t])
-            else:
-                b = o_step_bound(weights, tau, pair.per_step_delta[t][0])
-            if debug_zero_bounds:
-                b = 0.0
-            bounds[k, t] = b
-            gaps[k, t] = pair.per_step_l1_gap[t]
-            if not gaps[k, t] <= b:
-                violations += 1
-        embed_errors[k] = pair.per_step_embed_error
+    step_bound, staleness = ((kv_step_bound, run.per_step_delta_l2)
+                             if mode == "kv" else
+                             (o_step_bound, run.per_step_delta[:, :, 0]))
+    bounds = np.array([[step_bound(weights, tau, s) for s in trial]
+                       for trial in staleness])
+    if debug_zero_bounds:
+        bounds[:] = 0.0
 
     mean_bounds = bounds.mean(axis=0)
-    mean_gaps = gaps.mean(axis=0)
-    mean_embed = embed_errors.mean(axis=0)
+    mean_gaps = run.per_step_l1_gap.mean(axis=0)
+    mean_embed = run.per_step_embed_error.mean(axis=0)
     constants = _model_bounds(weights)
     G = 0.0 if debug_zero_bounds else constants.G
     series = cumulative_series(G, mean_bounds)
-    for t in range(T + 1):
-        if not mean_embed[t] <= series[t]:
-            violations += 1
+    # Negated so that a NaN bound counts.
+    violations = int((~(run.per_step_l1_gap <= bounds)).sum()
+                     + (~(mean_embed <= series)).sum())
 
     l1, linf = _softmax_gaps(_softmax_check_logits(trial_seeds[0]))
     violations += int((l1 > linf + SOFTMAX_CHECK_SLACK).sum())

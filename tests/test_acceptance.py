@@ -20,8 +20,8 @@ from reuselab.model import ModelConfig, init_weights
 from reuselab.reuse import reuse_accounting
 from reuselab.sampler import (
     SamplerConfig,
+    couple_blocks,
     diffusion_generate,
-    maximal_coupling_sample,
 )
 from reuselab.theory import (
     lipschitz_G,
@@ -111,14 +111,14 @@ def test_criterion_02_coupling_marginals_and_tv(verdict):
         p /= p.sum()
         q = rng.random(n) + 1e-3
         q /= q.sum()
-        counts_p = np.zeros(n)
-        counts_q = np.zeros(n)
-        disagreements = 0
-        for _ in range(draws):
-            j, j_hat = maximal_coupling_sample(p, q, rng)
-            counts_p[j] += 1
-            counts_q[j_hat] += 1
-            disagreements += int(j != j_hat)
+        # The coupling the coupled sampler runs, on one block of `draws`
+        # rows of the pair: the draws of `draws` maximal_coupling_sample
+        # calls on the same generator.
+        j, j_hat = couple_blocks(np.tile(p, (draws, 1)),
+                                 np.tile(q, (draws, 1)), [rng])
+        counts_p = np.bincount(j, minlength=n)
+        counts_q = np.bincount(j_hat, minlength=n)
+        disagreements = int((j != j_hat).sum())
         worst_marginal = max(worst_marginal,
                              float(np.abs(counts_p / draws - p).sum()),
                              float(np.abs(counts_q / draws - q).sum()))

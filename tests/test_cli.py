@@ -21,7 +21,8 @@ import reuselab
 from reuselab import cli
 from reuselab.analysis import read_csv_with_metadata
 from reuselab.cli import RunConfig, main
-from reuselab.drift import allocate_quantiles, quantile_threshold
+from reuselab.drift import DriftProfile, allocate_quantiles, quantile_threshold
+from reuselab.errors import ConfigError
 from reuselab.model import ModelConfig, init_weights, load_weights, save_weights
 from reuselab.linalg import norm_2_to_inf
 
@@ -564,3 +565,14 @@ class TestConfigPlumbing:
         assert run("generate", "--config", "cfg.json") == 2
         assert "tau_override must be a number >= 0" in capsys.readouterr().err
         assert not Path("out/tokens.json").exists()
+
+    @pytest.mark.parametrize("tau", [True, "0.1"], ids=["bool", "str"])
+    def test_tau_override_takes_the_profile_threshold_rule(self, tau):
+        # Settings built in code take the one rule a profile's thresholds
+        # take (drift.is_threshold), which refuses a bool.
+        with pytest.raises(ConfigError,
+                           match="tau_override must be a number >= 0"):
+            cli.DriftSettings(tau_override=tau)
+        with pytest.raises(ConfigError):
+            DriftProfile(s_layer=(0.0,), phi_layer=(1.0,), tau_layer=(tau,),
+                         phi_bar=1.0, epsilon=1.0)

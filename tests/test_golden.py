@@ -4,11 +4,11 @@ Runs a fixed sequence of subcommands through ``main(argv)`` in a temp
 directory and pins, per command, its exit code, the sha256 of its standard
 output and the sha256 of every artifact it wrote or rewrote (wall-clock
 ``*.meta.json`` sidecars excepted). A second check pins, per model and
-reuse mode, one sha256 over every ``CoupledPair`` field of a grid of
-``coupled_generate`` runs, and a third one sha256 over the tokens, the
-distributions and the traces of a grid of ``diffusion_generate`` runs. A
-change that alters any of these outputs on purpose re-pins the values and
-says which ones changed.
+reuse mode, one sha256 over every ``CoupledRun`` field of a grid of
+``coupled_generate`` runs and the reuse decisions they record, and a
+third one sha256 over the tokens, the distributions and the traces of a
+grid of ``diffusion_generate`` runs. A change that alters any of these
+outputs on purpose re-pins the values and says which ones changed.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ from reuselab import sampler
 from reuselab.cli import RunConfig, main
 from reuselab.drift import DriftProfile
 from reuselab.model import ModelConfig, init_weights
+from reuselab.reuse import gate, staleness_norm
 from reuselab.sampler import SamplerConfig, coupled_generate
 
 L2_GELU = {
@@ -232,8 +233,29 @@ COUPLED_REFRESH = (1, 2, 3)
 COUPLED_TEMPERATURES = (0.0, 1.0)
 
 
+def coupled_decisions(run, refresh: int):
+    """The reuse decisions of a one-trial run with no skipped layer, step
+    by step and layer by layer, as (layer, step, eligible, reused,
+    refreshed, staleness_l2).
+
+    The staleness matrix after a step records every decision of the step:
+    a layer reused a row exactly where the row's counter is > 0 and
+    refreshed the rows whose counter is 0; the staleness norm is the norm
+    of the layer's counters; and the slot was eligible where ``reuse.gate``
+    opens it.
+    """
+    T, L = run.per_step_delta.shape[1:3]
+    for t in range(T):
+        for ell in range(L):
+            row = run.per_step_delta[0, t, ell]
+            yield (ell, t, gate(ell, t, 0, refresh),
+                   np.flatnonzero(row > 0), np.flatnonzero(row == 0),
+                   staleness_norm(row))
+
+
 def coupled_digest(model: str, mode: str) -> str:
-    """sha256 over every CoupledPair field of the grid's runs, in order."""
+    """sha256 over every CoupledRun field of the grid's one-trial runs and
+    every decision they record, in order."""
     cfg = COUPLED_MODELS[model]
     weights = init_weights(cfg)
     h = hashlib.sha256()
@@ -247,16 +269,15 @@ def coupled_digest(model: str, mode: str) -> str:
                 sc = SamplerConfig(gen_length=cfg.B, block_size=cfg.B,
                                    steps_per_block=8, temperature=temperature,
                                    seed=17)
-                pair = coupled_generate(weights, sc, profile, mode,
-                                        refresh_interval=refresh)
-                parts = [pair.full_tokens, pair.reuse_tokens,
-                         pair.per_step_embed_error, pair.per_step_l1_gap,
-                         pair.per_step_delta_l2, *pair.per_step_delta]
-                for dec in pair.decisions:
-                    parts += [np.array([dec.layer, dec.step, dec.eligible]),
-                              dec.reused.astype(np.int64),
-                              dec.refreshed.astype(np.int64),
-                              np.float64(dec.staleness_l2)]
+                run = coupled_generate(weights, sc, profile, mode,
+                                       refresh_interval=refresh)
+                parts = [run.full_tokens[0], run.reuse_tokens[0],
+                         run.per_step_embed_error[0], run.per_step_l1_gap[0],
+                         run.per_step_delta_l2[0], run.per_step_delta[0]]
+                for ell, t, eligible, reused, refreshed, norm in \
+                        coupled_decisions(run, refresh):
+                    parts += [np.array([ell, t, eligible]), reused,
+                              refreshed, np.float64(norm)]
                 for a in parts:
                     h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()

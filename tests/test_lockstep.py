@@ -60,18 +60,29 @@ def sampler_config(cfg, seed=0):
                          temperature=1.0, seed=seed)
 
 
-def pair_fields(pair) -> list:
-    """Every CoupledPair field, decisions included, as comparable bits."""
-    arrays = [pair.full_tokens, pair.reuse_tokens,
-              pair.per_step_embed_error, pair.per_step_l1_gap,
-              pair.per_step_delta_l2, *pair.per_step_delta]
+def trial_fields(run, k: int, refresh: int) -> list:
+    """Trial k's slice of every CoupledRun field, and its decisions, as
+    comparable bits.
+
+    The decisions are read from the staleness matrices as a run records
+    them: after step t, layer ell reused a row exactly where the row's
+    counter is > 0, refreshed the rows whose counter is 0, had the norm of
+    its counters as its staleness, and was eligible where ``reuse.gate``
+    opens the slot (no layer is skipped here).
+    """
+    arrays = [run.full_tokens[k], run.reuse_tokens[k],
+              run.per_step_embed_error[k], run.per_step_l1_gap[k],
+              run.per_step_delta_l2[k], run.per_step_delta[k]]
     out = [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes())
            for a in arrays]
-    for d in pair.decisions:
-        out.append((d.layer, d.step, d.eligible,
-                    d.reused.dtype.str, d.reused.tobytes(),
-                    d.refreshed.dtype.str, d.refreshed.tobytes(),
-                    np.float64(d.staleness_l2).tobytes()))
+    T, L = run.per_step_delta.shape[1:3]
+    for t in range(T):
+        for ell in range(L):
+            row = run.per_step_delta[k, t, ell]
+            out.append((ell, t, reuse.gate(ell, t, 0, refresh),
+                        np.flatnonzero(row > 0).tobytes(),
+                        np.flatnonzero(row == 0).tobytes(),
+                        np.float64(reuse.staleness_norm(row)).tobytes()))
     return out
 
 
@@ -163,19 +174,48 @@ def test_lockstep_trials_match_one_trial_runs(model, mode):
              np.random.SeedSequence(29).generate_state(MAX_BLOCKS)]
     for tau, refresh in itertools.product(TAUS, REFRESH):
         profile = flat_profile(tau, cfg.L)
-        one = [pair_fields(coupled_generate(
+        one = [trial_fields(coupled_generate(
                    w, sampler_config(cfg, seed), profile, mode,
-                   refresh_interval=refresh))
+                   refresh_interval=refresh), 0, refresh)
                for seed in seeds]
         for n in STACKS:
-            pairs = coupled_generate(w, sampler_config(cfg), profile, mode,
-                                     refresh_interval=refresh,
-                                     seeds=seeds[:n])
-            assert len(pairs) == n
-            for k, pair in enumerate(pairs):
-                assert pair_fields(pair) == one[k], (
+            run = coupled_generate(w, sampler_config(cfg), profile, mode,
+                                   refresh_interval=refresh,
+                                   seeds=seeds[:n])
+            for k in range(n):
+                assert trial_fields(run, k, refresh) == one[k], (
                     f"trial {k} of {n} differs from its one-trial run at "
                     f"tau={tau}, refresh={refresh}")
+
+
+RUN_FIELDS = ("full_tokens", "reuse_tokens", "per_step_embed_error",
+              "per_step_l1_gap", "per_step_delta_l2", "per_step_delta")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("model", ["default", "l2h2-gelu"])
+def test_coupled_run_stacks_its_trials(model, n):
+    # One run for any number of seeds, every field with a leading trial
+    # axis; without seeds it is the one-trial run at the config's seed.
+    cfg = LOCKSTEP_MODELS[model]
+    w = init_weights(cfg)
+    sc = sampler_config(cfg, seed=41)
+    profile = flat_profile(0.5, cfg.L)
+    run = coupled_generate(w, sc, profile, "kv", seeds=[41, 42, 43][:n])
+    assert isinstance(run, sampler.CoupledRun)
+    assert {name: getattr(run, name).shape for name in RUN_FIELDS} == {
+        "full_tokens": (n, cfg.B), "reuse_tokens": (n, cfg.B),
+        "per_step_embed_error": (n, STEPS + 1),
+        "per_step_l1_gap": (n, STEPS), "per_step_delta_l2": (n, STEPS),
+        "per_step_delta": (n, STEPS, cfg.L, cfg.B)}
+    assert run.per_step_delta.dtype == np.int64
+    assert run.per_step_delta.any(), "no row was reused"
+    alone = coupled_generate(w, sc, profile, "kv")
+    seeded = coupled_generate(w, sc, profile, "kv", seeds=[sc.seed])
+    for name in RUN_FIELDS:
+        a, b = getattr(alone, name), getattr(seeded, name)
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_coupled_generate_needs_a_seed():

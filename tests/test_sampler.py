@@ -16,7 +16,7 @@ from reuselab.drift import DriftProfile, drift_score, reuse_set
 from reuselab.errors import ConfigError, DegenerateInputError, DimensionError
 from reuselab.model import ModelConfig, init_weights
 from reuselab.sampler import (
-    CoupledPair,
+    CoupledRun,
     SamplerConfig,
     _sample_candidates,
     couple_blocks,
@@ -719,11 +719,12 @@ def test_coupled_disabled_reuse_is_lossless():
     cfg, w = make_model()
     sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=6,
                        tokens_unmasked_per_step=1, seed=3)
-    pair = coupled_generate(w, sc, disabled_profile(), "kv")
-    assert np.array_equal(pair.full_tokens, pair.reuse_tokens)
-    assert np.max(pair.per_step_embed_error) == 0.0
-    assert np.max(pair.per_step_l1_gap) == 0.0
-    assert np.max(pair.per_step_delta_l2) == 0.0
+    run = coupled_generate(w, sc, disabled_profile(), "kv")
+    assert np.array_equal(run.full_tokens, run.reuse_tokens)
+    assert np.max(run.per_step_embed_error) == 0.0
+    assert np.max(run.per_step_l1_gap) == 0.0
+    assert np.max(run.per_step_delta_l2) == 0.0
+    assert not run.per_step_delta.any()
 
 
 def test_coupled_forced_reuse_grows_staleness_linearly():
@@ -731,14 +732,14 @@ def test_coupled_forced_reuse_grows_staleness_linearly():
     T = 6
     sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=T,
                        tokens_unmasked_per_step=1, seed=9)
-    pair = coupled_generate(w, sc, flat_profile(2.0), "kv",
-                            refresh_interval=T + 1)
-    for t in range(1, T):
-        assert np.all(pair.per_step_delta[t] == t)
-    assert isinstance(pair, CoupledPair)
-    assert pair.per_step_embed_error.shape == (T + 1,)
-    assert pair.per_step_l1_gap.shape == (T,)
-    assert pair.per_step_embed_error[0] == 0.0
+    run = coupled_generate(w, sc, flat_profile(2.0), "kv",
+                           refresh_interval=T + 1)
+    for t in range(T):
+        assert np.all(run.per_step_delta[0, t] == t)
+    assert isinstance(run, CoupledRun)
+    assert run.per_step_embed_error.shape == (1, T + 1)
+    assert run.per_step_l1_gap.shape == (1, T)
+    assert run.per_step_embed_error[0, 0] == 0.0
 
 
 def test_coupled_run_validation():
@@ -753,16 +754,20 @@ def test_coupled_run_validation():
 
 
 def test_coupled_reuse_modes_record_decisions():
+    # One L x B staleness matrix per step records the step's decisions:
+    # rows reused there have counters > 0. Gated steps (even t at refresh
+    # interval 2) reuse nothing.
     cfg, w = make_model()
     sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=5,
                        tokens_unmasked_per_step=1, seed=21)
     for mode in ("kv", "o"):
-        pair = coupled_generate(w, sc, flat_profile(0.3), mode,
-                                refresh_interval=2)
-        assert len(pair.decisions) == 5
-        assert all(d.layer == 0 for d in pair.decisions)
-        assert np.all(pair.per_step_embed_error >= 0.0)
-        assert np.all(pair.per_step_l1_gap >= 0.0)
+        run = coupled_generate(w, sc, flat_profile(0.3), mode,
+                               refresh_interval=2)
+        assert run.per_step_delta.shape == (1, 5, cfg.L, cfg.B)
+        assert not run.per_step_delta[0, ::2].any()
+        assert np.all(run.per_step_delta <= 1)
+        assert np.all(run.per_step_embed_error >= 0.0)
+        assert np.all(run.per_step_l1_gap >= 0.0)
 
 
 def test_decode_loops_check_the_mask_id_and_zero_rows():
@@ -811,11 +816,12 @@ def test_coupled_reference_pass_runs_only_after_reuse(mode, monkeypatch):
     coupled_generate(w, sc, disabled_profile(), mode)
     assert per_step == [0] * T
     per_step.clear()
-    pair = coupled_generate(w, sc, flat_profile(2.0), mode,
-                            refresh_interval=T + 1)
+    run = coupled_generate(w, sc, flat_profile(2.0), mode,
+                           refresh_interval=T + 1)
     assert len(per_step) == T and per_step[0] == 0
     assert all(n >= 1 for n in per_step[1:])
-    assert all(d.reused_count == cfg.B for d in pair.decisions[1:])
+    # Every row reused at every step after the first.
+    assert np.all(run.per_step_delta[0, 1:] > 0)
 
 
 def test_coupled_step_without_reuse_still_checks_its_input(monkeypatch):
