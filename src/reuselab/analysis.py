@@ -13,7 +13,6 @@ plotting.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -257,20 +256,6 @@ def write_csv_with_metadata(path, metadata: dict, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_csv_with_metadata(path) -> tuple[dict, list, list]:
-    """Inverse of write_csv_with_metadata: (metadata, header, rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise DegenerateInputError("missing JSON metadata line")
-    metadata = json.loads(lines[0][2:])
-    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
-    parsed = list(reader)
-    if not parsed:
-        raise DegenerateInputError("missing CSV header")
-    return metadata, parsed[0], parsed[1:]
 
 
 def similarity_csv(sim: SimilarityMatrix, path, **extra_metadata) -> None:

@@ -265,28 +265,31 @@ def cmd_init_model(config: RunConfig) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _calibration_traces(weights, sampler: SamplerConfig,
-                        prompts: int = CALIBRATION_PROMPTS):
-    """Full-mode generations from seeded random-token prompts.
+def _calibration_trace(weights, sampler: SamplerConfig,
+                       prompts: int = CALIBRATION_PROMPTS):
+    """One trace of full-mode generations from seeded random-token
+    prompts; its ``q_trajectories`` run prompt by prompt.
 
     Each prompt freezes random tokens over the first half of the sequence
     so calibration sees non-degenerate contexts; the model has no tokenizer,
-    so random token strings are the calibration corpus.
+    so random token strings are the calibration corpus. The prompts share
+    one prefix length and never hold the mask id, so every block masks as
+    many positions in each, and one ``diffusion_generate`` call decodes
+    them all in lockstep, each from its own seed.
     """
     cfg = weights.config
-    traces = []
+    prompt = np.full((prompts, sampler.gen_length), weights.mask_token,
+                     dtype=np.int64)
+    prefix = sampler.gen_length // 2
+    seeds = []
     for k in range(prompts):
         rng = np.random.default_rng([sampler.seed, k])
-        prompt = np.full(sampler.gen_length, weights.mask_token,
-                         dtype=np.int64)
-        prefix = sampler.gen_length // 2
         if prefix:
-            prompt[:prefix] = rng.integers(0, cfg.n_vocab - 1, prefix)
-        run = dataclasses.replace(sampler, seed=int(rng.integers(2 ** 31)))
-        _, trace = diffusion_generate(weights, run, None, "full",
-                                      initial_tokens=prompt)
-        traces.append(trace)
-    return traces
+            prompt[k, :prefix] = rng.integers(0, cfg.n_vocab - 1, prefix)
+        seeds.append(int(rng.integers(2 ** 31)))
+    _, trace = diffusion_generate(weights, sampler, None, "full",
+                                  initial_tokens=prompt, seeds=seeds)
+    return trace
 
 
 def _calibration_scores(weights, sampler: SamplerConfig,
@@ -297,9 +300,8 @@ def _calibration_scores(weights, sampler: SamplerConfig,
     Returns ``layerwise_drift``'s (s_layer, skipped_pairs, layer_scores);
     every reuse budget is then fitted from these by ``_budget_profile``.
     """
-    traces = _calibration_traces(weights, sampler, prompts)
-    return layerwise_drift([traj for trace in traces
-                            for traj in trace.q_trajectories()])
+    trace = _calibration_trace(weights, sampler, prompts)
+    return layerwise_drift(trace.q_trajectories())
 
 
 def _budget_profile(s_layer, skipped: int, layer_scores, phi_bar: float,
@@ -319,6 +321,8 @@ def _budget_profile(s_layer, skipped: int, layer_scores, phi_bar: float,
 
 
 def cmd_calibrate(config: RunConfig, prompts: int = CALIBRATION_PROMPTS) -> int:
+    if prompts < 1:
+        raise ConfigError(f"--prompts must be >= 1, got {prompts}")
     weights = _load_run_weights(config)
     s_layer, skipped, layer_scores = _calibration_scores(
         weights, config.sampler, prompts)

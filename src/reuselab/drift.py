@@ -150,7 +150,8 @@ def row_drift(cur, prev) -> np.ndarray:
     views the program passes (a strided row's dot, in ``drift_score``, can
     round differently); the entry is inf where either row is exactly zero
     (drift undefined). Rows whose plain norm would under- or overflow take
-    the scalar path.
+    the scalar path. Each entry depends on its own row pair only, so
+    stacking row pairs into one call keeps every entry's bits.
 
     The two matrices are stacked into one array of the kernel's own, which
     is normalized in place, and the clamp and the subtraction from 1 run in
@@ -193,6 +194,12 @@ def row_drift(cur, prev) -> np.ndarray:
 def trajectory_drifts(trajectory) -> list:
     """Drift of every consecutive step pair of one trajectory.
 
+    Each layer is scored in one ``row_drift`` call over all of its step
+    pairs: the layer's steps are stacked into one matrix, which is scored
+    against itself shifted by one step, and the result is split back per
+    step. ``row_drift`` is row-local, so every score has the bits of
+    scoring its pair alone.
+
     Args:
         trajectory: a list over timesteps of lists over layers of head-0
             query matrices (token rows).
@@ -203,14 +210,23 @@ def trajectory_drifts(trajectory) -> list:
         of fewer than two steps has no pairs.
 
     Raises:
-        DimensionError: two steps hold different numbers of layers.
+        DimensionError: two steps hold different numbers of layers, or a
+            layer's query matrices differ in shape between steps.
     """
-    drifts = []
-    for prev, cur in zip(trajectory, trajectory[1:]):
-        if len(cur) != len(prev):
-            raise DimensionError("inconsistent layer count in trace")
-        drifts.append([row_drift(c, p) for c, p in zip(cur, prev)])
-    return drifts
+    if len(trajectory) < 2:
+        return []
+    if len({len(step) for step in trajectory}) != 1:
+        raise DimensionError("inconsistent layer count in trace")
+    per_layer = []
+    for steps in zip(*trajectory):
+        shapes = {np.shape(q) for q in steps}
+        if len(shapes) != 1:
+            raise DimensionError(f"query shape mismatch: {sorted(shapes)}")
+        rows = len(steps[0])
+        stacked = np.concatenate(steps)
+        s = row_drift(stacked[rows:], stacked[:len(stacked) - rows])
+        per_layer.append(s.reshape(len(steps) - 1, rows))
+    return [list(step) for step in zip(*per_layer)]
 
 
 def layerwise_drift(calibration_traces):

@@ -5,7 +5,10 @@ block start masked, every denoising step samples candidates for all still
 masked positions in one batched draw (the same draws, bit for bit, as one
 inverse-CDF draw per position in position order), and the
 highest-confidence candidates are committed (unmasked) until the block is
-fully resolved.
+fully resolved. Given one seed per sequence, it decodes n sequences in
+lockstep, as calibration decodes its prompts: each step is one
+``model_step`` over the stack of their blocks, each sequence draws from
+its own generator, and each gets the bits of its own one-seed run.
 
 ``coupled_generate`` is the measurement loop: it evolves a reuse branch and
 a reuse-free reference branch in lockstep, resampling every position each
@@ -81,34 +84,42 @@ class SamplerConfig:
 
 @dataclass
 class StepRecord:
-    """Everything observed during one denoising step of one block."""
+    """Everything observed during one denoising step of one block; in a
+    lockstep run, of the n sequences' blocks, whose rows every array field
+    stacks block by block (n * B rows)."""
 
     block: int
     step: int
     input_tokens: np.ndarray          # block tokens fed to the model
     decisions: list                   # per-layer ReuseDecision
     q_head0: list                     # per-layer B x d_head query matrices
-    unmasked: np.ndarray              # positions committed this step
-    confidences: np.ndarray           # candidate confidence per position
+    unmasked: np.ndarray              # rows committed this step
+    confidences: np.ndarray           # candidate confidence per row
     staleness_l2: float
 
 
 @dataclass
 class GenerationTrace:
-    """Per-step record stream of one generation run."""
+    """Per-step record stream of one generation run of ``sequences``
+    sequences decoded in lockstep."""
 
     mode: str
     records: list = field(default_factory=list)
+    sequences: int = 1
 
     def decisions_flat(self):
         return [d for rec in self.records for d in rec.decisions]
 
     def q_trajectories(self):
-        """Per block, the per-step per-layer head-0 query matrices."""
+        """Per sequence, then per block, the per-step per-layer head-0
+        query matrices: each a slice of the record's stacked rows."""
         blocks = {}
         for rec in self.records:
             blocks.setdefault(rec.block, []).append(rec.q_head0)
-        return [blocks[b] for b in sorted(blocks)]
+        n = self.sequences
+        return [[[q[k * len(q) // n:(k + 1) * len(q) // n] for q in step]
+                 for step in blocks[b]]
+                for k in range(n) for b in sorted(blocks)]
 
     def jsonl_records(self):
         """Decision and unmask events as JSON-ready dicts, step ordered."""
@@ -284,16 +295,19 @@ def couple_blocks(P, Q, rngs):
     return j, jhat
 
 
-def _sample_candidates(p: np.ndarray, temperature: float, rng):
+def _sample_candidates(p: np.ndarray, temperature: float, *rngs):
     """Sample one token per row of p; returns (tokens, confidences), where
-    a confidence is the model probability of the sampled token.
+    a confidence is the model probability of the sampled token. The rows
+    split into len(rngs) equal groups, each drawing from its own
+    generator.
 
     temperature 0 is greedy (no randomness consumed); otherwise each row is
     reshaped as p^(1/temperature) in log space and drawn from by inverse
-    CDF with one ``rng.random`` value per row, in row order. Every step is
-    the row-wise form of one row's draw and gives the same bits:
-    ``rng.random(m)`` continues the stream as m scalar calls would, row
-    reductions and ``cumsum(axis=1)`` add in the 1-D order, and counting
+    CDF with one ``random`` value per row, in row order, from its group's
+    generator. Every step is the row-wise form of one row's draw and gives
+    the same bits: ``rng.random(m)`` continues the stream as m scalar
+    calls would, row reductions and ``cumsum(axis=1)`` add in the 1-D
+    order, and counting
     ``cdf <= u`` is ``bisect_right`` on a nondecreasing CDF. The division
     by the temperature is skipped at exactly 1.0, where it is exact, and
     the shift, exp and normalization run in place on the log array this
@@ -310,8 +324,9 @@ def _sample_candidates(p: np.ndarray, temperature: float, rng):
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(z, axis=1)
-    u = rng.random(p.shape[0]) * cdf[:, -1]
+    cdf = z.cumsum(axis=1)
+    m = p.shape[0] // len(rngs)
+    u = np.concatenate([rng.random(m) for rng in rngs]) * cdf[:, -1]
     tokens = np.minimum((cdf <= u[:, None]).sum(axis=1), p.shape[1] - 1)
     return tokens, p[rows, tokens]
 
@@ -343,57 +358,100 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                        drift_profile, mode: str, *,
                        skip_first_layers: int = 0,
                        refresh_interval: int = 2,
-                       initial_tokens=None):
+                       initial_tokens=None,
+                       seeds=None):
     """Blockwise confidence-top-k masked-diffusion decoding.
 
     Non-mask entries of ``initial_tokens`` act as a frozen prompt; masked
     entries are denoised. Each block stops early once fully unmasked, so
     the effective step count can be below steps_per_block.
 
+    One loop serves every n. Without ``seeds`` it decodes a stack of one
+    sequence at ``config.seed``: ``initial_tokens``, if given, and the
+    returned tokens have shape (gen_length,), and every record covers the
+    block's B rows. With
+    ``seeds``, one sequence per seed is decoded in lockstep: the prompts
+    and the tokens have shape (n, gen_length), the state is one stacked
+    ``ReuseState(n_blocks=n)``, every step is one ``model_step`` over the
+    n sequences' blocks, and every record field stacks their rows block by
+    block (n * B rows): ``unmasked`` holds row indices into the stack,
+    sequence by sequence, and the staleness norms and decisions cover all
+    rows. Each sequence draws from its own generator, one ``random(m)``
+    per step as its own run does, so sequence k's rows have the bits of a
+    one-seed run at ``seeds[k]``. Every block must mask as many positions
+    in every sequence, so that all of them finish on the same step.
+
     Returns:
-        (tokens, trace): the resolved token sequence and the step records.
+        (tokens, trace): the resolved token sequence(s) and the step
+        records.
+
+    Raises:
+        ConfigError: a block masks different numbers of positions in two
+            sequences, ``seeds`` is empty, or block_size is not the
+            model's B.
     """
     cfg = weights.config
-    if config.block_size != cfg.B:
+    B = cfg.B
+    if config.block_size != B:
         raise ConfigError(
-            f"block_size {config.block_size} != model block length {cfg.B}")
+            f"block_size {config.block_size} != model block length {B}")
     tau_layer = _resolve_taus(drift_profile, cfg.L, mode)
-    state = ReuseState(config=cfg, mode=mode, tau_layer=tau_layer,
-                       skip_first_layers=skip_first_layers,
-                       refresh_interval=refresh_interval)
-    rng = np.random.default_rng(config.seed)
-    tokens = _mask_ids(weights, config.gen_length)
+    run_seeds = [config.seed] if seeds is None else list(seeds)
+    n = len(run_seeds)
+    if not n:
+        raise ConfigError("decoding needs at least one seed")
+    shape = (n, config.gen_length)
+    tokens = _mask_ids(weights, n * config.gen_length).reshape(shape)
     if initial_tokens is not None:
         given = np.asarray(initial_tokens, dtype=np.int64)
-        if given.shape != tokens.shape:
-            raise DimensionError(
-                f"initial_tokens must have length {config.gen_length}")
+        want = shape if seeds is not None else shape[1:]
+        if given.shape != want:
+            raise DimensionError(f"initial_tokens must have shape {want}")
         if given.min() < 0 or given.max() >= cfg.n_vocab:
             raise DegenerateInputError("initial token out of range")
-        tokens = given.copy()
-    trace = GenerationTrace(mode=mode)
+        tokens = given.reshape(shape)
+    # Block-major copy: blocks[b] holds block b of every sequence, one
+    # after another, so blocks[b].reshape(-1) is a view of the n * B rows
+    # that a step decodes.
+    blocks = tokens.reshape(n, -1, B).swapaxes(0, 1).copy()
+    counts = (blocks == weights.mask_token).sum(axis=2)
+    if (counts != counts[:, :1]).any():
+        raise ConfigError("every sequence must mask as many positions "
+                          "in each block")
+    state = ReuseState(config=cfg, mode=mode, tau_layer=tau_layer,
+                       skip_first_layers=skip_first_layers,
+                       refresh_interval=refresh_interval, n_blocks=n)
+    rngs = [np.random.default_rng(seed) for seed in run_seeds]
+    per_step = config.tokens_unmasked_per_step
+    no_conf = np.full(n * B, -np.inf)
+    trace = GenerationTrace(mode=mode, sequences=n)
 
-    for b in range(config.gen_length // cfg.B):
+    # m is the number of rows each sequence still has masked in the block.
+    for b, m in enumerate(counts[:, 0].tolist()):
         state.reset_block()
-        lo = b * cfg.B
-        block = tokens[lo:lo + cfg.B]
+        block = blocks[b].reshape(-1)
         masked = block == weights.mask_token
         for t in range(config.steps_per_block):
-            if not masked.any():
+            if not m:
                 break
             x = embed_ids(weights, block)
             probs, decisions, q_head0 = model_step(weights, state, x, t)
             m_idx = masked.nonzero()[0]
             cand, m_conf = _sample_candidates(
-                probs[m_idx], config.temperature, rng)
-            top = np.argsort(-m_conf, kind="stable")[
-                :config.tokens_unmasked_per_step]
+                probs[m_idx], config.temperature, *rngs)
+            # Sequence k's masked rows are its own run's m_idx offset by
+            # its first row. A stable argsort gives one order, so row by
+            # row it orders each as its own run does. (The array method
+            # skips np.argsort's Python-level dispatch.)
+            top = (-m_conf.reshape(n, m)).argsort(kind="stable")
+            top = (top[:, :per_step] + np.arange(0, n * m, m)[:, None]).ravel()
             chosen = m_idx[top]
-            conf = np.full(cfg.B, -np.inf)
+            conf = no_conf.copy()
             conf[m_idx] = m_conf
             input_copy = block.copy()
             block[chosen] = cand[top]
             masked[chosen] = False
+            m -= len(chosen) // n
             # chosen and conf are new arrays of this step; the trace keeps
             # them as they are.
             trace.records.append(StepRecord(
@@ -401,7 +459,8 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                 decisions=decisions, q_head0=q_head0,
                 unmasked=chosen, confidences=conf,
                 staleness_l2=state.staleness_l2()))
-    return tokens, trace
+    tokens = blocks.swapaxes(0, 1).reshape(shape)
+    return (tokens[0] if seeds is None else tokens), trace
 
 
 @dataclass

@@ -60,7 +60,10 @@ def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
     of condition number kappa_q.
 
     A token accepted for reuse moved by at most ``sqrt(2 * tau_tilde)``
-    between consecutive steps.
+    between consecutive steps. Where the direct form overflows (a huge tau
+    makes both of its terms inf), the form divided through by tau gives
+    the value, which tends to 2 d kappa_q**2 / (kappa_q**2 - 1) as tau
+    grows; every finite value of the direct form is returned as it is.
     """
     if tau < 0.0:
         raise DegenerateInputError(f"tau must be >= 0, got {tau}")
@@ -68,7 +71,12 @@ def tau_tilde(tau: float, d: int, kappa_q: float) -> float:
         raise DegenerateInputError(f"kappa_q must be >= 1, got {kappa_q}")
     if d < 1:
         raise DegenerateInputError(f"d must be >= 1, got {d}")
-    return 2.0 * tau * d * kappa_q ** 2 / (2.0 + tau * (kappa_q ** 2 - 1.0))
+    value = 2.0 * tau * d * kappa_q ** 2 / (2.0 + tau * (kappa_q ** 2 - 1.0))
+    if math.isfinite(value):
+        return value
+    denominator = 2.0 / tau + (kappa_q ** 2 - 1.0)
+    # At kappa_q = 1 the form is tau * d, which an infinite tau takes to inf.
+    return 2.0 * d * kappa_q ** 2 / denominator if denominator else math.inf
 
 
 class _ModelBounds:
@@ -114,7 +122,7 @@ class _ModelBounds:
     def kappa_q(self) -> float:
         return condition_kappa(self._w_q)
 
-    def o_terms(self, displacement: float, delta) -> float:
+    def o_terms(self, displacement: float, delta):
         """Sum over stale tokens of the three attention-output deviation
         terms (query moved, keys moved, values moved), given a bound
         ``displacement`` on how far any accepted token's input row moves in
@@ -123,24 +131,33 @@ class _ModelBounds:
         Each stale token's total input movement is its staleness count
         times ``displacement``; the keys/values terms spread that movement
         across the whole block, hence the extra sqrt(B) factors.
+
+        ``delta`` holds one count per block token, or stacks such vectors
+        on leading axes, as a run's (trials, T, B) staleness does; the
+        result is then one sum per vector. Each sum adds its tokens in
+        order and skips zero counters: a skipped token adds nothing, even
+        where the displacement is NaN.
         """
         if displacement < 0.0:
             raise DegenerateInputError(
                 f"displacement must be >= 0, got {displacement}")
         delta = np.asarray(delta)
-        if delta.shape != (self.B,):
+        if delta.ndim < 1 or delta.shape[-1] != self.B:
             raise DegenerateInputError(
                 f"delta must have one entry per block token ({self.B}), "
                 f"got {delta.shape}"
             )
         query, keys, values = self.o_coefficients
-        total = 0.0
-        for delta_i in delta:
-            if delta_i == 0:
-                continue
-            move = float(delta_i) * displacement
-            total += query * move + keys * move + values * move
-        return total
+        # An infinite displacement makes NaN at zero counters, which the
+        # mask clears.
+        with np.errstate(invalid="ignore"):
+            move = delta.astype(np.float64) * displacement
+            terms = query * move + keys * move + values * move
+        terms[delta == 0] = 0.0
+        # cumsum adds left to right; adding the result to 0.0, as a running
+        # total from 0.0 does, turns an all -0.0 sum into 0.0.
+        total = 0.0 + np.cumsum(terms, axis=-1)[..., -1]
+        return float(total) if delta.ndim == 1 else total
 
 
 def _model_bounds(weights: ModelWeights) -> _ModelBounds:
@@ -167,37 +184,57 @@ def lipschitz_G(weights: ModelWeights) -> float:
     return _model_bounds(weights).G
 
 
-def kv_step_bound(weights: ModelWeights, tau: float | None,
-                  delta_l2: float) -> float:
+def kv_step_bound(weights: ModelWeights, tau: float | None, delta_l2):
     """Bound on the summed per-token L1 output gap opened by one step of
     key/value reuse with staleness vector of Euclidean norm ``delta_l2``:
     ``C_W * sqrt(tau_tilde) * delta_l2``, and 0 when tau is None or 0 or
     nothing is stale, without reading a constant.
+
+    ``delta_l2`` is one norm, for which a float is returned, or an array
+    of them, such as a run's (trials, T) norms, for which the array of
+    bounds is returned.
     """
     _check_regime(weights)
-    if tau is None or tau == 0.0 or delta_l2 == 0.0:
-        return 0.0
-    if delta_l2 < 0.0:
-        raise DegenerateInputError(f"delta_l2 must be >= 0, got {delta_l2}")
+    delta_l2 = np.asarray(delta_l2, dtype=np.float64)
+    stale = delta_l2 != 0.0
+    if tau is None or tau == 0.0 or not stale.any():
+        return np.zeros(delta_l2.shape) if delta_l2.ndim else 0.0
+    if (delta_l2 < 0.0).any():
+        raise DegenerateInputError(
+            f"delta_l2 must be >= 0, got {delta_l2.min()}")
     bounds = _model_bounds(weights)
-    return (bounds.C_W * math.sqrt(tau_tilde(tau, bounds.d, bounds.kappa_q))
-            * float(delta_l2))
+    scale = bounds.C_W * math.sqrt(tau_tilde(tau, bounds.d, bounds.kappa_q))
+    # An infinite scale makes NaN where nothing is stale, which
+    # np.where clears.
+    with np.errstate(invalid="ignore"):
+        out = np.where(stale, scale * delta_l2, 0.0)
+    return out if out.ndim else float(out)
 
 
-def o_step_bound(weights: ModelWeights, tau: float | None, delta) -> float:
+def o_step_bound(weights: ModelWeights, tau: float | None, delta):
     """Bound on the summed per-token L1 output gap opened by one step of
     attention-output reuse with per-token staleness counts ``delta``: the
     o-mode scale times ``o_terms`` at the displacement sqrt(2 * tau_tilde),
     the farthest an accepted token's input row moves in one step; and 0
     when tau is None or 0 or nothing is stale, without reading a constant.
+
+    ``delta`` is one block's counts, for which a float is returned, or
+    stacks them on leading axes, as a run's (trials, T, B) staleness does,
+    for which the array of bounds is returned.
     """
     _check_regime(weights)
     delta = np.asarray(delta)
-    if tau is None or tau == 0.0 or not (delta > 0).any():
-        return 0.0
+    if delta.ndim < 1:
+        raise DegenerateInputError("delta must have one entry per token")
+    stale = (delta > 0).any(axis=-1)
+    if tau is None or tau == 0.0 or not stale.any():
+        return np.zeros(stale.shape) if stale.ndim else 0.0
     bounds = _model_bounds(weights)
     tt = tau_tilde(tau, bounds.d, bounds.kappa_q)
-    return bounds.o_scale * bounds.o_terms(math.sqrt(2.0 * tt), delta)
+    with np.errstate(invalid="ignore"):
+        out = np.where(stale, bounds.o_scale
+                       * bounds.o_terms(math.sqrt(2.0 * tt), delta), 0.0)
+    return out if out.ndim else float(out)
 
 
 def cumulative_series(G: float, per_step_bounds) -> np.ndarray:
@@ -343,10 +380,11 @@ def verify_run(
     SOFTMAX_CHECK_PAIRS random logit pairs, checked in one batched
     ``softmax_lipschitz_gap`` pass. Trials use independent seeds derived
     from the run seed, so the report is reproducible; they run in lockstep
-    through one ``coupled_generate`` call. Each per-step bound is a
-    ``kv_step_bound`` or ``o_step_bound`` call; the bound constants are
-    taken once per model and shared with every later call on the same
-    weights. A NaN bound, per step or cumulative, is a violation.
+    through one ``coupled_generate`` call. The per-step bounds of every
+    trial come from one ``kv_step_bound`` or ``o_step_bound`` call on the
+    run's stacked staleness; the bound constants are taken once per model
+    and shared with every later call on the same weights. A NaN bound, per
+    step or cumulative, is a violation.
 
     ``debug_zero_bounds`` replaces G and every per-step bound with zero; a
     lossy run must then report violations. It exists to prove the harness
@@ -371,11 +409,9 @@ def verify_run(
         refresh_interval=refresh_interval,
         seeds=[int(seed) for seed in trial_seeds],
     )
-    step_bound, staleness = ((kv_step_bound, run.per_step_delta_l2)
-                             if mode == "kv" else
-                             (o_step_bound, run.per_step_delta[:, :, 0]))
-    bounds = np.array([[step_bound(weights, tau, s) for s in trial]
-                       for trial in staleness])
+    bounds = (kv_step_bound(weights, tau, run.per_step_delta_l2)
+              if mode == "kv" else
+              o_step_bound(weights, tau, run.per_step_delta[:, :, 0]))
     if debug_zero_bounds:
         bounds[:] = 0.0
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from reuselab.analysis import CostModel, flops_for_trace, read_csv_with_metadata
+from reuselab.analysis import CostModel, flops_for_trace
 from reuselab.cli import main as cli_main
 from reuselab.drift import DriftProfile, allocate_quantiles, drift_score
 from reuselab.linalg import condition_kappa
@@ -29,6 +29,8 @@ from reuselab.theory import (
     tau_tilde,
     verify_run,
 )
+
+from csv_metadata import read_csv_with_metadata
 
 
 @pytest.fixture

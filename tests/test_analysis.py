@@ -17,7 +17,6 @@ from reuselab.analysis import (
     flops_for_trace,
     histogram_csv,
     histogram_from_scores,
-    read_csv_with_metadata,
     similarity_csv,
     temporal_similarity,
     write_csv_with_metadata,
@@ -32,6 +31,8 @@ from reuselab.sampler import (
     StepRecord,
     diffusion_generate,
 )
+
+from csv_metadata import read_csv_with_metadata
 
 
 def make_model(seed=3, L=1, B=4):

@@ -18,13 +18,15 @@ import numpy as np
 import pytest
 
 import reuselab
-from reuselab import cli
-from reuselab.analysis import read_csv_with_metadata
+from reuselab import cli, drift, theory
 from reuselab.cli import RunConfig, main
 from reuselab.drift import DriftProfile, allocate_quantiles, quantile_threshold
 from reuselab.errors import ConfigError
 from reuselab.model import ModelConfig, init_weights, load_weights, save_weights
 from reuselab.linalg import norm_2_to_inf
+
+from csv_metadata import read_csv_with_metadata
+from test_theory import direct_tau_tilde
 
 
 def sha256(path) -> str:
@@ -121,6 +123,36 @@ class TestCalibrate:
             else:
                 assert got == want
 
+    def test_one_decode_and_one_drift_call_per_layer_and_trajectory(
+            self, workdir, monkeypatch):
+        # The prompts decode in one lockstep diffusion_generate call, and
+        # each layer of each prompt's trajectory is scored in one
+        # row_drift call over all of its step pairs.
+        decodes, kernel_calls = [], []
+        generate, row_drift = cli.diffusion_generate, drift.row_drift
+
+        def counted_generate(*args, **kwargs):
+            result = generate(*args, **kwargs)
+            decodes.append(result[1])
+            return result
+
+        def counted_row_drift(*args):
+            kernel_calls.append(len(args[0]))
+            return row_drift(*args)
+
+        monkeypatch.setattr(cli, "diffusion_generate", counted_generate)
+        monkeypatch.setattr(drift, "row_drift", counted_row_drift)
+        write_config("cfg.json", L=2, gen_length=16)
+        assert run("init-model", "--config", "cfg.json") == 0
+        assert run("calibrate", "--config", "cfg.json", "--prompts", "5") == 0
+        assert len(decodes) == 1 and decodes[0].sequences == 5
+        trajectories = decodes[0].q_trajectories()
+        assert len(trajectories) == 5 * 2   # two masked blocks per prompt
+        assert len(kernel_calls) == 2 * len(trajectories)
+        # B = 4 steps resolve a block: 3 step pairs of 4 rows per call.
+        assert set(kernel_calls) == {(4 - 1) * 4}
+        assert run("calibrate", "--config", "cfg.json", "--prompts", "0") == 2
+
     def test_constant_query_model_gets_uniform_allocation(self, workdir):
         write_config("cfg.json", L=2, phi_bar=0.3)
         config = RunConfig.from_dict(json.loads(Path("cfg.json").read_text()))
@@ -157,10 +189,9 @@ class TestCalibrate:
         Path("cfg.json").write_text(json.dumps(
             {"sampler": sampler, "paths": {"output_dir": "out"}}))
         config = RunConfig.from_dict(json.loads(Path("cfg.json").read_text()))
-        traces = cli._calibration_traces(init_weights(config.model),
-                                         config.sampler)
-        assert 1 in {len(t) for trace in traces
-                     for t in trace.q_trajectories()}
+        trace = cli._calibration_trace(init_weights(config.model),
+                                       config.sampler)
+        assert 1 in {len(t) for t in trace.q_trajectories()}
         assert run("init-model", "--config", "cfg.json") == 0
         assert run("calibrate", "--config", "cfg.json") == 0
         assert run("bench", "--config", "cfg.json", "--mode", "kv") == 0
@@ -275,9 +306,11 @@ class TestVerify:
                    "--trials", "2") == 2
 
     @pytest.mark.parametrize("mode", ["kv", "o"])
-    def test_nan_bound_is_a_violation(self, workdir, mode):
-        # At tau = inf every bound with stale tokens is NaN, which no
-        # measured gap lies below.
+    def test_nan_bound_is_a_violation(self, workdir, mode, monkeypatch):
+        # With tau_tilde's direct form, which is inf / inf at tau = inf,
+        # every bound with stale tokens is NaN, which no measured gap lies
+        # below. (tau_tilde itself falls back to a finite form there.)
+        monkeypatch.setattr(theory, "tau_tilde", direct_tau_tilde)
         assert run("init-model", "--weights", "m.dare",
                    "--output-dir", "out") == 0
         assert run("verify", "--weights", "m.dare", "--output-dir", "out",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reuselab.analysis import drift_scores_for_layer
-from reuselab.cli import RunConfig, _calibration_traces
+from reuselab.cli import RunConfig, _calibration_trace
 from reuselab.drift import (
     DriftProfile,
     allocate_quantiles,
@@ -123,6 +123,63 @@ def test_row_drift_rejects_mismatched_shapes():
         row_drift(np.ones(3), np.ones(3))
 
 
+def query_chain(rng, T, B, d, heads):
+    """Head-0 column views of T steps of (B, heads * d) query matrices.
+
+    Step 0 is random at a random scale per row; each later row is, against
+    the same row one step before: a random row at a random scale between
+    1e-300 and 1e300, a subnormal row, a zero row, an equal row, an
+    antipodal one, or a nearly equal one.
+    """
+    steps = [rng.standard_normal((B, heads * d))
+             * 10.0 ** rng.uniform(-300.0, 300.0, (B, 1))]
+    for _ in range(T - 1):
+        step = np.empty((B, heads * d))
+        for i, last in enumerate(steps[-1]):
+            kind = rng.integers(6)
+            step[i] = (rng.standard_normal(heads * d)
+                       * 10.0 ** rng.uniform(-300.0, 300.0))
+            if kind == 1:
+                step[i] = rng.integers(-4, 5, heads * d) * 5e-324
+            elif kind == 2:
+                step[i] = 0.0
+            elif kind == 3:
+                step[i] = last
+            elif kind == 4:
+                step[i] = -last * 2.0 ** rng.integers(-60, 5)
+            elif kind == 5:
+                step[i] = last * (1.0 + 1e-15 * rng.standard_normal(heads * d))
+        steps.append(step)
+    return [step[:, :d] for step in steps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 16),
+       st.integers(1, 32), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_trajectory_drifts_match_per_pair_row_drift(T, L, B, d, heads, seed):
+    # One row_drift call per layer over all step pairs gives every score
+    # the bits of its pair's own call: zero rows (inf), subnormal rows and
+    # norms that under- or overflow included.
+    rng = np.random.default_rng(seed)
+    layers = [query_chain(rng, T, B, d, heads) for _ in range(L)]
+    trajectory = [[layer[t] for layer in layers] for t in range(T)]
+    got = trajectory_drifts(trajectory)
+    assert len(got) == T - 1
+    for t, step in enumerate(got):
+        assert len(step) == L
+        for ell, scores in enumerate(step):
+            want = row_drift(layers[ell][t + 1], layers[ell][t])
+            assert scores.dtype == np.float64 and scores.shape == (B,)
+            assert np.array_equal(scores.view(np.int64), want.view(np.int64))
+
+
+def test_trajectory_drifts_rejects_shape_changes():
+    with pytest.raises(DimensionError):
+        trajectory_drifts([[np.ones((2, 3))], [np.ones((3, 3))]])
+    with pytest.raises(DimensionError):
+        trajectory_drifts([[np.ones((2, 3))], [np.ones((2, 4))]])
+
+
 # ---------------------------------------------------------------------------
 # layerwise_drift
 # ---------------------------------------------------------------------------
@@ -217,15 +274,13 @@ def test_layerwise_drift_counts_tiny_rows():
 def test_layerwise_drift_scores_match_per_layer_pooling(model):
     # Calibration scores every (step, token) pair once, in layerwise_drift;
     # its per-layer scores must be bitwise the concatenation, over the
-    # calibration traces, of each trace's drift_scores_for_layer.
+    # calibration prompts, of each prompt's drift_scores_for_layer.
     w = init_weights(model)
-    traces = _calibration_traces(w, RunConfig.default().sampler)
-    _, _, layer_scores = layerwise_drift(
-        [traj for trace in traces for traj in trace.q_trajectories()])
+    trace = _calibration_trace(w, RunConfig.default().sampler)
+    _, _, layer_scores = layerwise_drift(trace.q_trajectories())
     assert len(layer_scores) == model.L
     for ell, got in enumerate(layer_scores):
-        want = np.concatenate([drift_scores_for_layer(trace, ell)[0]
-                               for trace in traces])
+        want = drift_scores_for_layer(trace, ell)[0]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

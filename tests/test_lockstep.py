@@ -2,7 +2,9 @@
 pass gives every block the bits of that block run alone.
 
 ``coupled_generate`` with ``seeds`` runs its trials as one stack, and
-``verify_run`` makes one such call for all of its trials. The bits guards
+``verify_run`` makes one such call for all of its trials;
+``diffusion_generate`` with ``seeds`` decodes its sequences as one stack,
+as calibration does with its prompts. The bits guards
 below check the two numpy rules the stack relies on, at every shape the
 tests here reach, so that on a BLAS that breaks them a guard fails by name
 before a digest moves.
@@ -24,8 +26,13 @@ from reuselab.model import (
     embed_tokens,
     init_weights,
 )
-from reuselab.reuse import forward_full
-from reuselab.sampler import SamplerConfig, couple_blocks, coupled_generate
+from reuselab.reuse import forward_full, staleness_norm
+from reuselab.sampler import (
+    SamplerConfig,
+    couple_blocks,
+    coupled_generate,
+    diffusion_generate,
+)
 
 # The golden coupled models, the benchmark's mid-model and the largest
 # model the tests run (d_int 512).
@@ -281,3 +288,158 @@ def test_couple_blocks_needs_whole_blocks():
     P = np.full((5, 2), 0.5)
     with pytest.raises(DimensionError):
         couple_blocks(P, P, [np.random.default_rng(0)] * 2)
+
+
+# ---------------------------------------------------------------------------
+# lockstep decodes
+# ---------------------------------------------------------------------------
+
+DECODE_MODELS = ("default", "l2h2-gelu")
+DECODE_SEEDS = (5, 17, 3, 99, 12, 40, 8, 61)
+
+
+def decode_config(cfg, temperature, seed=5):
+    return SamplerConfig(gen_length=2 * cfg.B, block_size=cfg.B,
+                         steps_per_block=cfg.B, temperature=temperature,
+                         seed=seed)
+
+
+def decode_prompts(cfg, w, n):
+    """n prompts that fix the first block and half of the second, each
+    with its own tokens, never the mask id."""
+    prompts = np.full((n, 2 * cfg.B), w.mask_token, dtype=np.int64)
+    prefix = cfg.B + cfg.B // 2
+    gen = np.random.default_rng(19)
+    prompts[:, :prefix] = gen.integers(0, cfg.n_vocab - 1, (n, prefix))
+    return prompts
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def sequence_fields(tokens, trace, k: int, n: int, B: int) -> list:
+    """Sequence k's slice of a decode's tokens and of every record field,
+    as comparable bits; a one-sequence decode has n = 1 and k = 0.
+
+    The stack's staleness counters are rebuilt from its decisions (a
+    reused row ages by one, any other drops to 0; all drop to 0 at a new
+    block), which checks every stacked staleness norm, and the slice's
+    norms are taken from sequence k's columns.
+    """
+    rows = slice(k * B, (k + 1) * B)
+    out = [bits(tokens)]
+    counters = None
+    for rec in trace.records:
+        if rec.step == 0:
+            counters = np.zeros((len(rec.decisions), n * B), dtype=np.int64)
+        chosen = rec.unmasked.reshape(n, -1)[k] - k * B
+        out.append((rec.block, rec.step, bits(rec.input_tokens[rows]),
+                    bits(chosen), bits(rec.confidences[rows]),
+                    [bits(q[rows]) for q in rec.q_head0]))
+        for dec in rec.decisions:
+            aged = counters[dec.layer][dec.reused] + 1
+            counters[dec.layer] = 0
+            counters[dec.layer][dec.reused] = aged
+            assert dec.staleness_l2 == staleness_norm(counters[dec.layer])
+            assert np.array_equal(np.sort(np.concatenate(
+                (dec.reused, dec.refreshed))), np.arange(n * B))
+            mine = slice(k * B, (k + 1) * B)
+            out.append((dec.layer, dec.step, dec.eligible,
+                        bits(dec.reused[(dec.reused >= k * B)
+                                        & (dec.reused < (k + 1) * B)]
+                             - k * B),
+                        staleness_norm(counters[dec.layer][mine])))
+        assert rec.staleness_l2 == staleness_norm(counters)
+        out.append(staleness_norm(counters[:, rows]))
+    return out
+
+
+@pytest.mark.parametrize("prompt", [False, True], ids=["open", "prompt"])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["full", "kv", "o"])
+@pytest.mark.parametrize("model", DECODE_MODELS)
+def test_lockstep_decode_matches_one_sequence_runs(model, mode, temperature,
+                                                   prompt):
+    cfg = LOCKSTEP_MODELS[model]
+    w = init_weights(cfg)
+    profile = None if mode == "full" else flat_profile(0.05, cfg.L)
+    prompts = decode_prompts(cfg, w, len(DECODE_SEEDS))
+    one = []
+    for k, seed in enumerate(DECODE_SEEDS):
+        tokens, trace = diffusion_generate(
+            w, decode_config(cfg, temperature, seed), profile, mode,
+            initial_tokens=prompts[k] if prompt else None)
+        one.append(sequence_fields(tokens, trace, 0, 1, cfg.B))
+    if mode != "full":
+        assert any(dec.reused_count for dec in trace.decisions_flat())
+    for n in (1, 2, 8):
+        tokens, trace = diffusion_generate(
+            w, decode_config(cfg, temperature), profile, mode,
+            initial_tokens=prompts[:n] if prompt else None,
+            seeds=DECODE_SEEDS[:n])
+        assert tokens.shape == (n, 2 * cfg.B)
+        assert trace.sequences == n
+        for k in range(n):
+            assert sequence_fields(tokens[k], trace, k, n, cfg.B) == one[k], (
+                f"sequence {k} of {n} differs from its one-sequence run")
+
+
+def test_lockstep_decode_without_seeds_keeps_its_shapes():
+    # No seeds: the decode at the config's seed, with today's shapes; one
+    # seed: the same bits with a leading sequence axis on the tokens.
+    cfg = LOCKSTEP_MODELS["l2h2-gelu"]
+    w = init_weights(cfg)
+    sc = decode_config(cfg, 1.0)
+    tokens, trace = diffusion_generate(w, sc, None, "full")
+    assert tokens.shape == (2 * cfg.B,) and trace.sequences == 1
+    rec = trace.records[0]
+    assert rec.input_tokens.shape == rec.confidences.shape == (cfg.B,)
+    assert rec.q_head0[0].shape == (cfg.B, cfg.d // cfg.H)
+    seeded, seeded_trace = diffusion_generate(w, sc, None, "full",
+                                              seeds=[sc.seed])
+    assert sequence_fields(seeded[0], seeded_trace, 0, 1, cfg.B) \
+        == sequence_fields(tokens, trace, 0, 1, cfg.B)
+    for traj, seeded_traj in zip(trace.q_trajectories(),
+                                 seeded_trace.q_trajectories()):
+        assert [[bits(q) for q in step] for step in traj] \
+            == [[bits(q) for q in step] for step in seeded_traj]
+
+
+def test_lockstep_decode_trajectories_run_sequence_by_sequence():
+    cfg = LOCKSTEP_MODELS["l2h2-gelu"]
+    w = init_weights(cfg)
+    sc = decode_config(cfg, 1.0)
+    _, trace = diffusion_generate(w, sc, None, "full", seeds=[3, 4, 5])
+    want = []
+    for seed in (3, 4, 5):
+        _, one = diffusion_generate(w, decode_config(cfg, 1.0, seed), None,
+                                    "full")
+        want += one.q_trajectories()
+    got = trace.q_trajectories()
+    assert len(got) == len(want) == 3 * 2
+    for traj, one_traj in zip(got, want):
+        assert [[bits(q) for q in step] for step in traj] \
+            == [[bits(q) for q in step] for step in one_traj]
+
+
+def test_lockstep_decode_needs_equal_mask_counts():
+    cfg = LOCKSTEP_MODELS["default"]
+    w = init_weights(cfg)
+    sc = decode_config(cfg, 1.0)
+    prompts = decode_prompts(cfg, w, 2)
+    prompts[1, cfg.B] = w.mask_token   # one more masked in block 1
+    with pytest.raises(ConfigError):
+        diffusion_generate(w, sc, None, "full", initial_tokens=prompts,
+                           seeds=[1, 2])
+    # The same counts at other positions are fine.
+    prompts = decode_prompts(cfg, w, 2)
+    prompts[1, [cfg.B, 2 * cfg.B - 1]] = prompts[1, [2 * cfg.B - 1, cfg.B]]
+    diffusion_generate(w, sc, None, "full", initial_tokens=prompts,
+                       seeds=[1, 2])
+    with pytest.raises(ConfigError):
+        diffusion_generate(w, sc, None, "full", seeds=[])
+    with pytest.raises(DimensionError):
+        diffusion_generate(w, sc, None, "full", initial_tokens=prompts[0],
+                           seeds=[1, 2])

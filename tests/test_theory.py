@@ -130,6 +130,45 @@ def test_tau_tilde_monotone_in_all_arguments():
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def direct_tau_tilde(tau, d, kappa):
+    """tau_tilde's direct form, which overflows for a huge tau."""
+    return 2.0 * tau * d * kappa ** 2 / (2.0 + tau * (kappa ** 2 - 1.0))
+
+
+@pytest.mark.parametrize("tau", [1e300, 1e305, 1e306, 1e308, math.inf])
+def test_tau_tilde_is_finite_for_huge_tau(tau):
+    # The limit 2 d kappa^2 / (kappa^2 - 1) is 16.02 at d = 8, kappa = 28;
+    # the direct form is inf from 1e305 and NaN from 1e306 there.
+    d, kappa = 8, 28.0
+    limit = 2.0 * d * kappa ** 2 / (kappa ** 2 - 1.0)
+    got = tau_tilde(tau, d, kappa)
+    assert math.isfinite(got)
+    assert abs(got - limit) <= 1e-15 * limit
+    assert got <= limit
+    assert tau_tilde(tau, d, 1.0) == tau * d  # inf from 1e306 on
+
+
+def test_tau_tilde_keeps_the_direct_forms_finite_values():
+    # Every tau whose direct form is finite keeps its bits, so no bound
+    # the verify pins read moves; where it overflows, the value is the
+    # limit to rounding.
+    taus = [0.0] + [m * 10.0 ** e for e in range(-320, 309, 7)
+                    for m in (1.0, 2.5, 7.3)] + [1e306, 1e308, math.inf]
+    for d in (1, 8, 64):
+        for kappa in (1.0, 2.0, 28.0, 1e3):
+            limit = (2.0 * d * kappa ** 2 / (kappa ** 2 - 1.0)
+                     if kappa > 1.0 else math.inf)
+            for t in taus:
+                got = tau_tilde(t, d, kappa)
+                want = direct_tau_tilde(t, d, kappa)
+                if math.isfinite(want):
+                    assert np.float64(got).tobytes() \
+                        == np.float64(want).tobytes(), (t, d, kappa)
+                else:
+                    assert got == limit or abs(got - limit) <= 1e-15 * limit, \
+                        (t, d, kappa)
+
+
 def test_tau_tilde_rejects_bad_domain():
     with pytest.raises(DegenerateInputError):
         tau_tilde(-0.1, 8, 2.0)
@@ -252,6 +291,53 @@ def test_o_step_bound_scales_with_staleness():
     assert abs(two - 2.0 * one) / two < 1e-12
 
 
+@pytest.mark.parametrize("tau", [None, 0.0, 0.05, 0.5, math.inf])
+def test_step_bounds_take_a_runs_stacked_staleness(tau):
+    # One call on (trials, T) norms or (trials, T, B) counts gives every
+    # entry the bits of its own scalar call, zero staleness included.
+    _, w = theory_model()
+    gen = np.random.default_rng(3)
+    delta = gen.integers(0, 3, (5, 6, 4))
+    delta[:, 0] = 0
+    delta[1, 2, 1:] = 0
+    norms = np.sqrt((delta * delta).sum(axis=2)).astype(np.float64)
+    for stacked, scalar in ((kv_step_bound(w, tau, norms),
+                             [[kv_step_bound(w, tau, x) for x in row]
+                              for row in norms]),
+                            (o_step_bound(w, tau, delta),
+                             [[o_step_bound(w, tau, x) for x in row]
+                              for row in delta])):
+        assert stacked.shape == (5, 6) and stacked.dtype == np.float64
+        assert all(type(x) is float for row in scalar for x in row)
+        assert stacked.tobytes() == np.array(scalar).tobytes()
+        if tau:
+            assert (stacked[:, 1:] > 0).any()
+
+
+def test_o_terms_skip_zero_counters_at_a_nan_displacement():
+    _, w = theory_model()
+    bounds = theory._model_bounds(w)
+    assert bounds.o_terms(math.nan, (0, 0, 0, 0)) == 0.0
+    assert math.isnan(bounds.o_terms(math.nan, (0, 1, 0, 0)))
+    got = bounds.o_terms(math.nan, [[0, 0, 0, 0], [0, 0, 2, 0]])
+    assert got[0] == 0.0 and math.isnan(got[1])
+
+
+def test_step_bounds_at_an_infinite_tau_tilde_warn_nothing(monkeypatch):
+    # tau_tilde is inf at tau = inf when kappa_q is 1. Steps with no stale
+    # token still get 0.0, and no inf * 0 reaches stderr as a warning.
+    monkeypatch.setattr(theory, "tau_tilde", lambda t, d, k: math.inf)
+    _, w = theory_model()
+    delta = np.array([[[0, 0, 0, 0], [0, 1, 0, 2]]])
+    norms = np.sqrt((delta * delta).sum(axis=2)).astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kv = kv_step_bound(w, math.inf, norms)
+        o = o_step_bound(w, math.inf, delta)
+    for got in (kv, o):
+        assert got.tolist() == [[0.0, math.inf]]
+
+
 def test_o_step_terms_rejects_bad_inputs():
     _, w = theory_model()
     bounds = theory._model_bounds(w)
@@ -368,9 +454,12 @@ def test_verify_run_o_mode_has_no_violations():
 
 @pytest.mark.parametrize("mode", ["kv", "o"])
 @pytest.mark.parametrize("tau", [math.inf, 1e308])
-def test_verify_run_counts_nan_bounds_as_violations(mode, tau):
-    # tau_tilde is inf / inf there, so every bound at a step with stale
-    # tokens is NaN. No gap lies below a NaN bound.
+def test_verify_run_counts_nan_bounds_as_violations(mode, tau, monkeypatch):
+    # tau_tilde's direct form is inf / inf there, so with it every bound at
+    # a step with stale tokens is NaN. No gap lies below a NaN bound.
+    # (tau_tilde itself falls back to a finite form there, as
+    # test_tau_tilde_is_finite_for_huge_tau checks.)
+    monkeypatch.setattr(theory, "tau_tilde", direct_tau_tilde)
     _, w = theory_model()
     report = verify_run(w, run_config(), flat_profile(tau), mode, trials=3)
     assert any(math.isnan(b) for b in report.per_step_bound)
