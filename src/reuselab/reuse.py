@@ -14,11 +14,12 @@ differ only in the splice:
   place into the cached pre-projection attention output whose other rows
   are reused; W_O and the MLP are applied after splicing. A slot that
   refreshes no row leaves that output as it was, so the layer returns its
-  cached post-MLP output without computing K, V, W_O or the MLP. The layer
-  above then gets last step's input array, whose head-0 drifts are all 0:
-  it reuses every row without computing Q or scoring, and returns its
-  cached output in turn. When the top layer's output is last step's,
-  ``model_step`` returns last step's distributions without the unembedding.
+  cached post-MLP output without computing K, V, W_O or the MLP. When the
+  layer below refreshed no row, a layer's input is last step's, so its
+  head-0 drifts are all 0: it reuses every row without computing Q or
+  scoring, and returns its cached output in turn. When the top layer
+  refreshed no row, ``model_step`` returns last step's distributions
+  without the unembedding.
 
 Full mode is the same step with no slot eligible, and ``forward_full`` is
 one full-mode ``model_step`` on a fresh state.
@@ -36,8 +37,8 @@ block computed where its own run would skip gets the skipped result bit
 for bit.
 
 The caches are owned by ``ReuseState`` alone. The ones updated in place
-are never returned to a caller; o mode's layer outputs and distributions,
-which it hands out and later returns again, are read-only.
+are never returned to a caller. o mode's layer outputs and distributions
+are read-only, because a later step that skips returns them again.
 
 Step 0 of a block and gated (layer, step) slots always recompute in full.
 ``replay_reuse`` decides slots from frozen drift scores by the same two
@@ -129,11 +130,9 @@ class ReuseState:
     they hold K and V of the last step that computed them (o mode skips
     them on a slot that refreshes no row).
 
-    o mode also keeps, per layer, ``prev_in``, the input array of the
-    layer's last step (held to compare by identity), and ``prev_out``, its
-    post-MLP output from the last step that computed one (read-only); and
-    ``prev_probs``, the pair (top layer output, distributions computed from
-    it) of the last step that ran the unembedding.
+    o mode also keeps, per layer, ``prev_out``, the post-MLP output of the
+    last step that computed one, and ``prev_probs``, the distributions of
+    the last step that ran the unembedding; both are read-only.
 
     ``all_rows`` is the read-only index array over all rows that
     decisions refreshing or reusing every row share.
@@ -149,9 +148,8 @@ class ReuseState:
     prev_k: list = field(init=False)
     prev_v: list = field(init=False)
     prev_o_pre: list = field(init=False)
-    prev_in: list = field(init=False)
     prev_out: list = field(init=False)
-    prev_probs: tuple = field(init=False)
+    prev_probs: np.ndarray = field(init=False)
     delta: np.ndarray = field(init=False)
     all_rows: np.ndarray = field(init=False)
 
@@ -177,15 +175,10 @@ class ReuseState:
         self.prev_k = [None] * L
         self.prev_v = [None] * L
         self.prev_o_pre = [None] * L
-        self.prev_in = [None] * L
         self.prev_out = [None] * L
-        self.prev_probs = (None, None)
+        self.prev_probs = None
         self.delta = np.zeros((L, self.n_blocks * self.config.B),
                               dtype=np.int64)
-
-    def staleness_l2(self) -> float:
-        """Euclidean norm of the whole staleness matrix."""
-        return staleness_norm(self.delta)
 
 
 def staleness_norm(delta: np.ndarray) -> float:
@@ -249,28 +242,25 @@ def _age_staleness(state: ReuseState, ell: int, reused: np.ndarray):
     return (row == 0).nonzero()[0], staleness_norm(row)
 
 
-def _input_unchanged(state: ReuseState, x_t: np.ndarray, ell: int) -> bool:
-    """True when an eligible o-mode slot of layer ell > 0 reuses every row
-    without scoring: its input is last step's input array, which the layer
-    below returned unchanged, so its head-0 queries are last step's bit
-    for bit and every drift is exactly 0.
+def _queries_unchanged(state: ReuseState, ell: int) -> bool:
+    """True when an eligible o-mode slot of layer ell, whose input is last
+    step's because the layer below refreshed no row, reuses every row
+    without scoring: its head-0 queries are the cached ones bit for bit,
+    so every drift is exactly 0.
 
-    The input must be the layer below's cached output, read-only and owned
-    by the state, for identity to imply equal bits; the caller's array at
-    layer 0 never qualifies. A drift of 0 is reused when 0 <= tau; a zero
-    (inf drift) or non-finite cached row sends the slot down the scoring
-    path, which decides it as ``reuse_set`` does.
+    A drift of 0 is reused when 0 <= tau; a zero (inf drift) or non-finite
+    cached row sends the slot down the scoring path, which decides it as
+    ``reuse_set`` does.
     """
     tau = state.tau_layer[ell]
-    if not (x_t is state.prev_in[ell] and x_t is state.prev_out[ell - 1]
-            and tau is not None and tau >= 0.0):
+    if tau is None or not tau >= 0.0:
         return False
     q0 = state.prev_q_head0[ell]
     return bool(q0.any(axis=1).all() and np.isfinite(q0).all())
 
 
 def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
-               ell: int, t: int):
+               ell: int, t: int, below_unchanged: bool = False):
     """One layer step in the state's mode: attention, W_O and the MLP.
 
     Queries are fresh unless skipped as below. Where the gate is open in a
@@ -284,10 +274,12 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
       the refreshed tokens only, into the cached pre-W_O output in place.
       A slot that refreshes no row computes neither K, V, W_O nor the MLP
       and returns the layer's cached output (``ReuseState.prev_out``), the
-      same array object, bitwise what the computation would give. When the
-      input is the array the layer below returned unchanged, the queries
-      and the drift scoring are skipped too (``_input_unchanged``);
-      staleness still ages and the decision is still built.
+      same array object, bitwise what the computation would give. When
+      ``below_unchanged`` says that the layer below, an o-mode slot,
+      refreshed no row this step, so that ``x_t`` is last step's input,
+      the queries and the drift scoring are skipped too
+      (``_queries_unchanged``); staleness still ages and the decision is
+      still built. ``model_step`` sets it; a direct call never skips.
 
     Full mode is the case where no slot is eligible, so every row is
     recomputed. Every mode leaves this step's head-0 queries and pre-W_O
@@ -307,7 +299,7 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
             "steps must be driven in order from 0")
     eligible = mode != "full" and gate(
         ell, t, state.skip_first_layers, state.refresh_interval)
-    if eligible and mode == "o" and ell and _input_unchanged(state, x_t, ell):
+    if eligible and below_unchanged and _queries_unchanged(state, ell):
         reused = state.all_rows
     else:
         q = matmul(x_t, lw.w_q)
@@ -319,10 +311,8 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
     decision = ReuseDecision(
         layer=ell, step=t, reused=reused, refreshed=refreshed,
         eligible=eligible, staleness_l2=staleness_l2)
-    if mode == "o":
-        state.prev_in[ell] = x_t
-        if not refreshed.size:
-            return state.prev_out[ell], decision
+    if mode == "o" and not refreshed.size:
+        return state.prev_out[ell], decision
 
     if not reused.size:
         k = matmul(x_t, lw.w_k)
@@ -413,9 +403,10 @@ _LAYER_STEPS = dict.fromkeys(MODES, layer_step)
 def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
     """Run the whole layer stack for one denoising step in the state's mode.
 
-    In o mode, when the top layer returned last step's output array, the
-    distributions are last step's (the same read-only array) and the
-    unembedding is skipped.
+    In o mode, a layer is told whether the layer below refreshed no row
+    (``layer_step``'s ``below_unchanged``), and when the top layer
+    refreshed no row, the distributions are last step's (the same
+    read-only array) and the unembedding is skipped.
 
     Returns:
         (probs, decisions, q_head0): per-token distributions, the per-layer
@@ -428,19 +419,22 @@ def model_step(weights, state: ReuseState, x: np.ndarray, t: int):
     if x.shape != (rows, cfg.d):
         raise DimensionError(f"input shape {x.shape} != ({rows}, {cfg.d})")
     step_fn = _LAYER_STEPS[state.mode]
+    o_mode = state.mode == "o"
     cur = x
+    unchanged = False
     decisions = []
     q_head0 = []
     for ell, lw in enumerate(weights.layers):
-        cur, decision = step_fn(lw, cur, state, ell, t)
+        cur, decision = step_fn(lw, cur, state, ell, t, unchanged)
+        unchanged = o_mode and not decision.refreshed.size
         decisions.append(decision)
         q_head0.append(state.prev_q_head0[ell])
-    top, probs = state.prev_probs
-    if cur is not top:
-        probs = unembed(weights, cur, block_matmul(state.n_blocks))
-        if state.mode == "o":
-            probs.flags.writeable = False
-            state.prev_probs = (cur, probs)
+    if unchanged:
+        return state.prev_probs, decisions, q_head0
+    probs = unembed(weights, cur, block_matmul(state.n_blocks))
+    if o_mode:
+        probs.flags.writeable = False
+        state.prev_probs = probs
     return probs, decisions, q_head0
 
 

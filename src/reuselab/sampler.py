@@ -95,7 +95,6 @@ class StepRecord:
     q_head0: list                     # per-layer B x d_head query matrices
     unmasked: np.ndarray              # rows committed this step
     confidences: np.ndarray           # candidate confidence per row
-    staleness_l2: float
 
 
 @dataclass
@@ -375,11 +374,12 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
     ``ReuseState(n_blocks=n)``, every step is one ``model_step`` over the
     n sequences' blocks, and every record field stacks their rows block by
     block (n * B rows): ``unmasked`` holds row indices into the stack,
-    sequence by sequence, and the staleness norms and decisions cover all
-    rows. Each sequence draws from its own generator, one ``random(m)``
-    per step as its own run does, so sequence k's rows have the bits of a
-    one-seed run at ``seeds[k]``. Every block must mask as many positions
-    in every sequence, so that all of them finish on the same step.
+    sequence by sequence, and the decisions and their staleness norms
+    cover all rows. Each sequence draws from its own generator, one
+    ``random(m)`` per step as its own run does, so sequence k's rows have
+    the bits of a one-seed run at ``seeds[k]``. Every block must mask as
+    many positions in every sequence, so that all of them finish on the
+    same step.
 
     Returns:
         (tokens, trace): the resolved token sequence(s) and the step
@@ -457,8 +457,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
             trace.records.append(StepRecord(
                 block=b, step=t, input_tokens=input_copy,
                 decisions=decisions, q_head0=q_head0,
-                unmasked=chosen, confidences=conf,
-                staleness_l2=state.staleness_l2()))
+                unmasked=chosen, confidences=conf))
     tokens = blocks.swapaxes(0, 1).reshape(shape)
     return (tokens[0] if seeds is None else tokens), trace
 

@@ -134,9 +134,9 @@ class _ModelBounds:
 
         ``delta`` holds one count per block token, or stacks such vectors
         on leading axes, as a run's (trials, T, B) staleness does; the
-        result is then one sum per vector. Each sum adds its tokens in
-        order and skips zero counters: a skipped token adds nothing, even
-        where the displacement is NaN.
+        result is an array of one sum per vector, 0-d for one vector. Each
+        sum adds its tokens in order and skips zero counters: a skipped
+        token adds nothing, even where the displacement is NaN.
         """
         if displacement < 0.0:
             raise DegenerateInputError(
@@ -156,8 +156,7 @@ class _ModelBounds:
         terms[delta == 0] = 0.0
         # cumsum adds left to right; adding the result to 0.0, as a running
         # total from 0.0 does, turns an all -0.0 sum into 0.0.
-        total = 0.0 + np.cumsum(terms, axis=-1)[..., -1]
-        return float(total) if delta.ndim == 1 else total
+        return np.asarray(0.0 + np.cumsum(terms, axis=-1)[..., -1])
 
 
 def _model_bounds(weights: ModelWeights) -> _ModelBounds:
@@ -190,15 +189,15 @@ def kv_step_bound(weights: ModelWeights, tau: float | None, delta_l2):
     ``C_W * sqrt(tau_tilde) * delta_l2``, and 0 when tau is None or 0 or
     nothing is stale, without reading a constant.
 
-    ``delta_l2`` is one norm, for which a float is returned, or an array
-    of them, such as a run's (trials, T) norms, for which the array of
-    bounds is returned.
+    ``delta_l2`` is one norm or an array of them, such as a run's
+    (trials, T) norms; the bounds are returned as an array of its shape,
+    0-d for one norm.
     """
     _check_regime(weights)
     delta_l2 = np.asarray(delta_l2, dtype=np.float64)
     stale = delta_l2 != 0.0
     if tau is None or tau == 0.0 or not stale.any():
-        return np.zeros(delta_l2.shape) if delta_l2.ndim else 0.0
+        return np.zeros(delta_l2.shape)
     if (delta_l2 < 0.0).any():
         raise DegenerateInputError(
             f"delta_l2 must be >= 0, got {delta_l2.min()}")
@@ -207,8 +206,7 @@ def kv_step_bound(weights: ModelWeights, tau: float | None, delta_l2):
     # An infinite scale makes NaN where nothing is stale, which
     # np.where clears.
     with np.errstate(invalid="ignore"):
-        out = np.where(stale, scale * delta_l2, 0.0)
-    return out if out.ndim else float(out)
+        return np.where(stale, scale * delta_l2, 0.0)
 
 
 def o_step_bound(weights: ModelWeights, tau: float | None, delta):
@@ -218,9 +216,9 @@ def o_step_bound(weights: ModelWeights, tau: float | None, delta):
     the farthest an accepted token's input row moves in one step; and 0
     when tau is None or 0 or nothing is stale, without reading a constant.
 
-    ``delta`` is one block's counts, for which a float is returned, or
-    stacks them on leading axes, as a run's (trials, T, B) staleness does,
-    for which the array of bounds is returned.
+    ``delta`` is one block's counts or stacks them on leading axes, as a
+    run's (trials, T, B) staleness does; the bounds are returned as an
+    array of its leading shape, 0-d for one block.
     """
     _check_regime(weights)
     delta = np.asarray(delta)
@@ -228,13 +226,12 @@ def o_step_bound(weights: ModelWeights, tau: float | None, delta):
         raise DegenerateInputError("delta must have one entry per token")
     stale = (delta > 0).any(axis=-1)
     if tau is None or tau == 0.0 or not stale.any():
-        return np.zeros(stale.shape) if stale.ndim else 0.0
+        return np.zeros(stale.shape)
     bounds = _model_bounds(weights)
     tt = tau_tilde(tau, bounds.d, bounds.kappa_q)
     with np.errstate(invalid="ignore"):
-        out = np.where(stale, bounds.o_scale
-                       * bounds.o_terms(math.sqrt(2.0 * tt), delta), 0.0)
-    return out if out.ndim else float(out)
+        return np.where(stale, bounds.o_scale
+                        * bounds.o_terms(math.sqrt(2.0 * tt), delta), 0.0)
 
 
 def cumulative_series(G: float, per_step_bounds) -> np.ndarray:

@@ -82,7 +82,7 @@ def synthetic_trace(decisions_per_step, mode="kv", B=4, q_step_arrays=None):
             block=0, step=s, input_tokens=np.zeros(B, dtype=np.int64),
             decisions=decisions, q_head0=q,
             unmasked=np.array([], dtype=np.int64),
-            confidences=np.zeros(B), staleness_l2=0.0,
+            confidences=np.zeros(B),
         ))
     return trace
 

@@ -26,6 +26,7 @@ from reuselab.drift import DriftProfile
 from reuselab.model import ModelConfig, init_weights
 from reuselab.reuse import gate, staleness_norm
 from reuselab.sampler import SamplerConfig, coupled_generate
+from trace_staleness import staleness_norms
 
 L2_GELU = {
     "model": {"L": 2, "H": 2, "d": 8, "d_int": 16, "n_vocab": 32, "B": 4,
@@ -359,9 +360,10 @@ def decode_digest(model: str, mode: str, monkeypatch) -> str:
                 weights, sc, profile, mode, skip_first_layers=skip,
                 refresh_interval=refresh)
             parts = [tokens]
-            for rec in trace.records:
+            for rec, norm in zip(trace.records,
+                                 staleness_norms(trace.records)):
                 parts += [rec.input_tokens, rec.unmasked, rec.confidences,
-                          np.float64(rec.staleness_l2), *rec.q_head0]
+                          np.float64(norm), *rec.q_head0]
                 for dec in rec.decisions:
                     parts += [np.array([dec.layer, dec.step, dec.eligible]),
                               dec.reused.astype(np.int64),

@@ -351,7 +351,6 @@ def sequence_fields(tokens, trace, k: int, n: int, B: int) -> list:
                                         & (dec.reused < (k + 1) * B)]
                              - k * B),
                         staleness_norm(counters[dec.layer][mine])))
-        assert rec.staleness_l2 == staleness_norm(counters)
         out.append(staleness_norm(counters[:, rows]))
     return out
 

@@ -663,6 +663,55 @@ def test_o_input_changed_in_place_is_never_skipped():
     assert np.max(np.abs(h[1] - want[1])) < 1e-12
 
 
+def test_o_direct_layer_step_always_scores(monkeypatch):
+    # Only model_step tells a layer that the layer below refreshed no row.
+    # A direct call at layer 1 whose input is the state's own cached
+    # output of layer 0 computes its queries and scores them, and gets the
+    # decision and the output bits of the step that skipped both.
+    w = init_weights(SKIP_CFG)
+    xs = skip_inputs(w, [(), ()])
+    taus = (0.0,) * SKIP_CFG.L
+    skipped, direct = (ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+                                  refresh_interval=10) for _ in range(2))
+    for state in (skipped, direct):
+        model_step(w, state, xs[0], 0)
+    counts = count_calls(monkeypatch)
+    _, want, _ = model_step(w, skipped, xs[1], 1)
+    assert counts["reuse_set"] == 1
+    h0, _ = layer_step(w.layers[0], xs[1], direct, 0, 1)
+    assert h0 is direct.prev_out[0]
+    h1, got = layer_step(w.layers[1], h0, direct, 1, 1)
+    assert counts == {"reuse_set": 3, "attention_rows": 0, "mlp": 0,
+                      "unembed": 0}
+    assert got.reused.tolist() == want[1].reused.tolist() \
+        == list(range(SKIP_CFG.B))
+    assert np.array_equal(bits(h1), bits(skipped.prev_out[1]))
+    assert np.array_equal(bits(direct.prev_q_head0[1]),
+                          bits(skipped.prev_q_head0[1]))
+
+
+def test_o_stack_skips_nothing_above_a_block_that_refreshes(monkeypatch):
+    # Layer 0 reuses every row of block 0 but refreshes a row of block 1.
+    # Block 0 alone would skip every layer; in the stack, every layer
+    # scores, attends and projects, and the step unembeds.
+    w = init_weights(SKIP_CFG)
+    same = skip_inputs(w, [(), ()])
+    moved = skip_inputs(w, [(), (1,)])
+    state = ReuseState(config=SKIP_CFG, mode="o",
+                       tau_layer=(0.0,) * SKIP_CFG.L, refresh_interval=10,
+                       n_blocks=2)
+    model_step(w, state, np.concatenate((same[0], moved[0])), 0)
+    counts = count_calls(monkeypatch)
+    _, decisions, _ = model_step(
+        w, state, np.concatenate((same[1], moved[1])), 1)
+    B, L = SKIP_CFG.B, SKIP_CFG.L
+    assert decisions[0].refreshed.tolist() == [B + 1]
+    assert all(d.refreshed.size and d.refreshed.min() >= B
+               for d in decisions)
+    assert counts == {"reuse_set": L, "attention_rows": L, "mlp": L,
+                      "unembed": 1}
+
+
 # ---------------------------------------------------------------------------
 # decisions and accounting
 # ---------------------------------------------------------------------------
@@ -709,7 +758,7 @@ def test_model_step_full_matches_forward_full():
             for ell in range(cfg.L):
                 assert np.array_equal(bits(q_head0[ell]),
                                       bits(ref.prev_q_head0[ell]))
-            assert state.staleness_l2() == 0.0
+            assert staleness_norm(state.delta) == 0.0
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -24,6 +24,7 @@ from reuselab.sampler import (
     diffusion_generate,
     maximal_coupling_sample,
 )
+from trace_staleness import staleness_norms
 
 
 # The benchmark's mid-model decode shape.
@@ -532,9 +533,9 @@ PINNED_TRACE_DIGESTS = {
 def trace_digest(trace) -> str:
     """Digest of every array a decode trace records, bit for bit."""
     h = hashlib.sha256()
-    for rec in trace.records:
+    for rec, norm in zip(trace.records, staleness_norms(trace.records)):
         parts = [rec.input_tokens, rec.unmasked, rec.confidences,
-                 np.float64(rec.staleness_l2), *rec.q_head0]
+                 np.float64(norm), *rec.q_head0]
         for dec in rec.decisions:
             parts += [dec.reused.astype(np.int64),
                       dec.refreshed.astype(np.int64),

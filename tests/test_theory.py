@@ -308,7 +308,8 @@ def test_step_bounds_take_a_runs_stacked_staleness(tau):
                              [[o_step_bound(w, tau, x) for x in row]
                               for row in delta])):
         assert stacked.shape == (5, 6) and stacked.dtype == np.float64
-        assert all(type(x) is float for row in scalar for x in row)
+        assert all(type(x) is np.ndarray and x.shape == ()
+                   for row in scalar for x in row)
         assert stacked.tobytes() == np.array(scalar).tobytes()
         if tau:
             assert (stacked[:, 1:] > 0).any()
@@ -317,7 +318,8 @@ def test_step_bounds_take_a_runs_stacked_staleness(tau):
 def test_o_terms_skip_zero_counters_at_a_nan_displacement():
     _, w = theory_model()
     bounds = theory._model_bounds(w)
-    assert bounds.o_terms(math.nan, (0, 0, 0, 0)) == 0.0
+    zero = bounds.o_terms(math.nan, (0, 0, 0, 0))
+    assert type(zero) is np.ndarray and zero.shape == () and zero == 0.0
     assert math.isnan(bounds.o_terms(math.nan, (0, 1, 0, 0)))
     got = bounds.o_terms(math.nan, [[0, 0, 0, 0], [0, 0, 2, 0]])
     assert got[0] == 0.0 and math.isnan(got[1])
