@@ -492,10 +492,19 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
     per_token_saving = (cost.kv_saving_per_token() if mode == "kv"
                         else cost.o_saving_per_token())
 
+    profiles = [_budget_profile(*calibration, phi_bar, config.drift.epsilon)
+                for phi_bar in phi_grid]
+    # The whole grid is one lockstep stack of coupled trials, one per
+    # budget, each at the run's seed under its own profile: every trial has
+    # the bits of its budget's one-trial run.
+    run = coupled_generate(
+        weights, _one_block(config), profiles, mode,
+        skip_first_layers=config.reuse.skip_first_layers,
+        refresh_interval=config.reuse.refresh_interval,
+        seeds=[config.sampler.seed] * len(profiles))
     rows = []
-    for phi_bar in phi_grid:
-        profile = _budget_profile(*calibration, phi_bar,
-                                  config.drift.epsilon)
+    for phi_bar, profile, l1_gap in zip(phi_grid, profiles,
+                                        run.per_step_l1_gap):
         total_reused = 0
         eligible = 0
         for scores in block_scores:
@@ -507,13 +516,8 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
         reuse_fraction = (total_reused / (eligible * cfg.B)
                           if eligible else 0.0)
         saved_fraction = per_token_saving * total_reused / full_flops
-        run = coupled_generate(
-            weights, _one_block(config), profile, mode,
-            skip_first_layers=config.reuse.skip_first_layers,
-            refresh_interval=config.reuse.refresh_interval)
-        mean_error = float(run.per_step_l1_gap[0].mean())
         rows.append((repr(float(phi_bar)), repr(reuse_fraction),
-                     repr(saved_fraction), repr(mean_error)))
+                     repr(saved_fraction), repr(float(l1_gap.mean()))))
 
     out = _output_dir(config)
     write_csv_with_metadata(

@@ -48,9 +48,10 @@ _PROFILE_KEYS = frozenset(("s_layer", "phi_layer", "tau_layer", "phi_bar",
 class DriftProfile:
     """Calibration result: per-layer drift scores, quantiles, thresholds.
 
-    ``tau_layer`` entries are numbers >= 0, or None where the layer's
-    budget rounded down to zero tokens (reuse disabled there); any other
-    entry, NaN included, raises ConfigError.
+    ``tau_layer`` holds one entry per layer of ``s_layer`` (else
+    DimensionError): a number >= 0, or None where the layer's budget
+    rounded down to zero tokens (reuse disabled there); any other entry,
+    NaN included, raises ConfigError.
     """
 
     s_layer: tuple[float, ...]
@@ -61,10 +62,7 @@ class DriftProfile:
     skipped_pairs: int = 0
 
     def __post_init__(self) -> None:
-        for t in self.tau_layer:
-            if t is not None and not is_threshold(t):
-                raise ConfigError(
-                    f"threshold {t!r} is neither None nor a number >= 0")
+        check_thresholds(self.tau_layer, self.L)
 
     @property
     def L(self) -> int:
@@ -120,6 +118,24 @@ def is_threshold(t) -> bool:
     comparison, as it fails every one."""
     return (isinstance(t, numbers.Real) and not isinstance(t, bool)
             and t >= 0.0)
+
+
+def check_thresholds(taus, L) -> None:
+    """Check one row of per-layer thresholds: L of them, or any number
+    when L is None.
+
+    Raises:
+        DimensionError: ``taus`` is not a tuple or list of L entries.
+        ConfigError: an entry is neither None (reuse disabled) nor a
+            threshold (``is_threshold``).
+    """
+    if not isinstance(taus, (tuple, list)) \
+            or L is not None and len(taus) != L:
+        raise DimensionError(f"need {L} per-layer thresholds, got {taus!r}")
+    for t in taus:
+        if t is not None and not is_threshold(t):
+            raise ConfigError(
+                f"threshold {t!r} is neither None nor a number >= 0")
 
 
 def _parse_threshold(t):
@@ -324,20 +340,24 @@ def below_threshold(scores, tau) -> np.ndarray:
     """Indices of the drift scores that are finite and <= tau: the reuse
     rule of the live gate and of the bench replay.
 
-    None (reuse disabled) selects no row. inf (a zero row) and NaN fail
-    ``s <= tau`` for every finite tau and for a NaN tau; only tau = inf
-    needs them masked out.
+    ``tau`` is one threshold for every score, None (reuse disabled: no
+    row), or a vector of one threshold per score, as a stack of blocks
+    with their own thresholds gives the live gate; no score is <= a -inf
+    entry. inf (a zero row) and NaN fail ``s <= tau`` for every finite
+    tau; only an infinite tau needs them masked out, which a vector's
+    mask does for every entry.
     """
     if tau is None:
         return np.empty(0, dtype=np.int64)
     keep = scores <= tau
-    if tau == math.inf:
+    if type(tau) is np.ndarray or tau == math.inf:
         keep &= np.isfinite(scores)
     return keep.nonzero()[0]
 
 
 def reuse_set(q_t, q_prev, tau) -> np.ndarray:
-    """Token indices whose head-0 query drift is <= tau.
+    """Token indices whose head-0 query drift is <= tau, one threshold
+    or one per row as ``below_threshold`` takes it.
 
     Returns an empty set when tau is the disabled sentinel (None) or when
     there is no previous step yet. Rows that are exactly zero on either

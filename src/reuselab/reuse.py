@@ -29,12 +29,14 @@ block by block) that run in lockstep, as the coupled trials of a bound
 check do. Every product runs per block (``model.block_matmul``), and a row
 subset is multiplied per block at the shape a one-block step gives it, so
 each block's rows, caches and staleness counters have the bits of that
-block run alone. A stacked step's decisions cover all rows of the stack;
-a block's own decisions are read from its columns of the staleness
-matrix, whose counters are > 0 exactly on the reused rows. The o-mode
-skips above fire on a stack only when they fire for every block in it: a
-block computed where its own run would skip gets the skipped result bit
-for bit.
+block run alone. Each block has its own row of per-layer thresholds, so
+the blocks of a stack may run under different drift profiles; the gate
+decides each block's rows against its own threshold. A stacked step's
+decisions cover all rows of the stack; a block's own decisions are read
+from its columns of the staleness matrix, whose counters are > 0 exactly
+on the reused rows. The o-mode skips above fire on a stack only when they
+fire for every block in it: a block computed where its own run would skip
+gets the skipped result bit for bit.
 
 The caches are owned by ``ReuseState`` alone. The ones updated in place
 are never returned to a caller. o mode's layer outputs and distributions
@@ -49,11 +51,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .drift import below_threshold, reuse_set
+from .drift import below_threshold, check_thresholds, reuse_set
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -123,6 +125,14 @@ class ReuseState:
     lockstep: every array below then stacks the blocks' rows, block by
     block, and the staleness matrix has n_blocks * B columns.
 
+    ``tau_blocks`` gives each block its own row of L thresholds, each a
+    number >= 0 or None (reuse disabled at that layer); a shared profile
+    is the case where every row is the same. The state keeps them per
+    layer as the gate reads them (``tau_layer``): one value where every
+    block has the same threshold, else a read-only vector of one
+    threshold per row of the stack, -inf in the rows of a block where the
+    layer is disabled, so that no score is below it.
+
     Caches are per layer; entries are None until the layer has run once.
     ``prev_q_head0`` holds the last step's head-0 queries and
     ``prev_o_pre`` the pre-W_O attention output, in every mode. ``prev_k``
@@ -140,10 +150,11 @@ class ReuseState:
 
     config: ModelConfig
     mode: str
-    tau_layer: tuple
+    tau_blocks: InitVar[tuple]
     skip_first_layers: int = 0
     refresh_interval: int = 1
     n_blocks: int = 1
+    tau_layer: list = field(init=False)
     prev_q_head0: list = field(init=False)
     prev_k: list = field(init=False)
     prev_v: list = field(init=False)
@@ -153,16 +164,26 @@ class ReuseState:
     delta: np.ndarray = field(init=False)
     all_rows: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tau_blocks) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         check_gate_settings(self.skip_first_layers, self.refresh_interval)
         if self.n_blocks < 1:
             raise ConfigError("n_blocks must be >= 1")
-        if len(self.tau_layer) != self.config.L:
+        if not isinstance(tau_blocks, (tuple, list)) \
+                or len(tau_blocks) != self.n_blocks:
             raise DimensionError(
-                f"tau_layer has {len(self.tau_layer)} entries for "
-                f"{self.config.L} layers")
+                f"tau_blocks must hold one row of thresholds for each of "
+                f"{self.n_blocks} blocks")
+        # A shared profile passes one row object for every block: it is
+        # checked once and gives one value per layer.
+        rows = {id(row): row for row in tau_blocks}.values()
+        for row in rows:
+            check_thresholds(row, self.config.L)
+        self.tau_layer = list(tau_blocks[0]) if len(rows) == 1 else [
+            column[0] if len(set(column)) == 1
+            else _row_thresholds(column, self.config.B)
+            for column in zip(*tau_blocks)]
         self.all_rows = np.arange(self.n_blocks * self.config.B,
                                   dtype=np.int64)
         self.all_rows.flags.writeable = False
@@ -179,6 +200,15 @@ class ReuseState:
         self.prev_probs = None
         self.delta = np.zeros((L, self.n_blocks * self.config.B),
                               dtype=np.int64)
+
+
+def _row_thresholds(column, B: int) -> np.ndarray:
+    """One layer's thresholds, one per block, as a read-only vector of one
+    per row of B-row blocks; -inf where the layer is disabled (None)."""
+    taus = np.repeat(np.array([-math.inf if t is None else t
+                               for t in column], dtype=np.float64), B)
+    taus.flags.writeable = False
+    return taus
 
 
 def staleness_norm(delta: np.ndarray) -> float:
@@ -248,12 +278,14 @@ def _queries_unchanged(state: ReuseState, ell: int) -> bool:
     without scoring: its head-0 queries are the cached ones bit for bit,
     so every drift is exactly 0.
 
-    A drift of 0 is reused when 0 <= tau; a zero (inf drift) or non-finite
-    cached row sends the slot down the scoring path, which decides it as
+    A drift of 0 is reused under every threshold, so the skip fires unless
+    the layer is disabled in some block of the stack (None, or a -inf
+    entry of the layer's vector). A zero (inf drift) or non-finite cached
+    row sends the slot down the scoring path, which decides it as
     ``reuse_set`` does.
     """
     tau = state.tau_layer[ell]
-    if tau is None or not tau >= 0.0:
+    if tau is None or (type(tau) is np.ndarray and tau.min() < 0.0):
         return False
     q0 = state.prev_q_head0[ell]
     return bool(q0.any(axis=1).all() and np.isfinite(q0).all())
@@ -265,7 +297,7 @@ def layer_step(lw: LayerWeights, x_t: np.ndarray, state: ReuseState,
 
     Queries are fresh unless skipped as below. Where the gate is open in a
     reuse mode, rows whose head-0 query drift is within the layer
-    threshold are reused:
+    threshold of their block are reused:
 
     * kv: the reused rows' keys and values stay as cached (stale rows stay
       stale) and only the refreshed rows are projected, into the cache in
@@ -476,7 +508,8 @@ def forward_full(weights: ModelWeights, x: np.ndarray):
     config = weights.config
     n_blocks = _check_forward_input(config, x)
     state = ReuseState(config=config, mode="full",
-                       tau_layer=(None,) * config.L, n_blocks=n_blocks)
+                       tau_blocks=((None,) * config.L,) * n_blocks,
+                       n_blocks=n_blocks)
     probs, _, _ = model_step(weights, state, x, 0)
     return probs, state
 
@@ -514,12 +547,18 @@ def replay_reuse(scores, tau_layer, skip_first_layers: int,
 
     ``scores`` holds, per step, the per-layer score vectors of
     ``drift.trajectory_drifts``, or None where the step has no previous one
-    (step 0). Each slot is decided as live decoding decides it: ``gate``,
-    then ``below_threshold``. Thresholding a fixed score is monotone in
-    tau, so the reused count is too; live reruns would instead change the
-    scores themselves.
+    (step 0). ``tau_layer`` holds one threshold per layer of the scores,
+    checked as ``ReuseState`` checks each block's row (DimensionError,
+    ConfigError). Each slot is decided as live decoding decides it:
+    ``gate``, then ``below_threshold``. Thresholding a fixed score is
+    monotone in tau, so the reused count is too; live reruns would instead
+    change the scores themselves.
     """
     check_gate_settings(skip_first_layers, refresh_interval)
+    layers = {len(step) for step in scores if step is not None}
+    if len(layers) > 1:
+        raise DimensionError("scores hold different numbers of layers")
+    check_thresholds(tau_layer, layers.pop() if layers else None)
     reused = eligible = 0
     for t, step in enumerate(scores):
         for ell, tau in enumerate(tau_layer):

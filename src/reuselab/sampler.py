@@ -16,7 +16,11 @@ step through a maximal coupling so the two token strings agree wherever
 the two distributions overlap. The recorded per-step gaps are what the
 bound harness checks. It runs one trial per seed, all in lockstep: each
 step is one ``model_step`` over the stack of the trials' blocks, and
-every trial gets the bits of its own one-seed run. It returns one
+every trial gets the bits of its own one-seed run. One drift profile is
+shared by every trial, or each trial has its own, one per seed, as bench
+runs its whole phi_bar grid: the stacked state then holds each trial's
+own thresholds, and every trial still gets the bits of its one-trial run
+under its own profile. It returns one
 ``CoupledRun`` whose arrays stack the trials on a leading axis; the
 per-step staleness matrices are the record of every reuse decision.
 Each step couples every block in one call to ``couple_blocks``, which
@@ -418,7 +422,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
     if (counts != counts[:, :1]).any():
         raise ConfigError("every sequence must mask as many positions "
                           "in each block")
-    state = ReuseState(config=cfg, mode=mode, tau_layer=tau_layer,
+    state = ReuseState(config=cfg, mode=mode, tau_blocks=(tau_layer,) * n,
                        skip_first_layers=skip_first_layers,
                        refresh_interval=refresh_interval, n_blocks=n)
     rngs = [np.random.default_rng(seed) for seed in run_seeds]
@@ -509,23 +513,38 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     ``forward_full`` still runs on it.
 
     One trial runs per seed of ``seeds``, or one at ``config.seed`` when
-    ``seeds`` is None. Trial k of the returned run has the bits of a
-    one-trial run at its seed: the trials run in lockstep, every step is
-    one ``model_step`` over the stack of the trials' blocks, the reference
-    passes run as one ``forward_full`` over the blocks that need them, and
-    each trial draws from its own generator (``couple_blocks``).
+    ``seeds`` is None. ``drift_profile`` is one profile shared by every
+    trial, or a list of profiles, one per seed, which gives each trial its
+    own thresholds (``ReuseState``'s ``tau_blocks``). Trial k of the
+    returned run has the bits of a one-trial run at its seed under its
+    profile: the trials run in lockstep, every step is one ``model_step``
+    over the stack of the trials' blocks, the reference passes run as one
+    ``forward_full`` over the blocks that need them, and each trial draws
+    from its own generator (``couple_blocks``).
+
+    Raises:
+        ConfigError: ``seeds`` is empty, the mode is not kv or o, the
+            sampler does not cover exactly one block, or a list of
+            profiles does not hold one per seed.
     """
     cfg = weights.config
     if mode not in ("kv", "o"):
         raise ConfigError("coupled runs need mode 'kv' or 'o'")
     if config.gen_length != cfg.B or config.block_size != cfg.B:
         raise ConfigError("coupled runs cover exactly one block")
-    tau_layer = _resolve_taus(drift_profile, cfg.L, mode)
     trial_seeds = [config.seed] if seeds is None else list(seeds)
     n = len(trial_seeds)
     if not n:
         raise ConfigError("coupled runs need at least one seed")
-    state = ReuseState(config=cfg, mode=mode, tau_layer=tau_layer,
+    if isinstance(drift_profile, (list, tuple)):
+        if len(drift_profile) != n:
+            raise ConfigError(
+                f"{len(drift_profile)} drift profiles for {n} seeds")
+        tau_blocks = tuple(_resolve_taus(p, cfg.L, mode)
+                           for p in drift_profile)
+    else:
+        tau_blocks = (_resolve_taus(drift_profile, cfg.L, mode),) * n
+    state = ReuseState(config=cfg, mode=mode, tau_blocks=tau_blocks,
                        skip_first_layers=skip_first_layers,
                        refresh_interval=refresh_interval, n_blocks=n)
     rngs = [np.random.default_rng(seed) for seed in trial_seeds]

@@ -369,11 +369,11 @@ class TestAnalyze:
 # ---------------------------------------------------------------------------
 
 class TestBench:
-    def setup_run(self):
+    def setup_run(self, mode="kv"):
         assert run("init-model", "--weights", "m.dare",
                    "--output-dir", "out") == 0
         assert run("bench", "--weights", "m.dare", "--output-dir", "out",
-                   "--mode", "kv", "--phi-grid", "0.0,0.25,0.5,0.75,1.0") == 0
+                   "--mode", mode, "--phi-grid", "0.0,0.25,0.5,0.75,1.0") == 0
         metadata, header, rows = read_csv_with_metadata("out/bench.csv")
         return metadata, header, rows
 
@@ -394,11 +394,13 @@ class TestBench:
         assert reuse[-1] > 0.0
 
     def test_singleton_grid_matches_full_grid_row(self, workdir):
-        _, _, rows = self.setup_run()
-        assert run("bench", "--weights", "m.dare", "--output-dir", "single",
-                   "--mode", "kv", "--phi-grid", "0.5") == 0
-        _, _, single = read_csv_with_metadata("single/bench.csv")
-        assert single[0] == rows[2]
+        # The grid runs as one stack; each row keeps its one-budget bits.
+        for mode in ("kv", "o"):
+            _, _, rows = self.setup_run(mode)
+            assert run("bench", "--weights", "m.dare", "--output-dir",
+                       "single", "--mode", mode, "--phi-grid", "0.5") == 0
+            _, _, single = read_csv_with_metadata("single/bench.csv")
+            assert single[0] == rows[2], mode
 
     def test_full_mode_is_a_usage_error(self, workdir):
         assert run("init-model", "--weights", "m.dare",

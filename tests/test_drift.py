@@ -574,6 +574,13 @@ def test_drift_profile_built_in_code_applies_the_threshold_rule(tau):
                      tau_layer=(0.02, tau), phi_bar=0.3, epsilon=1.0)
 
 
+def test_drift_profile_built_in_code_needs_one_threshold_per_layer():
+    for taus in ((0.02,), (0.02, None, 0.5), 0.02):
+        with pytest.raises(DimensionError):
+            DriftProfile(s_layer=(0.1, 0.8), phi_layer=(0.45, 0.15),
+                         tau_layer=taus, phi_bar=0.3, epsilon=1.0)
+
+
 def test_drift_profile_built_in_code_accepts_valid_thresholds():
     taus = (None, 0, 0.0, 0.5, float("inf"), np.float64(0.25))
     profile = DriftProfile(s_layer=(0.0,) * 6, phi_layer=(0.0,) * 6,

@@ -46,6 +46,7 @@ DEFAULT_COMMANDS = (
     ("verify", "--mode", "o", "--tau", "0.05", "--trials", "10"),
     ("analyze", "--mode", "kv"),
     ("bench", "--mode", "kv", "--phi-grid", "0.2,0.5"),
+    ("bench", "--mode", "o", "--phi-grid", "0.2,0.5"),
 )
 
 L2_COMMANDS = (
@@ -53,6 +54,8 @@ L2_COMMANDS = (
     ("calibrate",),
     ("generate", "--mode", "kv"),
     ("analyze", "--mode", "kv"),
+    ("bench", "--mode", "kv", "--phi-grid", "0.2,0.5"),
+    ("bench", "--mode", "o", "--phi-grid", "0,0.3,1"),
 )
 
 
@@ -161,6 +164,12 @@ PINNED_DEFAULT = [
         "out/bench.csv":
             "f66f5dd637ba085e83658f18c36ea2506d09e5d3987be2edb5380641ed40beee",
      }),
+    ("bench --mode o --phi-grid 0.2,0.5", 0,
+     "a7ea968dd94f58bce10068de521e8a193bb192bdf93c7b6b85ce7d38aad038a9",
+     {
+        "out/bench.csv":
+            "43961159424c536843e4354fa510d142ccaa7a3c7f7962e4d6b86de81f46353c",
+     }),
 ]
 
 PINNED_L2_GELU = [
@@ -202,6 +211,18 @@ PINNED_L2_GELU = [
         "out/value_layer_sim.csv":
             "17ee6baf2d1f4f9551d50edf939cc10eca7cc592b8ec83e46a3af819c4d366a9",
      }),
+    ("bench --mode kv --phi-grid 0.2,0.5", 0,
+     "896259d4eed7bbb2bd9acefe1654ecd20c722a1f6c4535088a3423416b61ac27",
+     {
+        "out/bench.csv":
+            "10b99ec7e954caf88a543835b7767e94a5d61a8c0a6aded8d517edf661963b1c",
+     }),
+    ("bench --mode o --phi-grid 0,0.3,1", 0,
+     "adf7514e63c5c1dcf5237525a6aeb9ca737c602759c75214cb394871e48c8642",
+     {
+        "out/bench.csv":
+            "8c24c598bfed2985fadf6bdc73909c2e3153b18e7e37827515bf3dcdbd93686f",
+     }),
 ]
 
 
@@ -215,7 +236,8 @@ def test_l2_gelu_config_outputs_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("run.json").write_text(json.dumps(L2_GELU), encoding="utf-8")
     observed = run_battery(L2_COMMANDS, ("--config", "run.json"))
-    assert "out/value_layer_sim.csv" in observed[-1][3]
+    analyze = L2_COMMANDS.index(("analyze", "--mode", "kv"))
+    assert "out/value_layer_sim.csv" in observed[analyze][3]
     assert observed == PINNED_L2_GELU
 
 

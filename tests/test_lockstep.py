@@ -1,8 +1,9 @@
 """Tests for lockstep trials: a stack of n blocks run through one forward
 pass gives every block the bits of that block run alone.
 
-``coupled_generate`` with ``seeds`` runs its trials as one stack, and
-``verify_run`` makes one such call for all of its trials;
+``coupled_generate`` with ``seeds`` runs its trials as one stack, under
+one shared profile or one profile per trial; ``verify_run`` makes one
+such call for all of its trials, and ``bench`` one for its whole grid;
 ``diffusion_generate`` with ``seeds`` decodes its sequences as one stack,
 as calibration does with its prompts. The bits guards
 below check the two numpy rules the stack relies on, at every shape the
@@ -11,11 +12,12 @@ before a digest moves.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from reuselab import reuse, sampler, theory
+from reuselab import cli, reuse, sampler, theory
 from reuselab.cli import RunConfig
 from reuselab.drift import DriftProfile
 from reuselab.errors import ConfigError, DimensionError
@@ -46,6 +48,17 @@ LOCKSTEP_MODELS = {
                              seed=2),
 }
 TAUS = (0.0, 0.05, 0.5)
+# Per-trial thresholds, cycled over the trials of a stack and cut to the
+# model's layers. The first two put a block whose layer 1 is disabled
+# beside one that reuses every row at layers 0 and 1, so an o-mode skip
+# taken for the whole stack at layer 1 would reuse the disabled layer.
+TRIAL_TAUS = (
+    (math.inf, None, 0.05, 0.0),    # per-layer mixed
+    (math.inf,) * 4,
+    (None,) * 4,                    # phi_bar = 0: every layer disabled
+    (0.0,) * 4,
+    (0.05, 0.5, None, math.inf),
+)
 REFRESH = (1, 2, 3)
 STACKS = (1, 2, 25)
 STEPS = 8
@@ -55,9 +68,20 @@ STEPS = 8
 MAX_BLOCKS = max(STACKS)
 
 
-def flat_profile(tau, L):
+def profile_of(taus):
+    L = len(taus)
     return DriftProfile(s_layer=(0.0,) * L, phi_layer=(1.0,) * L,
-                        tau_layer=(tau,) * L, phi_bar=1.0, epsilon=1.0)
+                        tau_layer=tuple(taus), phi_bar=1.0, epsilon=1.0)
+
+
+def flat_profile(tau, L):
+    return profile_of((tau,) * L)
+
+
+def trial_profiles(L, n):
+    """n profiles, one per trial, cycling through TRIAL_TAUS."""
+    return [profile_of(TRIAL_TAUS[k % len(TRIAL_TAUS)][:L])
+            for k in range(n)]
 
 
 def sampler_config(cfg, seed=0):
@@ -175,24 +199,38 @@ def test_forward_full_on_a_stack_keeps_each_blocks_bits(model):
 @pytest.mark.parametrize("model, mode", [
     (model, mode) for model in LOCKSTEP_MODELS for mode in ("kv", "o")])
 def test_lockstep_trials_match_one_trial_runs(model, mode):
+    # Under one profile shared by every trial (one per tau), and under one
+    # profile per trial (a list; TRIAL_TAUS).
     cfg = LOCKSTEP_MODELS[model]
     w = init_weights(cfg)
     seeds = [int(s) for s in
              np.random.SeedSequence(29).generate_state(MAX_BLOCKS)]
-    for tau, refresh in itertools.product(TAUS, REFRESH):
-        profile = flat_profile(tau, cfg.L)
+    per_trial = trial_profiles(cfg.L, MAX_BLOCKS)
+    for profile, refresh in itertools.product(
+            [flat_profile(tau, cfg.L) for tau in TAUS] + [per_trial],
+            REFRESH):
+        shared = not isinstance(profile, list)
+        profiles = [profile] * MAX_BLOCKS if shared else profile
         one = [trial_fields(coupled_generate(
-                   w, sampler_config(cfg, seed), profile, mode,
+                   w, sampler_config(cfg, seed), p, mode,
                    refresh_interval=refresh), 0, refresh)
-               for seed in seeds]
+               for seed, p in zip(seeds, profiles)]
         for n in STACKS:
-            run = coupled_generate(w, sampler_config(cfg), profile, mode,
+            run = coupled_generate(w, sampler_config(cfg),
+                                   profile if shared else profile[:n], mode,
                                    refresh_interval=refresh,
                                    seeds=seeds[:n])
             for k in range(n):
                 assert trial_fields(run, k, refresh) == one[k], (
-                    f"trial {k} of {n} differs from its one-trial run at "
-                    f"tau={tau}, refresh={refresh}")
+                    f"trial {k} of {n} differs from its one-trial run "
+                    f"under {profiles[k].tau_layer}, refresh={refresh}")
+            if not shared and n == 2 and cfg.L > 1 and refresh > 1:
+                # The trap is set: on some step both trials reused every
+                # row at layer 0, and at layer 1 only the second did.
+                d = run.per_step_delta
+                assert ((d[:, :, 0] > 0).all(axis=(0, 2))
+                        & (d[0, :, 1] == 0).all(axis=1)
+                        & (d[1, :, 1] > 0).all(axis=1)).any()
 
 
 RUN_FIELDS = ("full_tokens", "reuse_tokens", "per_step_embed_error",
@@ -226,11 +264,16 @@ def test_coupled_run_stacks_its_trials(model, n):
 
 
 def test_coupled_generate_needs_a_seed():
+    # And, given a list of profiles, one profile per seed.
     cfg = LOCKSTEP_MODELS["default"]
     w = init_weights(cfg)
     with pytest.raises(ConfigError):
         coupled_generate(w, sampler_config(cfg), flat_profile(0.05, cfg.L),
                          "kv", seeds=[])
+    for seeds in ([1, 2, 3], None):
+        with pytest.raises(ConfigError):
+            coupled_generate(w, sampler_config(cfg),
+                             trial_profiles(cfg.L, 2), "kv", seeds=seeds)
 
 
 @pytest.mark.parametrize("mode", ["kv", "o"])
@@ -254,6 +297,28 @@ def test_verify_run_steps_its_trials_together(mode, monkeypatch):
     assert report.violations == 0
     assert STEPS <= len(calls) <= 3 * STEPS
     assert calls.count(25) >= STEPS
+
+
+@pytest.mark.parametrize("grid", ["0.5", "0,0.25,0.5,0.75,1.0"])
+@pytest.mark.parametrize("mode", ["kv", "o"])
+def test_bench_runs_its_grid_together(mode, grid, tmp_path, monkeypatch):
+    # One coupled_generate call for the whole grid: one trial per budget,
+    # each at the run's seed under its own profile.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(([p.phi_bar for p in args[2]], kwargs["seeds"]))
+        return coupled_generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "coupled_generate", counted)
+    monkeypatch.chdir(tmp_path)
+    common = ["--weights", "m.dare", "--output-dir", "out"]
+    assert cli.main(["init-model", *common]) == 0
+    assert cli.main(["bench", *common, "--mode", mode,
+                     "--phi-grid", grid]) == 0
+    budgets = [float(p) for p in grid.split(",")]
+    seed = RunConfig.default().sampler.seed
+    assert calls == [(budgets, [seed] * len(budgets))]
 
 
 # ---------------------------------------------------------------------------

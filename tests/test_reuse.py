@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reuselab import reuse, sampler
+from reuselab import drift, reuse, sampler
 from reuselab.cli import ReuseSettings
 from reuselab.drift import DriftProfile, reuse_set, row_drift
 from reuselab.errors import ConfigError, DimensionError, StateError
@@ -44,7 +44,7 @@ def make_model(seed=3, B=3):
 
 
 def make_state(cfg, mode, tau, refresh=2, skip=0):
-    return ReuseState(config=cfg, mode=mode, tau_layer=(tau,) * cfg.L,
+    return ReuseState(config=cfg, mode=mode, tau_blocks=((tau,) * cfg.L,),
                       skip_first_layers=skip, refresh_interval=refresh)
 
 
@@ -324,7 +324,7 @@ def check_kv_cache_sources(w, xs, n_changed):
     every cached K/V row is bitwise the full product's row at the step the
     row was last refreshed."""
     cfg = w.config
-    state = ReuseState(config=cfg, mode="kv", tau_layer=(0.0,) * cfg.L,
+    state = ReuseState(config=cfg, mode="kv", tau_blocks=((0.0,) * cfg.L,),
                        refresh_interval=len(xs) + 1)
     rows = np.arange(cfg.B)
     for t, x in enumerate(xs):
@@ -370,7 +370,7 @@ def test_kv_single_refreshed_row_at_every_position(cfg):
 @pytest.mark.parametrize("n_changed", [1, 2, MID.B - 1, MID.B])
 def test_o_reused_rows_are_bitwise_cached_rows(n_changed):
     w = init_weights(MID)
-    state = ReuseState(config=MID, mode="o", tau_layer=(0.0,) * MID.L,
+    state = ReuseState(config=MID, mode="o", tau_blocks=((0.0,) * MID.L,),
                        refresh_interval=100)
     for t, x in enumerate(changing_inputs(w, n_changed, 4, seed=n_changed)):
         for ell, lw in enumerate(w.layers):
@@ -425,7 +425,7 @@ def test_reuse_steps_leave_earlier_queries_unchanged(mode):
     # The trace holds each step's head-0 queries, a view into that step's
     # Q product; later steps' gates and splices must not write to it.
     w = init_weights(MID)
-    state = ReuseState(config=MID, mode=mode, tau_layer=(0.0,) * MID.L,
+    state = ReuseState(config=MID, mode=mode, tau_blocks=((0.0,) * MID.L,),
                        refresh_interval=4)
     held = []
     for t, x in enumerate(changing_inputs(w, 4, 4, seed=5)):
@@ -533,7 +533,10 @@ TAU_PATTERNS = {
     "0.01": (0.01,) * 4,
     "inf": (math.inf,) * 4,
     "gap": (0.01, None, 0.01, 0.01),   # a disabled layer between reusers
-    "neg": (0.0, -1.0, 0.0, 0.0),      # a threshold no drift meets
+    # Layer 1 reuses nothing between layers that reuse every unmoved row.
+    # (It used to hold -1.0, a threshold no drift meets; a negative
+    # threshold is now refused, so "disabled" is the only such layer.)
+    "neg": (0.0, None, 0.0, 0.0),
 }
 
 
@@ -547,8 +550,9 @@ def test_o_model_step_matches_direct_computation(taus, skip, refresh,
     # Bitwise against the computation that skips nothing, and each skip
     # fires exactly where it should: a slot reusing every row runs neither
     # attention nor the MLP, a layer above one that did scores nothing
-    # (unless a head-0 query row is zero or not finite, or tau < 0), and a
-    # step whose top layer reused every row does not unembed.
+    # (unless a head-0 query row is zero or not finite, or the layer is
+    # disabled), and a step whose top layer reused every row does not
+    # unembed.
     if activation == "gelu":
         pytest.importorskip("scipy")
     cfg = dataclasses.replace(SKIP_CFG, activation=activation)
@@ -556,7 +560,7 @@ def test_o_model_step_matches_direct_computation(taus, skip, refresh,
     w = skip_weights(cfg, variant)
     xs = skip_inputs(w)
     counts = count_calls(monkeypatch)
-    state = ReuseState(config=cfg, mode="o", tau_layer=tau_layer,
+    state = ReuseState(config=cfg, mode="o", tau_blocks=(tau_layer,),
                        skip_first_layers=skip, refresh_interval=refresh)
     expected = dict.fromkeys(counts, 0)
     with np.errstate(all="ignore"):
@@ -573,7 +577,6 @@ def test_o_model_step_matches_direct_computation(taus, skip, refresh,
                 d.eligible and not (
                     d.layer and whole[d.layer - 1]
                     and tau_layer[d.layer] is not None
-                    and tau_layer[d.layer] >= 0.0
                     and q0_ref[d.layer].any(axis=1).all()
                     and np.isfinite(q0_ref[d.layer]).all())
                 for d in decisions)
@@ -593,7 +596,7 @@ def test_o_layers_above_an_unchanged_layer_compute_nothing(tau, monkeypatch):
     w = init_weights(SKIP_CFG)
     xs = skip_inputs(w, [(), ()])
     state = ReuseState(config=SKIP_CFG, mode="o",
-                       tau_layer=(tau,) * SKIP_CFG.L, refresh_interval=10)
+                       tau_blocks=((tau,) * SKIP_CFG.L,), refresh_interval=10)
     probs0, _, q0_first = model_step(w, state, xs[0], 0)
     outs = list(state.prev_out)
     counts = count_calls(monkeypatch)
@@ -618,9 +621,9 @@ def test_o_zero_head0_queries_give_full_output():
     # above a layer whose input is unchanged: bitwise full decoding.
     w = zero_head0_queries(init_weights(SKIP_CFG), range(SKIP_CFG.L))
     o_state = ReuseState(config=SKIP_CFG, mode="o",
-                         tau_layer=(math.inf,) * SKIP_CFG.L)
+                         tau_blocks=((math.inf,) * SKIP_CFG.L,))
     full_state = ReuseState(config=SKIP_CFG, mode="full",
-                            tau_layer=(None,) * SKIP_CFG.L)
+                            tau_blocks=((None,) * SKIP_CFG.L,))
     for t, x in enumerate(skip_inputs(w)):
         probs, decisions, _ = model_step(w, o_state, x, t)
         want, _, _ = model_step(w, full_state, x, t)
@@ -635,9 +638,9 @@ def test_o_input_changed_in_place_is_never_skipped():
     w = init_weights(SKIP_CFG)
     a, b = skip_inputs(w, [(), (1,)])
     taus = (0.0,) * SKIP_CFG.L
-    moved = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+    moved = ReuseState(config=SKIP_CFG, mode="o", tau_blocks=(taus,),
                        refresh_interval=10)
-    fresh = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+    fresh = ReuseState(config=SKIP_CFG, mode="o", tau_blocks=(taus,),
                        refresh_interval=10)
     x = a.copy()
     model_step(w, moved, x, 0)
@@ -651,7 +654,7 @@ def test_o_input_changed_in_place_is_never_skipped():
     assert got_dec[0].refreshed.tolist() == [1]
 
     lw = w.layers[1]
-    direct = ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
+    direct = ReuseState(config=SKIP_CFG, mode="o", tau_blocks=(taus,),
                         refresh_interval=10)
     x = a.copy()
     layer_step(lw, x, direct, 1, 0)
@@ -671,8 +674,9 @@ def test_o_direct_layer_step_always_scores(monkeypatch):
     w = init_weights(SKIP_CFG)
     xs = skip_inputs(w, [(), ()])
     taus = (0.0,) * SKIP_CFG.L
-    skipped, direct = (ReuseState(config=SKIP_CFG, mode="o", tau_layer=taus,
-                                  refresh_interval=10) for _ in range(2))
+    skipped, direct = (ReuseState(config=SKIP_CFG, mode="o",
+                                  tau_blocks=(taus,), refresh_interval=10)
+                       for _ in range(2))
     for state in (skipped, direct):
         model_step(w, state, xs[0], 0)
     counts = count_calls(monkeypatch)
@@ -698,8 +702,8 @@ def test_o_stack_skips_nothing_above_a_block_that_refreshes(monkeypatch):
     same = skip_inputs(w, [(), ()])
     moved = skip_inputs(w, [(), (1,)])
     state = ReuseState(config=SKIP_CFG, mode="o",
-                       tau_layer=(0.0,) * SKIP_CFG.L, refresh_interval=10,
-                       n_blocks=2)
+                       tau_blocks=((0.0,) * SKIP_CFG.L,) * 2,
+                       refresh_interval=10, n_blocks=2)
     model_step(w, state, np.concatenate((same[0], moved[0])), 0)
     counts = count_calls(monkeypatch)
     _, decisions, _ = model_step(
@@ -739,7 +743,7 @@ def test_model_step_full_matches_forward_full():
         cfg = ModelConfig(L=L, H=H, d=8, d_int=6, n_vocab=16, B=3,
                           activation=activation, seed=5)
         w = init_weights(cfg)
-        state = ReuseState(config=cfg, mode=mode, tau_layer=(0.0,) * L,
+        state = ReuseState(config=cfg, mode=mode, tau_blocks=((0.0,) * L,),
                            refresh_interval=2)
         for t, tokens in enumerate([[2, 7, 13], [3, 8, 14], [4, 9, 15],
                                     [5, 10, 1]]):
@@ -768,7 +772,7 @@ def test_every_mode_caches_fresh_rows(mode):
     output the attention of this step's queries over the step's K/V."""
     cfg = ModelConfig(L=2, H=2, d=16, d_int=32, n_vocab=32, B=5, seed=2)
     w = init_weights(cfg)
-    state = ReuseState(config=cfg, mode=mode, tau_layer=(0.0,) * cfg.L,
+    state = ReuseState(config=cfg, mode=mode, tau_blocks=((0.0,) * cfg.L,),
                        refresh_interval=10)
     xs = changing_inputs(w, 2, 4, seed=4)
     reused_any = False
@@ -792,7 +796,7 @@ def test_every_mode_caches_fresh_rows(mode):
 
 def test_model_step_kv_disabled_matches_full_over_steps():
     cfg, w = make_model()
-    full_state = ReuseState(config=cfg, mode="full", tau_layer=(None,))
+    full_state = ReuseState(config=cfg, mode="full", tau_blocks=((None,),))
     kv_state = make_state(cfg, "kv", tau=None)
     for t, tokens in enumerate([[1, 5, 9], [2, 5, 9], [2, 6, 10]]):
         x = embed_tokens(w, tokens)
@@ -820,7 +824,7 @@ def test_reuse_accounting_exact():
 
 def test_reuse_accounting_full_mode_is_zero():
     cfg, w = make_model()
-    state = ReuseState(config=cfg, mode="full", tau_layer=(None,))
+    state = ReuseState(config=cfg, mode="full", tau_blocks=((None,),))
     x = embed_tokens(w, [1, 5, 9])
     decisions = []
     for t in range(4):
@@ -839,15 +843,66 @@ def test_reuse_accounting_full_mode_is_zero():
 def test_state_validation():
     cfg, _ = make_model()
     with pytest.raises(ConfigError):
-        ReuseState(config=cfg, mode="banana", tau_layer=(None,))
+        ReuseState(config=cfg, mode="banana", tau_blocks=((None,),))
     with pytest.raises(ConfigError):
-        ReuseState(config=cfg, mode="kv", tau_layer=(None,),
+        ReuseState(config=cfg, mode="kv", tau_blocks=((None,),),
                    refresh_interval=0)
     with pytest.raises(DimensionError):
-        ReuseState(config=cfg, mode="kv", tau_layer=(0.1, 0.2))
+        ReuseState(config=cfg, mode="kv", tau_blocks=((0.1, 0.2),))
     with pytest.raises(TypeError):  # caches are not constructor arguments
-        ReuseState(config=cfg, mode="kv", tau_layer=(None,),
+        ReuseState(config=cfg, mode="kv", tau_blocks=((None,),),
                    delta=np.zeros((1, cfg.B), dtype=np.int64))
+
+
+@pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan, "abc", True])
+def test_state_refuses_bad_thresholds(tau):
+    # A negative or NaN threshold used to reuse nothing without a word.
+    cfg, _ = make_model()
+    with pytest.raises(ConfigError):
+        ReuseState(config=cfg, mode="kv", tau_blocks=((tau,),))
+    with pytest.raises(ConfigError):
+        ReuseState(config=cfg, mode="kv", tau_blocks=((0.5,), (tau,)),
+                   n_blocks=2)
+
+
+@pytest.mark.parametrize("tau_blocks, n_blocks", [
+    (((0.5,),), 2),             # one row for two blocks
+    (((0.5,),) * 2, 1),         # two rows for one block
+    (((0.5, 0.5),), 1),         # two thresholds for one layer
+    (((0.5,), (0.5, 0.1)), 2),  # a second row of another length
+    ((0.5,), 1),                # a row, not a table
+    ((), 1),
+])
+def test_state_checks_its_threshold_table_shape(tau_blocks, n_blocks):
+    cfg, _ = make_model()
+    with pytest.raises(DimensionError):
+        ReuseState(config=cfg, mode="kv", tau_blocks=tau_blocks,
+                   n_blocks=n_blocks)
+
+
+def test_state_keeps_one_gate_threshold_per_layer(monkeypatch):
+    # Where every block has the same threshold the gate gets it as one
+    # value; elsewhere one per row, -inf where a block disables the layer.
+    # A layer disabled in every block still scores nothing.
+    cfg = dataclasses.replace(SKIP_CFG, L=3)
+    w = init_weights(cfg)
+    state = ReuseState(config=cfg, mode="kv", n_blocks=2,
+                       tau_blocks=((0.5, None, None), (0.5, 0.1, None)),
+                       refresh_interval=10)
+    assert state.tau_layer[0] == 0.5 and state.tau_layer[2] is None
+    assert state.tau_layer[1].tolist() == [-math.inf] * cfg.B \
+        + [0.1] * cfg.B
+    assert not state.tau_layer[1].flags.writeable
+    scored = []
+    monkeypatch.setattr(drift, "row_drift",
+                        lambda *a: scored.append(1) or row_drift(*a))
+    xs = skip_inputs(w, [(), ()])
+    for t, x in enumerate(xs):
+        _, decisions, _ = model_step(w, state, np.concatenate((x, x)), t)
+    assert len(scored) == 2     # layers 0 and 1 at step 1
+    assert decisions[0].reused_count == 2 * cfg.B
+    assert decisions[1].reused.tolist() == list(range(cfg.B, 2 * cfg.B))
+    assert decisions[2].reused_count == 0
 
 
 def test_state_reset_block():
@@ -976,6 +1031,31 @@ def test_counterfactual_respects_sentinel_and_inf():
     assert replay_reuse(scores, (1.0,), 0, 2) == (1, 1)
 
 
+@pytest.mark.parametrize("tau_layer, error", [
+    ((0.5, 0.5), DimensionError),   # two thresholds for one layer
+    ((), DimensionError),
+    (0.5, DimensionError),          # a threshold, not a row of them
+    (("abc",), ConfigError),
+    ((-1.0,), ConfigError),
+    ((math.nan,), ConfigError),
+    ((True,), ConfigError),
+])
+def test_replay_checks_its_thresholds(tau_layer, error):
+    # As ReuseState checks them: at the parent these raised IndexError or
+    # numpy's UFuncTypeError, or counted 0 reused rows.
+    scores = [None, [np.array([0.0, 0.1])], [np.array([0.2, 0.0])]]
+    with pytest.raises(error):
+        replay_reuse(scores, tau_layer, 0, 2)
+
+
+def test_replay_needs_one_layer_count():
+    scores = [None, [np.array([0.0])], [np.array([0.0]), np.array([0.0])]]
+    with pytest.raises(DimensionError):
+        replay_reuse(scores, (0.5,), 0, 2)
+    # With no scored step there is no layer count to match.
+    assert replay_reuse([None], (0.5, 0.5), 0, 2) == (0, 0)
+
+
 @pytest.mark.parametrize("skip, refresh", [(0, 0), (0, -1), (-1, 2)])
 def test_gate_settings_are_checked_alike(skip, refresh):
     # A refresh interval of 0 used to reach gate's step % 0 in the replay.
@@ -984,7 +1064,7 @@ def test_gate_settings_are_checked_alike(skip, refresh):
     with pytest.raises(ConfigError):
         replay_reuse(scores, (0.5,), skip, refresh)
     with pytest.raises(ConfigError):
-        ReuseState(config=cfg, mode="kv", tau_layer=(0.5,),
+        ReuseState(config=cfg, mode="kv", tau_blocks=((0.5,),),
                    skip_first_layers=skip, refresh_interval=refresh)
     with pytest.raises(ConfigError):
         ReuseSettings(mode="kv", skip_first_layers=skip,
