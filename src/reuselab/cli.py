@@ -235,13 +235,6 @@ def _decode(weights, config: RunConfig):
     return tokens, trace, profile
 
 
-def _one_block(config: RunConfig) -> SamplerConfig:
-    """The run's sampler cut to one block of the model: verify and bench
-    couple exactly one block, whatever gen_length is."""
-    B = config.model.B
-    return dataclasses.replace(config.sampler, gen_length=B, block_size=B)
-
-
 # ---------------------------------------------------------------------------
 # init-model
 # ---------------------------------------------------------------------------
@@ -272,10 +265,12 @@ def _calibration_trace(weights, sampler: SamplerConfig,
 
     Each prompt freezes random tokens over the first half of the sequence
     so calibration sees non-degenerate contexts; the model has no tokenizer,
-    so random token strings are the calibration corpus. The prompts share
-    one prefix length and never hold the mask id, so every block masks as
-    many positions in each, and one ``diffusion_generate`` call decodes
-    them all in lockstep, each from its own seed.
+    so random token strings are the calibration corpus. Each token is
+    drawn from the n_vocab - 1 ids other than the weights' mask id (a draw
+    at or above it moves up by one), so the prompts share one prefix
+    length and never hold the mask id: every block masks as many
+    positions in each, and one ``diffusion_generate`` call decodes them
+    all in lockstep, each from its own seed.
     """
     cfg = weights.config
     prompt = np.full((prompts, sampler.gen_length), weights.mask_token,
@@ -285,7 +280,8 @@ def _calibration_trace(weights, sampler: SamplerConfig,
     for k in range(prompts):
         rng = np.random.default_rng([sampler.seed, k])
         if prefix:
-            prompt[k, :prefix] = rng.integers(0, cfg.n_vocab - 1, prefix)
+            ids = rng.integers(0, cfg.n_vocab - 1, prefix)
+            prompt[k, :prefix] = ids + (ids >= weights.mask_token)
         seeds.append(int(rng.integers(2 ** 31)))
     _, trace = diffusion_generate(weights, sampler, None, "full",
                                   initial_tokens=prompt, seeds=seeds)
@@ -392,7 +388,7 @@ def cmd_verify(config: RunConfig, trials: int,
         raise ConfigError("verify checks a reuse mode; pass --mode kv or o")
     profile = _resolve_profile(config)
     report = verify_run(
-        weights, _one_block(config), profile, mode, trials,
+        weights, config.sampler, profile, mode, trials,
         skip_first_layers=config.reuse.skip_first_layers,
         refresh_interval=config.reuse.refresh_interval,
         debug_zero_bounds=debug_zero_bounds,
@@ -498,10 +494,10 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
     # budget, each at the run's seed under its own profile: every trial has
     # the bits of its budget's one-trial run.
     run = coupled_generate(
-        weights, _one_block(config), profiles, mode,
+        weights, mode, [(config.sampler.seed, p) for p in profiles],
+        config.sampler.steps_per_block,
         skip_first_layers=config.reuse.skip_first_layers,
-        refresh_interval=config.reuse.refresh_interval,
-        seeds=[config.sampler.seed] * len(profiles))
+        refresh_interval=config.reuse.refresh_interval)
     rows = []
     for phi_bar, profile, l1_gap in zip(phi_grid, profiles,
                                         run.per_step_l1_gap):
@@ -554,20 +550,18 @@ _FLAGS = (
     ("--refresh-interval", "reuse", "refresh_interval", int,
      "force a full refresh every this many steps"),
     ("--seed", "sampler", "seed", int, "sampler seed override"),
-    ("--block-size", "sampler", "block_size", int, "decode block length"),
     ("--steps", "sampler", "steps_per_block", int, "denoising steps per block"),
     ("--gen-length", "sampler", "gen_length", int, "total tokens to decode"),
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run configuration file")
-    for flag, _, _, kind, help_text in _FLAGS:
-        parser.add_argument(flag, type=kind, help=help_text,
-                            choices=MODES if flag == "--mode" else None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # The common flags are built once, in a parent every subcommand copies.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON run configuration file")
+    for flag, _, _, kind, help_text in _FLAGS:
+        common.add_argument(flag, type=kind, help=help_text,
+                            choices=MODES if flag == "--mode" else None)
     parser = argparse.ArgumentParser(
         prog="reuselab",
         description="Desk-scale laboratory for activation reuse in "
@@ -575,32 +569,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init-model", help="create and save model weights")
-    _common_flags(p)
+    sub.add_parser("init-model", parents=[common],
+                   help="create and save model weights")
 
-    p = sub.add_parser("calibrate", help="fit per-layer reuse thresholds")
-    _common_flags(p)
+    p = sub.add_parser("calibrate", parents=[common],
+                       help="fit per-layer reuse thresholds")
     p.add_argument("--prompts", type=int, default=CALIBRATION_PROMPTS,
                    help="number of calibration generations")
 
-    p = sub.add_parser("generate", help="decode tokens, with or without reuse")
-    _common_flags(p)
+    sub.add_parser("generate", parents=[common],
+                   help="decode tokens, with or without reuse")
 
-    p = sub.add_parser("verify", help="check the reuse error bounds")
-    _common_flags(p)
+    p = sub.add_parser("verify", parents=[common],
+                       help="check the reuse error bounds")
     p.add_argument("--trials", type=int, default=50,
                    help="coupled runs to average")
     p.add_argument("--debug-zero-bounds", action="store_true",
                    help="zero every bound (harness self-test; lossy runs "
                         "must then fail)")
 
-    p = sub.add_parser("analyze", help="similarity and drift artifacts")
-    _common_flags(p)
+    p = sub.add_parser("analyze", parents=[common],
+                       help="similarity and drift artifacts")
     p.add_argument("--trace", help="previously written trace.jsonl to "
                                    "cross-check against")
 
-    p = sub.add_parser("bench", help="sweep the reuse budget phi_bar")
-    _common_flags(p)
+    p = sub.add_parser("bench", parents=[common],
+                       help="sweep the reuse budget phi_bar")
     p.add_argument("--phi-grid", default="0.0,0.25,0.5,0.75,1.0",
                    help="comma-separated phi_bar values")
     return parser

@@ -86,8 +86,10 @@ class DriftProfile:
         Raises:
             FormatError: if the text is not a JSON object with every key
                 ``to_json`` writes, the three per-layer lists differ in
-                length, or a threshold is neither ``"disabled"`` nor a
-                number >= 0 (NaN is not).
+                length, a threshold is neither ``"disabled"`` nor a
+                number >= 0 (NaN is not), an entry of s_layer or
+                phi_layer, phi_bar or epsilon is not a real number (a
+                bool is not), or skipped_pairs is not an int >= 0.
         """
         try:
             data = json.loads(text)
@@ -103,21 +105,32 @@ class DriftProfile:
                 or len({len(v) for v in per_layer}) != 1:
             raise FormatError(
                 "s_layer, phi_layer and tau_layer must be lists of one length")
+        if not all(map(_is_real, [*data["s_layer"], *data["phi_layer"],
+                                  data["phi_bar"], data["epsilon"]])):
+            raise FormatError("s_layer, phi_layer, phi_bar and epsilon must "
+                              "hold real numbers")
+        skipped = data["skipped_pairs"]
+        if type(skipped) is not int or skipped < 0:
+            raise FormatError(f"skipped_pairs {skipped!r} is not an int >= 0")
         return cls(
             s_layer=tuple(data["s_layer"]),
             phi_layer=tuple(data["phi_layer"]),
             tau_layer=tuple(_parse_threshold(t) for t in data["tau_layer"]),
             phi_bar=data["phi_bar"],
             epsilon=data["epsilon"],
-            skipped_pairs=data["skipped_pairs"],
+            skipped_pairs=skipped,
         )
+
+
+def _is_real(v) -> bool:
+    """A real number; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def is_threshold(t) -> bool:
     """The threshold rule: a real number (not a bool) >= 0. NaN fails the
     comparison, as it fails every one."""
-    return (isinstance(t, numbers.Real) and not isinstance(t, bool)
-            and t >= 0.0)
+    return _is_real(t) and t >= 0.0
 
 
 def check_thresholds(taus, L) -> None:

@@ -100,21 +100,25 @@ class LayerWeights:
 class ModelWeights:
     """Full parameter set: per-layer matrices plus the shared embedding.
 
-    ``r_emb`` is the maximum Euclidean row norm of ``emb`` (so every raw
-    embedding row has norm <= r_emb); after ``init_weights`` it equals 1.
     ``emb`` is made read-only on construction, as the layers' matrices
-    are, so the per-model caches (``_input_table`` here and the bound
-    constants of ``theory``) need no check that the arrays are unchanged.
+    are, so the per-model caches (``r_emb`` and ``_input_table`` here and
+    the bound constants of ``theory``) need no check that the arrays are
+    unchanged.
     """
 
     config: ModelConfig
     layers: tuple[LayerWeights, ...]
     emb: np.ndarray  # n_vocab x d
     mask_token: int
-    r_emb: float
 
     def __post_init__(self) -> None:
         self.emb.flags.writeable = False
+
+    @functools.cached_property
+    def r_emb(self) -> float:
+        """The maximum Euclidean row norm of ``emb``, so every raw
+        embedding row has norm <= r_emb; after ``init_weights`` it is 1."""
+        return norm_2_to_inf(self.emb)
 
     @functools.cached_property
     def _input_table(self):
@@ -187,7 +191,6 @@ def init_weights(config: ModelConfig) -> ModelWeights:
         layers=tuple(layers),
         emb=emb,
         mask_token=config.n_vocab - 1,
-        r_emb=norm_2_to_inf(emb),
     )
 
 
@@ -311,7 +314,8 @@ def unembed(weights: ModelWeights, h: np.ndarray,
 # The header carries the ModelConfig, mask token, r_emb, and a tensor
 # manifest (name, rows, cols, offset); offsets are byte positions relative
 # to the start of the payload, and the payload is the raw little-endian
-# float64 tensor data in manifest order.
+# float64 tensor data in manifest order. r_emb is derived from the
+# embedding; the header's copy must match it.
 
 
 def _tensor_items(weights: ModelWeights):
@@ -367,8 +371,8 @@ def load_weights(path) -> ModelWeights:
         FormatError: if the file is not a complete, well-formed weight file
             for the model its header describes (bad magic or version, a
             short or corrupt header, an invalid config, a missing or
-            misshapen tensor, a non-finite weight, a bad mask token or
-            r_emb).
+            misshapen tensor, a non-finite weight, a bad mask token, or an
+            r_emb other than the loaded embedding's).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -393,11 +397,9 @@ def load_weights(path) -> ModelWeights:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid model config in header: {exc}") from exc
-    mask_token, r_emb = header["mask_token"], header["r_emb"]
+    mask_token = header["mask_token"]
     if type(mask_token) is not int or not 0 <= mask_token < config.n_vocab:
         raise FormatError(f"mask token {mask_token!r} is not a vocabulary index")
-    if type(r_emb) not in (int, float) or not 0.0 <= r_emb < math.inf:
-        raise FormatError(f"r_emb {r_emb!r} is not a finite number >= 0")
     shapes = _tensor_shapes(config)
     payload = raw[header_end:]
     tensors = {}
@@ -430,10 +432,10 @@ def load_weights(path) -> ModelWeights:
         LayerWeights(**{name: tensors[f"layers.{i}.{name}"]
                         for name in ("w_q", "w_k", "w_v", "w_o", "w_u", "w_d")})
         for i in range(config.L))
-    return ModelWeights(
-        config=config,
-        layers=layers,
-        emb=tensors["emb"],
-        mask_token=mask_token,
-        r_emb=r_emb,
-    )
+    weights = ModelWeights(config=config, layers=layers, emb=tensors["emb"],
+                           mask_token=mask_token)
+    r_emb = header["r_emb"]
+    if type(r_emb) not in (int, float) or r_emb != weights.r_emb:
+        raise FormatError(f"header r_emb {r_emb!r} is not the embedding's "
+                          f"largest row norm {weights.r_emb!r}")
+    return weights

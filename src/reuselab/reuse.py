@@ -126,10 +126,11 @@ class ReuseState:
     block, and the staleness matrix has n_blocks * B columns.
 
     ``tau_blocks`` gives each block its own row of L thresholds, each a
-    number >= 0 or None (reuse disabled at that layer); a shared profile
-    is the case where every row is the same. The state keeps them per
-    layer as the gate reads them (``tau_layer``): one value where every
-    block has the same threshold, else a read-only vector of one
+    number >= 0 or None (reuse disabled at that layer), and so sets the
+    number of blocks, ``n_blocks``; a shared profile is the case where
+    every row is the same object, which is checked once. The state keeps
+    them per layer as the gate reads them (``tau_layer``): one value where
+    every block has the same threshold, else a read-only vector of one
     threshold per row of the stack, -inf in the rows of a block where the
     layer is disabled, so that no score is below it.
 
@@ -153,7 +154,7 @@ class ReuseState:
     tau_blocks: InitVar[tuple]
     skip_first_layers: int = 0
     refresh_interval: int = 1
-    n_blocks: int = 1
+    n_blocks: int = field(init=False)
     tau_layer: list = field(init=False)
     prev_q_head0: list = field(init=False)
     prev_k: list = field(init=False)
@@ -168,13 +169,10 @@ class ReuseState:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         check_gate_settings(self.skip_first_layers, self.refresh_interval)
-        if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be >= 1")
-        if not isinstance(tau_blocks, (tuple, list)) \
-                or len(tau_blocks) != self.n_blocks:
+        if not isinstance(tau_blocks, (tuple, list)) or not tau_blocks:
             raise DimensionError(
-                f"tau_blocks must hold one row of thresholds for each of "
-                f"{self.n_blocks} blocks")
+                "tau_blocks must hold one row of thresholds per block")
+        self.n_blocks = len(tau_blocks)
         # A shared profile passes one row object for every block: it is
         # checked once and gives one value per layer.
         rows = {id(row): row for row in tau_blocks}.values()
@@ -508,8 +506,7 @@ def forward_full(weights: ModelWeights, x: np.ndarray):
     config = weights.config
     n_blocks = _check_forward_input(config, x)
     state = ReuseState(config=config, mode="full",
-                       tau_blocks=((None,) * config.L,) * n_blocks,
-                       n_blocks=n_blocks)
+                       tau_blocks=((None,) * config.L,) * n_blocks)
     probs, _, _ = model_step(weights, state, x, 0)
     return probs, state
 

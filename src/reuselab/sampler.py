@@ -14,15 +14,16 @@ its own generator, and each gets the bits of its own one-seed run.
 a reuse-free reference branch in lockstep, resampling every position each
 step through a maximal coupling so the two token strings agree wherever
 the two distributions overlap. The recorded per-step gaps are what the
-bound harness checks. It runs one trial per seed, all in lockstep: each
-step is one ``model_step`` over the stack of the trials' blocks, and
-every trial gets the bits of its own one-seed run. One drift profile is
-shared by every trial, or each trial has its own, one per seed, as bench
-runs its whole phi_bar grid: the stacked state then holds each trial's
-own thresholds, and every trial still gets the bits of its one-trial run
-under its own profile. It returns one
-``CoupledRun`` whose arrays stack the trials on a leading axis; the
-per-step staleness matrices are the record of every reuse decision.
+bound harness checks. It samples from the model's own distributions over
+one block, so it takes no sampler settings, only a step count and its
+trials: one (seed, drift profile) pair each, all run in lockstep. Each
+step is one ``model_step`` over the stack of the trials' blocks, the
+stacked state holds each trial's own thresholds, and every trial gets the
+bits of its own one-trial run. verify pairs its derived seeds with one
+shared profile; bench runs its whole phi_bar grid as one trial per
+budget. It returns one ``CoupledRun`` whose arrays stack the trials on a
+leading axis; the per-step staleness matrices are the record of every
+reuse decision.
 Each step couples every block in one call to ``couple_blocks``, which
 validates both distribution matrices and finds the bitwise-equal rows in
 one vectorized pass, then makes, block by block from that trial's own
@@ -375,7 +376,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
     block's B rows. With
     ``seeds``, one sequence per seed is decoded in lockstep: the prompts
     and the tokens have shape (n, gen_length), the state is one stacked
-    ``ReuseState(n_blocks=n)``, every step is one ``model_step`` over the
+    ``ReuseState`` of n blocks, every step is one ``model_step`` over the
     n sequences' blocks, and every record field stacks their rows block by
     block (n * B rows): ``unmasked`` holds row indices into the stack,
     sequence by sequence, and the decisions and their staleness norms
@@ -424,7 +425,7 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
                           "in each block")
     state = ReuseState(config=cfg, mode=mode, tau_blocks=(tau_layer,) * n,
                        skip_first_layers=skip_first_layers,
-                       refresh_interval=refresh_interval, n_blocks=n)
+                       refresh_interval=refresh_interval)
     rngs = [np.random.default_rng(seed) for seed in run_seeds]
     per_step = config.tokens_unmasked_per_step
     no_conf = np.full(n * B, -np.inf)
@@ -487,23 +488,30 @@ class CoupledRun:
     reuse_tokens: np.ndarray           # (n, B)
     per_step_embed_error: np.ndarray   # (n, T + 1)
     per_step_l1_gap: np.ndarray        # (n, T)
-    per_step_delta_l2: np.ndarray      # (n, T)
     per_step_delta: np.ndarray         # (n, T, L, B) int64
 
+    @property
+    def per_step_delta_l2(self) -> np.ndarray:
+        """(n, T) staleness norms. Integer sums of squares are exact, and
+        so is their conversion to float below 2**53; sqrt rounds correctly,
+        so each has the bits of ``reuse.staleness_norm`` on its matrix."""
+        delta = self.per_step_delta
+        return np.sqrt((delta * delta).sum(axis=(2, 3)))
 
-def coupled_generate(weights: ModelWeights, config: SamplerConfig,
-                     drift_profile, mode: str, *,
-                     skip_first_layers: int = 0,
-                     refresh_interval: int = 2,
-                     seeds=None) -> CoupledRun:
-    """Run the reference and reuse branches coupled step by step.
+
+def coupled_generate(weights: ModelWeights, mode: str, trials, steps: int,
+                     *, skip_first_layers: int = 0,
+                     refresh_interval: int = 2) -> CoupledRun:
+    """Run the reference and reuse branches of each trial coupled, step by
+    step, over one block of ``steps`` steps.
 
     Both branches start from the all-mask block and resample every position
-    at every step; each position's token pair is drawn from the maximal
-    coupling of the reference branch's distribution (at its own input) and
-    the reuse branch's distribution. The recorded L1 gap compares the two
-    models at the reuse branch's input, which is the quantity the per-step
-    bounds constrain.
+    at every step from the model's own distributions, so no sampler
+    setting but the step count enters; each position's token pair is drawn
+    from the maximal coupling of the reference branch's distribution (at
+    its own input) and the reuse branch's distribution. The recorded L1
+    gap compares the two models at the reuse branch's input, which is the
+    quantity the per-step bounds constrain.
 
     ``forward_full`` runs at the reuse branch's input only on steps where
     some decision reused a row, and at the reference branch's input only
@@ -512,44 +520,33 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
     reference one exactly and its gap is 0; the input-norm check of
     ``forward_full`` still runs on it.
 
-    One trial runs per seed of ``seeds``, or one at ``config.seed`` when
-    ``seeds`` is None. ``drift_profile`` is one profile shared by every
-    trial, or a list of profiles, one per seed, which gives each trial its
-    own thresholds (``ReuseState``'s ``tau_blocks``). Trial k of the
-    returned run has the bits of a one-trial run at its seed under its
-    profile: the trials run in lockstep, every step is one ``model_step``
-    over the stack of the trials' blocks, the reference passes run as one
-    ``forward_full`` over the blocks that need them, and each trial draws
-    from its own generator (``couple_blocks``).
+    ``trials`` holds one (seed, drift profile) pair per trial. Each
+    distinct profile object is resolved once, so trials that share one
+    give ``ReuseState`` one row of thresholds. Trial k of the returned run
+    has the bits of a one-trial run of its pair: the trials run in
+    lockstep, every step is one ``model_step`` over the stack of the
+    trials' blocks, the reference passes run as one ``forward_full`` over
+    the blocks that need them, and each trial draws from its own generator
+    (``couple_blocks``).
 
     Raises:
-        ConfigError: ``seeds`` is empty, the mode is not kv or o, the
-            sampler does not cover exactly one block, or a list of
-            profiles does not hold one per seed.
+        ConfigError: ``trials`` is empty, or the mode is not kv or o.
     """
     cfg = weights.config
     if mode not in ("kv", "o"):
         raise ConfigError("coupled runs need mode 'kv' or 'o'")
-    if config.gen_length != cfg.B or config.block_size != cfg.B:
-        raise ConfigError("coupled runs cover exactly one block")
-    trial_seeds = [config.seed] if seeds is None else list(seeds)
-    n = len(trial_seeds)
+    n = len(trials)
     if not n:
-        raise ConfigError("coupled runs need at least one seed")
-    if isinstance(drift_profile, (list, tuple)):
-        if len(drift_profile) != n:
-            raise ConfigError(
-                f"{len(drift_profile)} drift profiles for {n} seeds")
-        tau_blocks = tuple(_resolve_taus(p, cfg.L, mode)
-                           for p in drift_profile)
-    else:
-        tau_blocks = (_resolve_taus(drift_profile, cfg.L, mode),) * n
-    state = ReuseState(config=cfg, mode=mode, tau_blocks=tau_blocks,
+        raise ConfigError("coupled runs need at least one trial")
+    profiles = {id(profile): profile for _, profile in trials}
+    taus = {key: _resolve_taus(profile, cfg.L, mode)
+            for key, profile in profiles.items()}
+    state = ReuseState(config=cfg, mode=mode,
+                       tau_blocks=tuple(taus[id(p)] for _, p in trials),
                        skip_first_layers=skip_first_layers,
-                       refresh_interval=refresh_interval, n_blocks=n)
-    rngs = [np.random.default_rng(seed) for seed in trial_seeds]
-    T = config.steps_per_block
-    L, B = cfg.L, cfg.B
+                       refresh_interval=refresh_interval)
+    rngs = [np.random.default_rng(seed) for seed, _ in trials]
+    T, L, B = steps, cfg.L, cfg.B
     x_tokens = _mask_ids(weights, n * B)
     xhat_tokens = x_tokens.copy()
 
@@ -583,16 +580,11 @@ def coupled_generate(weights: ModelWeights, config: SamplerConfig,
                 - embed_ids(weights, xhat_tokens)
             embed_err[:, t + 1] = np.linalg.norm(diff, axis=1).reshape(
                 n, B).sum(axis=1)
-    # Integer sums of squares are exact, and so is their conversion to
-    # float below 2**53; sqrt rounds correctly, so each norm has the bits
-    # of ``reuse.staleness_norm`` on that trial's matrix.
-    delta_l2 = np.sqrt((delta * delta).sum(axis=(2, 3)))
     return CoupledRun(
         full_tokens=x_tokens.reshape(n, B),
         reuse_tokens=xhat_tokens.reshape(n, B),
         per_step_embed_error=embed_err,
         per_step_l1_gap=l1_gap,
-        per_step_delta_l2=delta_l2,
         per_step_delta=delta,
     )
 

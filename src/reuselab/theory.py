@@ -375,9 +375,12 @@ def verify_run(
     trial-averaged embedding gap at every step against the error recursion
     driven by the trial-averaged per-step bounds, (c) softmax contraction on
     SOFTMAX_CHECK_PAIRS random logit pairs, checked in one batched
-    ``softmax_lipschitz_gap`` pass. Trials use independent seeds derived
-    from the run seed, so the report is reproducible; they run in lockstep
-    through one ``coupled_generate`` call. The per-step bounds of every
+    ``softmax_lipschitz_gap`` pass. Of ``run_config`` it reads only the
+    seed and the step count: the coupled chain samples from the model's
+    own distributions over one block. Trials use independent seeds derived
+    from the run seed, so the report is reproducible; each is paired with
+    ``drift_profile``, and they run in lockstep through one
+    ``coupled_generate`` call. The per-step bounds of every
     trial come from one ``kv_step_bound`` or ``o_step_bound`` call on the
     run's stacked staleness; the bound constants are taken once per model
     and shared with every later call on the same weights. A NaN bound, per
@@ -398,14 +401,9 @@ def verify_run(
 
     trial_seeds = np.random.SeedSequence(run_config.seed).generate_state(trials)
     run = coupled_generate(
-        weights,
-        run_config,
-        drift_profile,
-        mode,
-        skip_first_layers=skip_first_layers,
-        refresh_interval=refresh_interval,
-        seeds=[int(seed) for seed in trial_seeds],
-    )
+        weights, mode, [(int(seed), drift_profile) for seed in trial_seeds],
+        run_config.steps_per_block, skip_first_layers=skip_first_layers,
+        refresh_interval=refresh_interval)
     bounds = (kv_step_bound(weights, tau, run.per_step_delta_l2)
               if mode == "kv" else
               o_step_bound(weights, tau, run.per_step_delta[:, :, 0]))

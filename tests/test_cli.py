@@ -23,9 +23,9 @@ from reuselab.cli import RunConfig, main
 from reuselab.drift import DriftProfile, allocate_quantiles, quantile_threshold
 from reuselab.errors import ConfigError
 from reuselab.model import ModelConfig, init_weights, load_weights, save_weights
-from reuselab.linalg import norm_2_to_inf
 
 from csv_metadata import read_csv_with_metadata
+from test_model import rewrite_header
 from test_theory import direct_tau_tilde
 
 
@@ -159,8 +159,7 @@ class TestCalibrate:
         weights = init_weights(config.model)
         row = weights.emb[0] / np.linalg.norm(weights.emb[0])
         flat = dataclasses.replace(
-            weights, emb=np.tile(row, (config.model.n_vocab, 1)),
-            r_emb=norm_2_to_inf(np.tile(row, (config.model.n_vocab, 1))))
+            weights, emb=np.tile(row, (config.model.n_vocab, 1)))
         save_weights(flat, "model.dare")
         assert run("calibrate", "--config", "cfg.json") == 0
 
@@ -169,6 +168,15 @@ class TestCalibrate:
         assert all(abs(p - 0.3) <= 1e-12 for p in profile["phi_layer"])
         total = sum(profile["phi_layer"])
         assert abs(total - 2 * 0.3) <= 1e-12
+
+    def test_calibrates_weights_whose_mask_id_is_0(self, workdir, capsys):
+        # A prompt token drawn at the mask id would mask that position in
+        # one prompt only; the draws skip whichever id the weights mask.
+        weights = init_weights(RunConfig.default().model)
+        save_weights(dataclasses.replace(weights, mask_token=0), "model.dare")
+        for seed in range(10):
+            assert run("calibrate", "--seed", str(seed)) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, workdir):
         write_config("cfg.json")
@@ -475,7 +483,6 @@ class TestConfigPlumbing:
         ("--skip-layers", "1", "reuse", "skip_first_layers", 1),
         ("--refresh-interval", "5", "reuse", "refresh_interval", 5),
         ("--seed", "3", "sampler", "seed", 3),
-        ("--block-size", "2", "sampler", "block_size", 2),
         ("--steps", "6", "sampler", "steps_per_block", 6),
         ("--gen-length", "12", "sampler", "gen_length", 12),
     ]
@@ -531,6 +538,44 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit):
             run("generate", "--mode", "turbo")
 
+    def test_block_size_is_not_a_flag(self, workdir, capsys):
+        # The sampler's block size has one legal value, the model's B, so
+        # no flag sets it; a config file still names it.
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--block-size", "4")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --block-size" \
+            in capsys.readouterr().err
+
+    # sha256 of the help text of the top level and of each subcommand at
+    # COLUMNS=80, so a change in how the parser is built cannot move a
+    # flag, its help or its order unnoticed.
+    HELP_SHA256 = {
+        "": "63168f02eafeedf032ba5d714fb9f6f54283661cf4035d006695cb057a7a6734",
+        "init-model":
+            "6ec4342d171fa80968b4816493627f7e61669850bb92ccfe9de3fd529ffa00ba",
+        "calibrate":
+            "28567cc65a11d1e327364300ed76c134a2cb48cc3a0f4865adaacf8cb945292d",
+        "generate":
+            "ac759ca3e26128ee6f5124183f0891f02cde86b6b33ba83a88fd334e8eb0595b",
+        "verify":
+            "753471b02b4e12ae340ebc5aca70fc9a4a71c63a2bd5c17fe223238e552f9f79",
+        "analyze":
+            "47c93ac82df72b9db226a629d972782041ebb443e911ae5004d51fa5a97c6ac7",
+        "bench":
+            "9e0828368c5abdc578eaa425cd240cb85f82ae3dba3a8842c46742f10007b969",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(*filter(None, [command]), "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.HELP_SHA256[command], text
+
     def test_run_config_round_trips(self, workdir):
         config = RunConfig.default()
         data = json.loads(json.dumps(dataclasses.asdict(config)))
@@ -585,6 +630,28 @@ class TestConfigPlumbing:
         capsys.readouterr()
         assert run("generate", "--config", "cfg.json") == 2
         assert "error: threshold -0.5" in capsys.readouterr().err
+
+    def test_weight_file_with_a_false_r_emb_exits_2(self, workdir, capsys):
+        # The header's r_emb must be the embedding's largest row norm
+        # (1.0); a smaller one would shrink the bound constants.
+        assert run("init-model") == 0
+        rewrite_header(Path("model.dare"), lambda h: h.update(r_emb=0.25))
+        capsys.readouterr()
+        assert run("verify", "--mode", "kv", "--tau", "0.05") == 2
+        assert "error: header r_emb 0.25" in capsys.readouterr().err
+
+    def test_profile_with_malformed_fields_exits_2(self, workdir, capsys):
+        write_config("cfg.json", mode="kv")
+        assert run("init-model", "--config", "cfg.json") == 0
+        assert run("calibrate", "--config", "cfg.json") == 0
+        profile = json.loads(Path("out/profile.json").read_text())
+        profile.update(s_layer=["a"], phi_layer=[None], phi_bar="x",
+                       epsilon=[], skipped_pairs=-3)
+        Path("out/profile.json").write_text(json.dumps(profile))
+        capsys.readouterr()
+        for command in ("generate", "analyze"):
+            assert run(command, "--config", "cfg.json") == 2
+            assert "must hold real numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [-1.0, float("nan")],
                              ids=["negative", "nan"])

@@ -559,6 +559,32 @@ def test_drift_profile_per_layer_lists_must_match(over):
         DriftProfile.from_json(json.dumps(profile_dict(**over)))
 
 
+@pytest.mark.parametrize("over", [
+    {"s_layer": ["a", 0.8]},
+    {"s_layer": [0.1, True]},
+    {"phi_layer": [None, 0.15]},
+    {"phi_bar": "x"},
+    {"phi_bar": False},
+    {"epsilon": []},
+    {"skipped_pairs": -3},
+    {"skipped_pairs": 5.0},
+    {"skipped_pairs": True},
+], ids=["s-str", "s-bool", "phi-null", "phi_bar-str", "phi_bar-bool",
+        "epsilon-list", "skipped-negative", "skipped-float", "skipped-bool"])
+def test_drift_profile_bad_field_is_a_format_error(over):
+    # The fields no threshold is taken from are checked too: real numbers
+    # (not bools), and a count of skipped pairs.
+    with pytest.raises(FormatError):
+        DriftProfile.from_json(json.dumps(profile_dict(**over)))
+
+
+def test_drift_profile_keeps_the_numbers_it_reads():
+    data = profile_dict(s_layer=[0, 0.8], phi_bar=1, skipped_pairs=0)
+    profile = DriftProfile.from_json(json.dumps(data))
+    assert (profile.s_layer, profile.phi_bar, profile.skipped_pairs) \
+        == ((0, 0.8), 1, 0)
+
+
 @pytest.mark.parametrize("text", ["", "[1, 2]", "{"])
 def test_drift_profile_that_is_not_an_object_is_a_format_error(text):
     with pytest.raises(FormatError):

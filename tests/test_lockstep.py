@@ -1,9 +1,9 @@
 """Tests for lockstep trials: a stack of n blocks run through one forward
 pass gives every block the bits of that block run alone.
 
-``coupled_generate`` with ``seeds`` runs its trials as one stack, under
-one shared profile or one profile per trial; ``verify_run`` makes one
-such call for all of its trials, and ``bench`` one for its whole grid;
+``coupled_generate`` runs its (seed, profile) trials as one stack, whether
+they share one profile or each has its own; ``verify_run`` makes one such
+call for all of its trials, and ``bench`` one for its whole grid;
 ``diffusion_generate`` with ``seeds`` decodes its sequences as one stack,
 as calibration does with its prompts. The bits guards
 below check the two numpy rules the stack relies on, at every shape the
@@ -200,31 +200,28 @@ def test_forward_full_on_a_stack_keeps_each_blocks_bits(model):
     (model, mode) for model in LOCKSTEP_MODELS for mode in ("kv", "o")])
 def test_lockstep_trials_match_one_trial_runs(model, mode):
     # Under one profile shared by every trial (one per tau), and under one
-    # profile per trial (a list; TRIAL_TAUS).
+    # profile per trial (TRIAL_TAUS).
     cfg = LOCKSTEP_MODELS[model]
     w = init_weights(cfg)
     seeds = [int(s) for s in
              np.random.SeedSequence(29).generate_state(MAX_BLOCKS)]
     per_trial = trial_profiles(cfg.L, MAX_BLOCKS)
-    for profile, refresh in itertools.product(
-            [flat_profile(tau, cfg.L) for tau in TAUS] + [per_trial],
-            REFRESH):
-        shared = not isinstance(profile, list)
-        profiles = [profile] * MAX_BLOCKS if shared else profile
+    for profiles, refresh in itertools.product(
+            [[flat_profile(tau, cfg.L)] * MAX_BLOCKS for tau in TAUS]
+            + [per_trial], REFRESH):
+        trials = list(zip(seeds, profiles))
         one = [trial_fields(coupled_generate(
-                   w, sampler_config(cfg, seed), p, mode,
-                   refresh_interval=refresh), 0, refresh)
-               for seed, p in zip(seeds, profiles)]
+                   w, mode, [trial], STEPS, refresh_interval=refresh),
+                   0, refresh)
+               for trial in trials]
         for n in STACKS:
-            run = coupled_generate(w, sampler_config(cfg),
-                                   profile if shared else profile[:n], mode,
-                                   refresh_interval=refresh,
-                                   seeds=seeds[:n])
+            run = coupled_generate(w, mode, trials[:n], STEPS,
+                                   refresh_interval=refresh)
             for k in range(n):
                 assert trial_fields(run, k, refresh) == one[k], (
                     f"trial {k} of {n} differs from its one-trial run "
                     f"under {profiles[k].tau_layer}, refresh={refresh}")
-            if not shared and n == 2 and cfg.L > 1 and refresh > 1:
+            if profiles is per_trial and n == 2 and cfg.L > 1 and refresh > 1:
                 # The trap is set: on some step both trials reused every
                 # row at layer 0, and at layer 1 only the second did.
                 d = run.per_step_delta
@@ -240,13 +237,13 @@ RUN_FIELDS = ("full_tokens", "reuse_tokens", "per_step_embed_error",
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("model", ["default", "l2h2-gelu"])
 def test_coupled_run_stacks_its_trials(model, n):
-    # One run for any number of seeds, every field with a leading trial
-    # axis; without seeds it is the one-trial run at the config's seed.
+    # One run for any number of trials, every field with a leading trial
+    # axis; its first trial is the one-trial run of the first pair.
     cfg = LOCKSTEP_MODELS[model]
     w = init_weights(cfg)
-    sc = sampler_config(cfg, seed=41)
     profile = flat_profile(0.5, cfg.L)
-    run = coupled_generate(w, sc, profile, "kv", seeds=[41, 42, 43][:n])
+    trials = [(seed, profile) for seed in (41, 42, 43)[:n]]
+    run = coupled_generate(w, "kv", trials, STEPS)
     assert isinstance(run, sampler.CoupledRun)
     assert {name: getattr(run, name).shape for name in RUN_FIELDS} == {
         "full_tokens": (n, cfg.B), "reuse_tokens": (n, cfg.B),
@@ -255,25 +252,35 @@ def test_coupled_run_stacks_its_trials(model, n):
         "per_step_delta": (n, STEPS, cfg.L, cfg.B)}
     assert run.per_step_delta.dtype == np.int64
     assert run.per_step_delta.any(), "no row was reused"
-    alone = coupled_generate(w, sc, profile, "kv")
-    seeded = coupled_generate(w, sc, profile, "kv", seeds=[sc.seed])
+    alone = coupled_generate(w, "kv", trials[:1], STEPS)
     for name in RUN_FIELDS:
-        a, b = getattr(alone, name), getattr(seeded, name)
+        a, b = getattr(alone, name), getattr(run, name)[:1]
         assert (a.dtype, a.shape, a.tobytes()) \
             == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_coupled_generate_needs_a_seed():
-    # And, given a list of profiles, one profile per seed.
-    cfg = LOCKSTEP_MODELS["default"]
-    w = init_weights(cfg)
+    # A run needs at least one (seed, profile) trial.
     with pytest.raises(ConfigError):
-        coupled_generate(w, sampler_config(cfg), flat_profile(0.05, cfg.L),
-                         "kv", seeds=[])
-    for seeds in ([1, 2, 3], None):
-        with pytest.raises(ConfigError):
-            coupled_generate(w, sampler_config(cfg),
-                             trial_profiles(cfg.L, 2), "kv", seeds=seeds)
+        coupled_generate(init_weights(LOCKSTEP_MODELS["default"]), "kv", [],
+                         STEPS)
+
+
+def test_shared_profile_is_checked_once(monkeypatch):
+    # 100 trials that share one profile object give the state one row of
+    # thresholds, which it checks once, not once per trial. One step: a
+    # later one may run reference passes, each on a full-mode state of
+    # its own.
+    checks = []
+    check = reuse.check_thresholds
+    monkeypatch.setattr(reuse, "check_thresholds",
+                        lambda *a: checks.append(1) or check(*a))
+    cfg = LOCKSTEP_MODELS["default"]
+    profile = flat_profile(0.05, cfg.L)
+    run = coupled_generate(init_weights(cfg), "kv",
+                           [(seed, profile) for seed in range(100)], 1)
+    assert run.per_step_delta.shape[0] == 100
+    assert checks == [1]
 
 
 @pytest.mark.parametrize("mode", ["kv", "o"])
@@ -307,7 +314,7 @@ def test_bench_runs_its_grid_together(mode, grid, tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(([p.phi_bar for p in args[2]], kwargs["seeds"]))
+        calls.append([(seed, p.phi_bar) for seed, p in args[2]])
         return coupled_generate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "coupled_generate", counted)
@@ -318,7 +325,7 @@ def test_bench_runs_its_grid_together(mode, grid, tmp_path, monkeypatch):
                      "--phi-grid", grid]) == 0
     budgets = [float(p) for p in grid.split(",")]
     seed = RunConfig.default().sampler.seed
-    assert calls == [(budgets, [seed] * len(budgets))]
+    assert calls == [[(seed, phi_bar) for phi_bar in budgets]]
 
 
 # ---------------------------------------------------------------------------

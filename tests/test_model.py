@@ -22,9 +22,15 @@ from reuselab.errors import (
     DimensionError,
     FormatError,
 )
-from reuselab.linalg import condition_kappa, normalize_rows_sqrt_d, softmax_rows
+from reuselab.linalg import (
+    condition_kappa,
+    norm_2_to_inf,
+    normalize_rows_sqrt_d,
+    softmax_rows,
+)
 from reuselab.model import (
     ModelConfig,
+    ModelWeights,
     activation_fn,
     attention_rows,
     embed_tokens,
@@ -502,6 +508,24 @@ def test_weight_file_header_without_r_emb(tmp_path):
     rewrite_header(path, lambda h: h.pop("r_emb"))
     with pytest.raises(FormatError):
         load_weights(path)
+
+
+@pytest.mark.parametrize("r_emb", [0.25, 2, -1.0, "1.0", True, None])
+def test_weight_file_header_r_emb_must_be_the_embeddings(tmp_path, r_emb):
+    # r_emb is computed from the loaded embedding (largest row norm 1.0
+    # here); a header that claims another value is malformed.
+    path = saved_weights(tmp_path)
+    rewrite_header(path, lambda h: h.update(r_emb=r_emb))
+    with pytest.raises(FormatError, match="r_emb"):
+        load_weights(path)
+
+
+def test_r_emb_is_computed_from_the_embedding():
+    w = init_weights(small_config())
+    assert w.r_emb == norm_2_to_inf(w.emb) == 1.0
+    with pytest.raises(TypeError):  # not a constructor argument
+        ModelWeights(config=w.config, layers=w.layers, emb=w.emb,
+                     mask_token=w.mask_token, r_emb=0.25)
 
 
 def test_weight_file_unknown_config_key(tmp_path):

@@ -703,7 +703,7 @@ def test_o_stack_skips_nothing_above_a_block_that_refreshes(monkeypatch):
     moved = skip_inputs(w, [(), (1,)])
     state = ReuseState(config=SKIP_CFG, mode="o",
                        tau_blocks=((0.0,) * SKIP_CFG.L,) * 2,
-                       refresh_interval=10, n_blocks=2)
+                       refresh_interval=10)
     model_step(w, state, np.concatenate((same[0], moved[0])), 0)
     counts = count_calls(monkeypatch)
     _, decisions, _ = model_step(
@@ -852,6 +852,8 @@ def test_state_validation():
     with pytest.raises(TypeError):  # caches are not constructor arguments
         ReuseState(config=cfg, mode="kv", tau_blocks=((None,),),
                    delta=np.zeros((1, cfg.B), dtype=np.int64))
+    with pytest.raises(TypeError):  # the table sets the block count
+        ReuseState(config=cfg, mode="kv", tau_blocks=((None,),), n_blocks=1)
 
 
 @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan, "abc", True])
@@ -861,8 +863,7 @@ def test_state_refuses_bad_thresholds(tau):
     with pytest.raises(ConfigError):
         ReuseState(config=cfg, mode="kv", tau_blocks=((tau,),))
     with pytest.raises(ConfigError):
-        ReuseState(config=cfg, mode="kv", tau_blocks=((0.5,), (tau,)),
-                   n_blocks=2)
+        ReuseState(config=cfg, mode="kv", tau_blocks=((0.5,), (tau,)))
 
 
 @pytest.mark.parametrize("tau_blocks, n_blocks", [
@@ -874,10 +875,14 @@ def test_state_refuses_bad_thresholds(tau):
     ((), 1),
 ])
 def test_state_checks_its_threshold_table_shape(tau_blocks, n_blocks):
-    cfg, _ = make_model()
+    # The table holds one row of L thresholds per block, and so sets the
+    # number of blocks: a step on a stack of n_blocks blocks needs n_blocks
+    # rows. A malformed table fails on construction.
+    cfg, w = make_model()
+    x = embed_tokens(w, np.arange(n_blocks * cfg.B) % cfg.n_vocab)
     with pytest.raises(DimensionError):
-        ReuseState(config=cfg, mode="kv", tau_blocks=tau_blocks,
-                   n_blocks=n_blocks)
+        state = ReuseState(config=cfg, mode="kv", tau_blocks=tau_blocks)
+        model_step(w, state, x, 0)
 
 
 def test_state_keeps_one_gate_threshold_per_layer(monkeypatch):
@@ -886,7 +891,7 @@ def test_state_keeps_one_gate_threshold_per_layer(monkeypatch):
     # A layer disabled in every block still scores nothing.
     cfg = dataclasses.replace(SKIP_CFG, L=3)
     w = init_weights(cfg)
-    state = ReuseState(config=cfg, mode="kv", n_blocks=2,
+    state = ReuseState(config=cfg, mode="kv",
                        tau_blocks=((0.5, None, None), (0.5, 0.1, None)),
                        refresh_interval=10)
     assert state.tau_layer[0] == 0.5 and state.tau_layer[2] is None

@@ -718,9 +718,7 @@ def test_trace_zero_mode_property():
 
 def test_coupled_disabled_reuse_is_lossless():
     cfg, w = make_model()
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=6,
-                       tokens_unmasked_per_step=1, seed=3)
-    run = coupled_generate(w, sc, disabled_profile(), "kv")
+    run = coupled_generate(w, "kv", [(3, disabled_profile())], 6)
     assert np.array_equal(run.full_tokens, run.reuse_tokens)
     assert np.max(run.per_step_embed_error) == 0.0
     assert np.max(run.per_step_l1_gap) == 0.0
@@ -731,9 +729,7 @@ def test_coupled_disabled_reuse_is_lossless():
 def test_coupled_forced_reuse_grows_staleness_linearly():
     cfg, w = make_model()
     T = 6
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=T,
-                       tokens_unmasked_per_step=1, seed=9)
-    run = coupled_generate(w, sc, flat_profile(2.0), "kv",
+    run = coupled_generate(w, "kv", [(9, flat_profile(2.0))], T,
                            refresh_interval=T + 1)
     for t in range(T):
         assert np.all(run.per_step_delta[0, t] == t)
@@ -744,14 +740,16 @@ def test_coupled_forced_reuse_grows_staleness_linearly():
 
 
 def test_coupled_run_validation():
+    # A reuse mode, and for each trial a profile of the model's layers.
     cfg, w = make_model()
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=4)
     with pytest.raises(ConfigError):
-        coupled_generate(w, sc, disabled_profile(), "full")
+        coupled_generate(w, "full", [(0, disabled_profile())], 4)
     with pytest.raises(ConfigError):
-        coupled_generate(
-            w, SamplerConfig(gen_length=8, block_size=4, steps_per_block=4),
-            disabled_profile(), "kv")
+        coupled_generate(w, "kv", [(0, disabled_profile()), (1, None)], 4)
+    two_layers = DriftProfile(s_layer=(0.0,) * 2, phi_layer=(1.0,) * 2,
+                              tau_layer=(0.5,) * 2, phi_bar=1.0, epsilon=1.0)
+    with pytest.raises(DimensionError):
+        coupled_generate(w, "kv", [(0, two_layers)], 4)
 
 
 def test_coupled_reuse_modes_record_decisions():
@@ -759,10 +757,8 @@ def test_coupled_reuse_modes_record_decisions():
     # rows reused there have counters > 0. Gated steps (even t at refresh
     # interval 2) reuse nothing.
     cfg, w = make_model()
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=5,
-                       tokens_unmasked_per_step=1, seed=21)
     for mode in ("kv", "o"):
-        run = coupled_generate(w, sc, flat_profile(0.3), mode,
+        run = coupled_generate(w, mode, [(21, flat_profile(0.3))], 5,
                                refresh_interval=2)
         assert run.per_step_delta.shape == (1, 5, cfg.L, cfg.B)
         assert not run.per_step_delta[0, ::2].any()
@@ -785,7 +781,7 @@ def test_decode_loops_check_the_mask_id_and_zero_rows():
         with pytest.raises(DegenerateInputError):
             diffusion_generate(bad, sc, None, "full")
         with pytest.raises(DegenerateInputError):
-            coupled_generate(bad, sc, flat_profile(0.05), "o")
+            coupled_generate(bad, "o", [(3, flat_profile(0.05))], 4)
 
 
 def count_reference_passes(monkeypatch):
@@ -811,13 +807,11 @@ def count_reference_passes(monkeypatch):
 def test_coupled_reference_pass_runs_only_after_reuse(mode, monkeypatch):
     cfg, w = make_model()
     T = 6
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=T,
-                       tokens_unmasked_per_step=1, seed=9)
     per_step = count_reference_passes(monkeypatch)
-    coupled_generate(w, sc, disabled_profile(), mode)
+    coupled_generate(w, mode, [(9, disabled_profile())], T)
     assert per_step == [0] * T
     per_step.clear()
-    run = coupled_generate(w, sc, flat_profile(2.0), mode,
+    run = coupled_generate(w, mode, [(9, flat_profile(2.0))], T,
                            refresh_interval=T + 1)
     assert len(per_step) == T and per_step[0] == 0
     assert all(n >= 1 for n in per_step[1:])
@@ -827,8 +821,6 @@ def test_coupled_reference_pass_runs_only_after_reuse(mode, monkeypatch):
 
 def test_coupled_step_without_reuse_still_checks_its_input(monkeypatch):
     cfg, w = make_model()
-    sc = SamplerConfig(gen_length=4, block_size=4, steps_per_block=4,
-                       tokens_unmasked_per_step=1, seed=3)
     embed_ids = sampler.embed_ids
 
     def unnormalized(weights, tokens):
@@ -839,5 +831,5 @@ def test_coupled_step_without_reuse_still_checks_its_input(monkeypatch):
     monkeypatch.setattr(sampler, "embed_ids", unnormalized)
     per_step = count_reference_passes(monkeypatch)
     with pytest.raises(DegenerateInputError):
-        coupled_generate(w, sc, disabled_profile(), "kv")
+        coupled_generate(w, "kv", [(3, disabled_profile())], 4)
     assert per_step == [0]  # step 0 reused nothing and ran no full pass

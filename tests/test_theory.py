@@ -597,7 +597,10 @@ def test_weight_constants_follow_each_model():
     emb[0] *= 2.0
     assert lipschitz_G(dataclasses.replace(twin, emb=emb)) != G
     assert lipschitz_G(w) == G
-    assert lipschitz_G(dataclasses.replace(w, r_emb=2.0 * w.r_emb)) != G
+    # r_emb is the embedding's: scaling the embedding scales it, and G.
+    scaled = dataclasses.replace(w, emb=2.0 * w.emb)
+    assert scaled.r_emb == 2.0 * w.r_emb
+    assert lipschitz_G(scaled) != G
 
 
 # The softmax spot check of verify_run as a loop of one softmax_lipschitz_gap
