@@ -64,15 +64,6 @@ class SimilarityMatrix:
         return self.entries.shape[0]
 
 
-def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm, plus a validity mask (zero rows invalid)."""
-    norms = np.linalg.norm(m, axis=1)
-    valid = norms > 0.0
-    unit = np.zeros_like(m)
-    unit[valid] = m[valid] / norms[valid, None]
-    return unit, valid
-
-
 def _similarity(matrices, axis: str) -> SimilarityMatrix:
     """Mean over token positions of the cosine between two slices' rows;
     a position whose row is zero in either slice is left out of that
@@ -88,10 +79,11 @@ def _similarity(matrices, axis: str) -> SimilarityMatrix:
         shapes = sorted({a.shape for a in arrays})
         raise DimensionError(f"inconsistent slice shapes: {shapes}")
     stack = np.stack(arrays)
-    units = np.empty_like(stack)
-    valid = np.empty(stack.shape[:2], dtype=bool)
-    for k in range(stack.shape[0]):
-        units[k], valid[k] = _unit_rows(stack[k])
+    # Every row scaled to unit norm; zero rows stay zero and are invalid.
+    norms = np.linalg.norm(stack, axis=2)
+    valid = norms > 0.0
+    units = np.zeros_like(stack)
+    units[valid] = stack[valid] / norms[valid, None]
     dots = np.einsum("ibd,jbd->ij", units, units)
     counts = valid.astype(np.float64) @ valid.astype(np.float64).T
     if np.any(counts == 0.0):

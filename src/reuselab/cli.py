@@ -215,12 +215,7 @@ def _resolve_profile(config: RunConfig) -> DriftProfile:
         raise ConfigError(
             f"no {PROFILE_FILENAME} in {path.parent}; run calibrate or pass --tau"
         )
-    profile = DriftProfile.from_json(path.read_text(encoding="utf-8"))
-    if profile.L != L:
-        raise ConfigError(
-            f"profile covers {profile.L} layers, model has {L}"
-        )
-    return profile
+    return DriftProfile.from_json(path.read_text(encoding="utf-8"))
 
 
 def _decode(weights, config: RunConfig):

@@ -134,8 +134,8 @@ def is_threshold(t) -> bool:
 
 
 def check_thresholds(taus, L) -> None:
-    """Check one row of per-layer thresholds: L of them, or any number
-    when L is None.
+    """Check one row of per-layer thresholds: L of them (one per model
+    layer), or any number when L is None.
 
     Raises:
         DimensionError: ``taus`` is not a tuple or list of L entries.
@@ -144,7 +144,8 @@ def check_thresholds(taus, L) -> None:
     """
     if not isinstance(taus, (tuple, list)) \
             or L is not None and len(taus) != L:
-        raise DimensionError(f"need {L} per-layer thresholds, got {taus!r}")
+        raise DimensionError(f"need {L} per-layer thresholds, one per "
+                             f"layer of the model, got {taus!r}")
     for t in taus:
         if t is not None and not is_threshold(t):
             raise ConfigError(

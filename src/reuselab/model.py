@@ -30,6 +30,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -63,6 +64,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("L", "H", "d", "d_int", "n_vocab", "B", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"ModelConfig.{name}={value!r} is not an int")
+        if self.seed < 0:
+            raise ConfigError(f"ModelConfig.seed must be >= 0, got {self.seed}")
         for name in ("L", "H", "d", "d_int", "n_vocab", "B"):
             if getattr(self, name) < 1:
                 raise DimensionError(f"ModelConfig.{name} must be >= 1")

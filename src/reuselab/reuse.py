@@ -128,7 +128,8 @@ class ReuseState:
     ``tau_blocks`` gives each block its own row of L thresholds, each a
     number >= 0 or None (reuse disabled at that layer), and so sets the
     number of blocks, ``n_blocks``; a shared profile is the case where
-    every row is the same object, which is checked once. The state keeps
+    every row is the same object, which is checked once. That check is
+    the one check of a profile's depth against the model. The state keeps
     them per layer as the gate reads them (``tau_layer``): one value where
     every block has the same threshold, else a read-only vector of one
     threshold per row of the stack, -inf in the rows of a block where the

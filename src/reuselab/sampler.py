@@ -62,7 +62,8 @@ _DIST_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Decode-loop knobs; block_size must match the model's B."""
+    """Decode-loop knobs, each checked alone; how they fit together and
+    the model is checked by ``diffusion_generate``, which applies them."""
 
     gen_length: int = 4
     block_size: int = 4
@@ -78,13 +79,8 @@ class SamplerConfig:
         # Negated so that NaN, for which every comparison is False, fails.
         if not self.temperature >= 0.0:
             raise ConfigError("temperature must be >= 0")
-        if self.gen_length % self.block_size != 0:
-            raise ConfigError("gen_length must be a multiple of block_size")
-        if self.tokens_unmasked_per_step * self.steps_per_block \
-                < self.block_size:
-            raise ConfigError(
-                "schedule cannot resolve the block: "
-                "tokens_unmasked_per_step * steps_per_block < block_size")
+        if self.seed < 0:
+            raise ConfigError(f"sampler seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -336,14 +332,11 @@ def _sample_candidates(p: np.ndarray, temperature: float, *rngs):
 
 
 def _resolve_taus(drift_profile, L: int, mode: str):
-    if mode == "full" or drift_profile is None:
-        if mode != "full" and drift_profile is None:
-            raise ConfigError(f"mode {mode!r} needs a drift profile")
+    if mode == "full":
         return (None,) * L
-    if drift_profile.L != L:
-        raise DimensionError(
-            f"profile has {drift_profile.L} layers, model has {L}")
-    return tuple(drift_profile.tau_layer)
+    if drift_profile is None:
+        raise ConfigError(f"mode {mode!r} needs a drift profile")
+    return drift_profile.tau_layer
 
 
 def _mask_ids(weights: ModelWeights, n: int) -> np.ndarray:
@@ -391,15 +384,23 @@ def diffusion_generate(weights: ModelWeights, config: SamplerConfig,
         records.
 
     Raises:
-        ConfigError: a block masks different numbers of positions in two
-            sequences, ``seeds`` is empty, or block_size is not the
-            model's B.
+        ConfigError: block_size is not the model's B, gen_length is not a
+            multiple of it, the schedule cannot resolve a block, a block
+            masks different numbers of positions in two sequences, or
+            ``seeds`` is empty.
+        DimensionError: the profile's depth is not the model's.
     """
     cfg = weights.config
     B = cfg.B
     if config.block_size != B:
         raise ConfigError(
             f"block_size {config.block_size} != model block length {B}")
+    if config.gen_length % B != 0:
+        raise ConfigError("gen_length must be a multiple of block_size")
+    if config.tokens_unmasked_per_step * config.steps_per_block < B:
+        raise ConfigError(
+            "schedule cannot resolve the block: "
+            "tokens_unmasked_per_step * steps_per_block < block_size")
     tau_layer = _resolve_taus(drift_profile, cfg.L, mode)
     run_seeds = [config.seed] if seeds is None else list(seeds)
     n = len(run_seeds)
@@ -520,9 +521,9 @@ def coupled_generate(weights: ModelWeights, mode: str, trials, steps: int,
     reference one exactly and its gap is 0; the input-norm check of
     ``forward_full`` still runs on it.
 
-    ``trials`` holds one (seed, drift profile) pair per trial. Each
-    distinct profile object is resolved once, so trials that share one
-    give ``ReuseState`` one row of thresholds. Trial k of the returned run
+    ``trials`` holds one (seed, drift profile) pair per trial. Trials
+    that share a profile object give ``ReuseState`` its one row of
+    thresholds, which the state checks once. Trial k of the returned run
     has the bits of a one-trial run of its pair: the trials run in
     lockstep, every step is one ``model_step`` over the stack of the
     trials' blocks, the reference passes run as one ``forward_full`` over
@@ -530,7 +531,8 @@ def coupled_generate(weights: ModelWeights, mode: str, trials, steps: int,
     (``couple_blocks``).
 
     Raises:
-        ConfigError: ``trials`` is empty, or the mode is not kv or o.
+        ConfigError: ``trials`` is empty, the mode is not kv or o, or a
+            trial has no drift profile.
     """
     cfg = weights.config
     if mode not in ("kv", "o"):
@@ -538,11 +540,9 @@ def coupled_generate(weights: ModelWeights, mode: str, trials, steps: int,
     n = len(trials)
     if not n:
         raise ConfigError("coupled runs need at least one trial")
-    profiles = {id(profile): profile for _, profile in trials}
-    taus = {key: _resolve_taus(profile, cfg.L, mode)
-            for key, profile in profiles.items()}
     state = ReuseState(config=cfg, mode=mode,
-                       tau_blocks=tuple(taus[id(p)] for _, p in trials),
+                       tau_blocks=tuple(_resolve_taus(p, cfg.L, mode)
+                                        for _, p in trials),
                        skip_first_layers=skip_first_layers,
                        refresh_interval=refresh_interval)
     rngs = [np.random.default_rng(seed) for seed, _ in trials]

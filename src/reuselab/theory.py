@@ -384,26 +384,23 @@ def verify_run(
     trial come from one ``kv_step_bound`` or ``o_step_bound`` call on the
     run's stacked staleness; the bound constants are taken once per model
     and shared with every later call on the same weights. A NaN bound, per
-    step or cumulative, is a violation.
+    step or cumulative, is a violation. It checks the regime and the
+    trial count before the run; the run checks the mode and the profile.
 
     ``debug_zero_bounds`` replaces G and every per-step bound with zero; a
     lossy run must then report violations. It exists to prove the harness
     can fail and has no other use.
     """
     cfg = _check_regime(weights)
-    if mode not in ("kv", "o"):
-        raise ConfigError(f"verify_run covers modes 'kv' and 'o', got {mode!r}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if drift_profile is None or drift_profile.L != cfg.L:
-        raise ConfigError("verify_run needs a drift profile matching the model")
-    tau = drift_profile.tau_layer[0]
 
     trial_seeds = np.random.SeedSequence(run_config.seed).generate_state(trials)
     run = coupled_generate(
         weights, mode, [(int(seed), drift_profile) for seed in trial_seeds],
         run_config.steps_per_block, skip_first_layers=skip_first_layers,
         refresh_interval=refresh_interval)
+    tau = drift_profile.tau_layer[0]
     bounds = (kv_step_bound(weights, tau, run.per_step_delta_l2)
               if mode == "kv" else
               o_step_bound(weights, tau, run.per_step_delta[:, :, 0]))

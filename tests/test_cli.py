@@ -333,6 +333,51 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------------
+# each command checks what it reads
+# ---------------------------------------------------------------------------
+
+class TestRunRules:
+    @pytest.mark.parametrize("mode", ["kv", "o"])
+    @pytest.mark.parametrize("flag, value", [("--steps", "2"),
+                                             ("--gen-length", "6")])
+    def test_verify_ignores_the_decode_schedule(self, workdir, mode, flag,
+                                                value):
+        # The coupled chain reads only the seed and the step count, so a
+        # schedule that cannot decode a block does not stop it.
+        assert run("init-model", "--steps", "1") == 0
+        assert run("verify", "--mode", mode, "--tau", "0.1", "--trials", "5",
+                   flag, value) == 0
+        report = json.loads(Path("runout/report.json").read_text())
+        assert report["violations"] == 0
+        if flag == "--steps":
+            assert len(report["per_step_bound"]) == 2
+
+    @pytest.mark.parametrize("command, extra", [
+        ("generate", ()), ("calibrate", ()), ("analyze", ()),
+        ("bench", ("--mode", "kv", "--phi-grid", "0.5"))])
+    def test_decoding_commands_check_the_schedule(self, workdir, capsys,
+                                                  command, extra):
+        assert run("init-model") == 0
+        capsys.readouterr()
+        assert run(command, "--steps", "2", *extra) == 2
+        assert "schedule cannot resolve the block" in capsys.readouterr().err
+
+    def test_wrong_depth_profile_exits_2(self, workdir, capsys):
+        assert run("init-model") == 0
+        deep = DriftProfile(s_layer=(0.0, 0.0), phi_layer=(1.0, 1.0),
+                            tau_layer=(0.1, 0.1), phi_bar=1.0, epsilon=1.0)
+        Path("runout/profile.json").write_text(deep.to_json() + "\n")
+        capsys.readouterr()
+        for command in ("generate", "verify", "analyze"):
+            assert run(command, "--mode", "kv") == 2
+            assert "one per layer of the model" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, workdir, capsys):
+        assert run("generate", "--seed", "-1") == 2
+        assert "error: sampler seed must be >= 0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 

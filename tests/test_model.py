@@ -528,6 +528,19 @@ def test_r_emb_is_computed_from_the_embedding():
                      mask_token=w.mask_token, r_emb=0.25)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("L", 1.0), ("B", 4.0), ("d", 8.0), ("H", True), ("n_vocab", "x"),
+    ("seed", -1)])
+def test_weight_file_config_integers_must_be_integers(tmp_path, field,
+                                                      value):
+    # A float, a bool or a string count would load and fail later (or, a
+    # bool, run as 1); a negative seed cannot seed a generator.
+    path = saved_weights(tmp_path)
+    rewrite_header(path, lambda h: h["config"].update({field: value}))
+    with pytest.raises(FormatError, match=f"ModelConfig.{field}"):
+        load_weights(path)
+
+
 def test_weight_file_unknown_config_key(tmp_path):
     path = saved_weights(tmp_path)
     rewrite_header(path, lambda h: h["config"].update(depth=3))

@@ -24,6 +24,7 @@ from reuselab.sampler import (
     diffusion_generate,
     maximal_coupling_sample,
 )
+from reuselab.theory import verify_run
 from trace_staleness import staleness_norms
 
 
@@ -59,11 +60,40 @@ def test_sampler_config_validation():
         SamplerConfig(temperature=-0.1)
     with pytest.raises(ConfigError):
         SamplerConfig(temperature=float("nan"))
-    with pytest.raises(ConfigError):
-        SamplerConfig(gen_length=6, block_size=4)
-    with pytest.raises(ConfigError):
-        SamplerConfig(block_size=8, gen_length=8, steps_per_block=3,
-                      tokens_unmasked_per_step=2)
+
+
+def test_diffusion_generate_checks_the_schedule():
+    # How the settings fit together and the model is checked by the decode
+    # loop that applies them; SamplerConfig checks each field alone.
+    _, w = make_model()
+    with pytest.raises(ConfigError, match="multiple of block_size"):
+        diffusion_generate(w, SamplerConfig(gen_length=6, block_size=4),
+                           None, "full")
+    _, w8 = make_model(B=8)
+    config = SamplerConfig(block_size=8, gen_length=8, steps_per_block=3,
+                           tokens_unmasked_per_step=2)
+    with pytest.raises(ConfigError, match="schedule cannot resolve"):
+        diffusion_generate(w8, config, None, "full")
+
+
+@pytest.mark.parametrize("mode", ["kv", "o"])
+@pytest.mark.parametrize("model_L, profile_L", [(1, 2), (2, 1)])
+def test_wrong_depth_profile_is_refused_by_the_state(mode, model_L,
+                                                      profile_L):
+    # ReuseState alone checks a profile's depth against the model, for the
+    # decode loop, the coupled runs and verify alike.
+    cfg = ModelConfig(L=model_L, H=1, d=4, d_int=8, n_vocab=12, B=4,
+                      activation="relu", seed=3)
+    w = init_weights(cfg)
+    profile = flat_profile(0.05, L=profile_L)
+    with pytest.raises(DimensionError, match="one per layer of the model"):
+        diffusion_generate(w, SamplerConfig(), profile, mode)
+    with pytest.raises(DimensionError, match="one per layer of the model"):
+        coupled_generate(w, mode, [(0, profile)], 2)
+    if model_L == 1:  # verify's bounds cover one-layer models only
+        with pytest.raises(DimensionError,
+                           match="one per layer of the model"):
+            verify_run(w, SamplerConfig(), profile, mode, trials=2)
 
 
 # ---------------------------------------------------------------------------
