@@ -314,7 +314,7 @@ def allocate_quantiles(s_layer, phi_bar: float, epsilon: float,
     s = np.asarray(s_layer, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise DimensionError("s_layer must be a non-empty vector")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DegenerateInputError("epsilon must be > 0")
     if not 0.0 <= phi_bar <= 1.0:
         raise DegenerateInputError("phi_bar must lie in [0, 1]")

@@ -370,6 +370,8 @@ def test_allocate_logs_clamp_events(caplog):
 def test_allocate_validates_arguments():
     with pytest.raises(DegenerateInputError):
         allocate_quantiles([0.1], phi_bar=0.3, epsilon=0.0)
+    with pytest.raises(DegenerateInputError, match="epsilon must be > 0"):
+        allocate_quantiles([0.1], phi_bar=0.3, epsilon=float("nan"))
     with pytest.raises(DegenerateInputError):
         allocate_quantiles([0.1], phi_bar=1.5, epsilon=1.0)
 

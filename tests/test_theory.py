@@ -604,16 +604,22 @@ def test_weight_constants_follow_each_model():
 
 
 # The softmax spot check of verify_run as a loop of one softmax_lipschitz_gap
-# call per pair: the same stream, the same draws in the same order.
+# call per pair, from its own generator in the same draw order: every size,
+# then every scale, then the normals of side 0 and of side 1, each side's
+# in pair order.
 def looped_spot_check(seed):
-    rng = np.random.default_rng([int(seed), theory.SOFTMAX_CHECK_PAIRS])
-    pairs = []
-    for _ in range(theory.SOFTMAX_CHECK_PAIRS):
-        n = int(rng.integers(2, 65))
-        scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        z, z_prime = rng.normal(0.0, scale, n), rng.normal(0.0, scale, n)
-        pairs.append((z, z_prime, *softmax_lipschitz_gap(z, z_prime)))
-    return pairs
+    pairs = theory.SOFTMAX_CHECK_PAIRS
+    rng = np.random.default_rng([int(seed), pairs])
+    sizes = rng.integers(2, 65, pairs)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, pairs)
+    sides = rng.standard_normal(2 * int(sizes.sum())).reshape(2, -1)
+    out, start = [], 0
+    for n, scale in zip(sizes.tolist(), scales.tolist()):
+        z, z_prime = scale * sides[:, start:start + n]
+        start += n
+        out.append((z, z_prime, *softmax_lipschitz_gap(z, z_prime)))
+    assert start == sides.shape[1]
+    return out
 
 
 def test_batched_spot_check_matches_the_per_pair_loop():
@@ -628,6 +634,8 @@ def test_batched_spot_check_matches_the_per_pair_loop():
         pairs = looped_spot_check(seed)
         for i, (z, z_prime, want_l1, want_linf) in enumerate(pairs):
             n = z.size
+            assert 2 <= n <= theory.SOFTMAX_CHECK_WIDTH
+            assert np.isfinite(logits[:, i, :n]).all()
             assert (logits[0, i, :n] == z).all()
             assert (logits[1, i, :n] == z_prime).all()
             assert (logits[:, i, n:] == -np.inf).all()
@@ -652,6 +660,35 @@ def test_verify_run_counts_spot_check_violations(monkeypatch):
     report = verify_run(w, config, flat_profile(0.05), "kv", trials=2)
     assert 0 < want < theory.SOFTMAX_CHECK_PAIRS
     assert report.violations == want
+
+
+def test_spot_check_draw_calls_do_not_grow_with_its_pairs(monkeypatch):
+    # verify_run's fixed cost: the spot check's generator is called the
+    # same number of times for every seed and every pair count, where a
+    # loop over pairs would call it 3 times per pair.
+    calls = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                calls[-1] += 1
+                return method(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    for pairs in (1, 16, theory.SOFTMAX_CHECK_PAIRS, 1024):
+        monkeypatch.setattr(theory, "SOFTMAX_CHECK_PAIRS", pairs)
+        for seed in range(5):
+            calls.append(0)
+            logits = theory._softmax_check_logits(seed)
+            assert logits.shape == (2, pairs, theory.SOFTMAX_CHECK_WIDTH)
+    assert calls == [3] * len(calls)
 
 
 def test_softmax_gap_batch_rows_are_their_pairs():
