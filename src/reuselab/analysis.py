@@ -2,10 +2,11 @@
 
 Similarity matrices quantify how little activations move across steps or
 layers; the drift histogram (``histogram_from_scores`` over
-``drift_scores_for_layer``, which takes its scores from
-``drift.trajectory_drifts`` as calibration does) shows the score mass a
-threshold splits; and the cost model turns reuse decisions into exact
-integer FLOP counts. Everything here is pure post-processing over immutable
+``drift_scores_for_layer``, pooled by ``drift.layerwise_drift`` as
+calibration is) shows the score mass a threshold splits; and
+``CostModel.ledger``, the one FLOP ledger of generate and bench, turns
+reused rows into exact integer FLOP counts. Everything here is pure
+post-processing over immutable
 traces, emitted as CSV with a one-line JSON metadata header for external
 plotting.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import trajectory_drifts
+from .drift import layerwise_drift
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .model import ModelConfig
 
@@ -128,20 +129,16 @@ def drift_scores_for_layer(trace, layer: int) -> tuple[np.ndarray, int]:
 
     Returns the scores plus the count of row pairs skipped because one side
     was exactly zero. Pairs never cross block boundaries, and a block of
-    one step adds none. Only the one layer is scored: each block's
-    trajectory is cut down to it before ``trajectory_drifts`` runs.
+    one step adds none. Each block's trajectory is cut down to the one
+    layer, and ``layerwise_drift`` pools them as it pools calibration's.
     """
-    parts = []
+    one_layer = []
     for trajectory in trace.q_trajectories():
         if layer < 0 or (trajectory and layer >= len(trajectory[0])):
             raise DimensionError(f"layer {layer} out of range")
-        one_layer = [(step[layer],) for step in trajectory]
-        parts += [s for (s,) in trajectory_drifts(one_layer)]
-    s = np.concatenate(parts) if parts else np.empty(0)
-    scores = s[np.isfinite(s)]
-    if not scores.size:
-        raise DegenerateInputError("trace has no comparable step pairs")
-    return scores, int(s.size - scores.size)
+        one_layer.append([(step[layer],) for step in trajectory])
+    _, skipped, (scores,) = layerwise_drift(one_layer)
+    return scores, skipped
 
 
 def histogram_from_scores(scores, layer: int, tau=None,
@@ -214,31 +211,32 @@ class CostModel:
         paid, since the fresh rows attend over fully recomputed K and V)."""
         return self.attention_row_flops()
 
+    def saving_per_token(self, mode: str) -> int:
+        """What one reused token saves in a mode; 0 in full mode."""
+        savings = {"full": 0, "kv": self.kv_saving_per_token(),
+                   "o": self.o_saving_per_token()}
+        if mode not in savings:
+            raise ConfigError(f"unknown mode {mode!r}")
+        return savings[mode]
+
+    def ledger(self, mode: str, layer_steps: int, reused: int):
+        """Exact FLOP totals (full, actual, saved_fraction) of a run of
+        ``layer_steps`` layer-steps that reused ``reused`` rows: exact
+        integers, and their float ratio."""
+        if not layer_steps:
+            raise DegenerateInputError("trace records no layer-steps")
+        full = layer_steps * self.layer_step_flops()
+        saved = self.saving_per_token(mode) * reused
+        return full, full - saved, saved / full
+
 
 def flops_for_trace(trace, config: ModelConfig, mode=None):
-    """Exact FLOP totals of a trace: (full, actual, saved_fraction).
-
-    ``full`` is what a no-reuse run over the same layer-steps costs;
-    ``actual`` subtracts the per-token savings of every reuse event. Both
-    are exact integers; the fraction is their float ratio.
-    """
-    mode = trace.mode if mode is None else mode
-    cost = CostModel.from_config(config)
+    """``CostModel.ledger`` over a trace's decisions, in ``mode`` (the
+    trace's own by default)."""
     decisions = trace.decisions_flat()
-    if not decisions:
-        raise DegenerateInputError("trace records no layer-steps")
-    full = len(decisions) * cost.layer_step_flops()
-    if mode == "full":
-        per_token = 0
-    elif mode == "kv":
-        per_token = cost.kv_saving_per_token()
-    elif mode == "o":
-        per_token = cost.o_saving_per_token()
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    saved = per_token * sum(dec.reused_count for dec in decisions)
-    actual = full - saved
-    return full, actual, saved / full
+    return CostModel.from_config(config).ledger(
+        trace.mode if mode is None else mode, len(decisions),
+        sum(dec.reused_count for dec in decisions))
 
 
 def write_csv_with_metadata(path, metadata: dict, header, rows) -> None:

@@ -52,6 +52,7 @@ from .reuse import (
     forward_full,
     replay_reuse,
     reuse_accounting,
+    reuse_fraction,
 )
 from .sampler import SamplerConfig, coupled_generate, diffusion_generate
 from .theory import lipschitz_G, verify_run
@@ -475,13 +476,10 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
     # grid point; per-point numbers then differ only through tau.
     calibration = _calibration_scores(weights, config.sampler)
     _, reference = diffusion_generate(weights, config.sampler, None, "full")
-    trajectories = reference.q_trajectories()
-    block_scores = [[None] + trajectory_drifts(t) for t in trajectories]
-    layer_steps = sum(len(t) for t in trajectories) * cfg.L
-    full_flops, _, _ = flops_for_trace(reference, config.model, "full")
+    block_scores = [[None] + trajectory_drifts(t)
+                    for t in reference.q_trajectories()]
+    layer_steps = len(reference.decisions_flat())
     cost = CostModel.from_config(config.model)
-    per_token_saving = (cost.kv_saving_per_token() if mode == "kv"
-                        else cost.o_saving_per_token())
 
     profiles = [_budget_profile(*calibration, phi_bar, config.drift.epsilon)
                 for phi_bar in phi_grid]
@@ -504,10 +502,9 @@ def cmd_bench(config: RunConfig, phi_grid) -> int:
                 config.reuse.refresh_interval)
             total_reused += reused
             eligible += slots
-        reuse_fraction = (total_reused / (eligible * cfg.B)
-                          if eligible else 0.0)
-        saved_fraction = per_token_saving * total_reused / full_flops
-        rows.append((repr(float(phi_bar)), repr(reuse_fraction),
+        _, _, saved_fraction = cost.ledger(mode, layer_steps, total_reused)
+        rows.append((repr(float(phi_bar)),
+                     repr(reuse_fraction(total_reused, eligible, cfg.B)),
                      repr(saved_fraction), repr(float(l1_gap.mean()))))
 
     out = _output_dir(config)

@@ -282,7 +282,7 @@ def layerwise_drift(calibration_traces):
              for step in trajectory_drifts(trace)]
     if not steps:
         raise DegenerateInputError(
-            "calibration found no pair of consecutive timesteps")
+            "the traces hold no pair of consecutive timesteps")
     if len({len(step) for step in steps}) != 1:
         raise DimensionError("inconsistent layer count in trace")
     per_layer = list(zip(*steps))

@@ -48,15 +48,15 @@ def _as_array(m) -> np.ndarray:
 # array kernels
 # ---------------------------------------------------------------------------
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability.
-
-    The exp and the normalization run in place on the shifted copy, so
-    ``a`` is not written to.
+def softmax_rows(a: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis, with per-row max subtraction for
+    stability. The shift writes into ``out``, a new array by default (so
+    ``a`` is not written to), and the exp and the normalization run in
+    place there: ``out=a`` gives the same bits in ``a``'s own buffer.
     """
-    e = a - a.max(axis=1, keepdims=True)
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

@@ -268,10 +268,9 @@ def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
     every pair's product is the same BLAS call on the same memory layout,
     and each output is written straight into its columns of the result
     through a strided ``out=`` view, which BLAS addresses like a
-    contiguous block. The softmax runs in place on the scores, which this
-    function allocated, in ``softmax_rows``' order of operations (max
-    shift, exp, sum, divide). The result is bitwise the per-block,
-    per-head computation, and no argument is written to.
+    contiguous block. ``softmax_rows`` runs in place on the scores, which
+    this function allocated. The result is bitwise the per-block, per-head
+    computation, and no argument is written to.
     """
     n, d = q_rows.shape
     dh = d // n_heads
@@ -291,10 +290,7 @@ def attention_rows(q_rows: np.ndarray, k: np.ndarray, v: np.ndarray,
         k_t = k.reshape(blocks, -1, n_heads, dh).transpose(0, 2, 3, 1)
     scores = q @ k_t
     scores /= math.sqrt(dh)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    np.matmul(scores, v_h, out=out_h)
+    np.matmul(softmax_rows(scores, out=scores), v_h, out=out_h)
     return out
 
 
@@ -377,9 +373,11 @@ def load_weights(path) -> ModelWeights:
     Raises:
         FormatError: if the file is not a complete, well-formed weight file
             for the model its header describes (bad magic or version, a
-            short or corrupt header, an invalid config, a missing or
-            misshapen tensor, a non-finite weight, a bad mask token, or an
-            r_emb other than the loaded embedding's).
+            short or corrupt header, an invalid config, a missing, repeated
+            or misshapen tensor, a tensor that does not start where the one
+            before it ends, bytes past the last tensor, a non-finite
+            weight, a bad mask token, or an r_emb other than the loaded
+            embedding's).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -410,6 +408,7 @@ def load_weights(path) -> ModelWeights:
     shapes = _tensor_shapes(config)
     payload = raw[header_end:]
     tensors = {}
+    end = 0  # the manifest lays the tensors end to end, in its order
     try:
         for entry in header["tensors"]:
             name, rows, cols, off = (entry["name"], entry["rows"],
@@ -421,12 +420,15 @@ def load_weights(path) -> ModelWeights:
                 raise FormatError(
                     f"tensor {name!r} is {rows}x{cols}, the config needs "
                     f"{want[0]}x{want[1]}")
-            if type(off) is not int or off < 0:
-                raise FormatError(f"tensor {name!r} has offset {off!r}")
-            nbytes = rows * cols * 8
-            if off + nbytes > len(payload):
+            if name in tensors:
+                raise FormatError(f"tensor {name!r} is listed twice")
+            if type(off) is not int or off != end:
+                raise FormatError(f"tensor {name!r} has offset {off!r}, "
+                                  f"not {end} where the one before ends")
+            end += rows * cols * 8
+            if end > len(payload):
                 raise FormatError(f"tensor {name!r} overruns payload")
-            a = np.frombuffer(payload[off:off + nbytes], dtype="<f8")
+            a = np.frombuffer(payload[off:end], dtype="<f8")
             if not np.isfinite(a).all():
                 raise FormatError(f"tensor {name!r} holds a non-finite weight")
             tensors[name] = a.reshape(rows, cols).copy()
@@ -435,6 +437,9 @@ def load_weights(path) -> ModelWeights:
     missing = sorted(shapes.keys() - tensors.keys())
     if missing:
         raise FormatError(f"missing tensors {missing}")
+    if end != len(payload):
+        raise FormatError(f"payload runs {len(payload) - end} bytes past "
+                          "its last tensor")
     layers = tuple(
         LayerWeights(**{name: tensors[f"layers.{i}.{name}"]
                         for name in ("w_q", "w_k", "w_v", "w_o", "w_u", "w_d")})

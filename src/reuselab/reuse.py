@@ -528,14 +528,18 @@ def reuse_accounting(decisions, B: int) -> dict:
             total_reused += dec.reused_count
         else:
             gated_slots += 1
-    fraction = (total_reused / (eligible_slots * B)
-                if eligible_slots else 0.0)
     return {
         "total_reused": total_reused,
         "eligible_slots": eligible_slots,
         "gated_slots": gated_slots,
-        "reuse_fraction": fraction,
+        "reuse_fraction": reuse_fraction(total_reused, eligible_slots, B),
     }
+
+
+def reuse_fraction(reused: int, eligible_slots: int, B: int) -> float:
+    """Rows reused over the B rows of every reuse-eligible slot; 0.0 when
+    no slot is eligible."""
+    return reused / (eligible_slots * B) if eligible_slots else 0.0
 
 
 def replay_reuse(scores, tau_layer, skip_first_layers: int,

@@ -45,6 +45,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
+from .linalg import softmax_rows
 # The decode loops below look rows up with embed_ids. embed_tokens is
 # imported only because perfbench's span tracer wraps it by this module's
 # name; drop it when perfbench gains a span for embed_ids.
@@ -186,6 +187,15 @@ def _draw(cdf, rng) -> int:
     return min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
+def _draw_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The row form of ``_draw``: one inverse-CDF draw per row of a matrix
+    of nondecreasing row CDFs, given that row's uniform in ``u``. Counting
+    ``cdf <= u * total`` is ``bisect_right`` on the row, so each draw has
+    the bits of ``_draw`` on the row's CDF as a list."""
+    u = u * cdf[:, -1]
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
 def _draw_index(weights: np.ndarray, rng) -> int:
     """Inverse-CDF draw from nonnegative weights summing to ~1. The CDF is
     summed left to right on Python floats, which reproduces ``np.cumsum``
@@ -247,7 +257,7 @@ def couple_blocks(P, Q, rngs):
     over the whole stack, and the row reductions they use add in the 1-D
     order. A block whose row pairs are all bitwise equal makes one
     ``random(B)`` call on its generator, and the draws of all such blocks
-    are made in one batch, as ``_sample_candidates`` makes its draws.
+    are made in one ``_draw_rows`` batch.
 
     Raises:
         DegenerateInputError: if a row has a negative or NaN entry, or does
@@ -286,12 +296,8 @@ def couple_blocks(P, Q, rngs):
             else:
                 j[i], jhat[i] = _couple(P[i], Q[i], overlap[i], alpha[i], rng)
     if draws:
-        # Counting cdf <= u is bisect_right on a nondecreasing CDF.
         rows = _block_rows(np.flatnonzero(block_equal), B)
-        cdf = cdf_p[rows]
-        u = np.concatenate(draws) * cdf[:, -1]
-        j[rows] = jhat[rows] = np.minimum((cdf <= u[:, None]).sum(axis=1),
-                                          P.shape[1] - 1)
+        j[rows] = jhat[rows] = _draw_rows(cdf_p[rows], np.concatenate(draws))
     return j, jhat
 
 
@@ -307,11 +313,10 @@ def _sample_candidates(p: np.ndarray, temperature: float, *rngs):
     generator. Every step is the row-wise form of one row's draw and gives
     the same bits: ``rng.random(m)`` continues the stream as m scalar
     calls would, row reductions and ``cumsum(axis=1)`` add in the 1-D
-    order, and counting
-    ``cdf <= u`` is ``bisect_right`` on a nondecreasing CDF. The division
-    by the temperature is skipped at exactly 1.0, where it is exact, and
-    the shift, exp and normalization run in place on the log array this
-    function allocated, so ``p`` is not written to.
+    order, and ``_draw_rows`` is ``_draw`` per row. The division by the
+    temperature is skipped at exactly 1.0, where it is exact, and
+    ``softmax_rows`` runs in place on the log array this function
+    allocated, so ``p`` is not written to.
     """
     rows = np.arange(p.shape[0])
     if temperature == 0.0:
@@ -321,13 +326,9 @@ def _sample_candidates(p: np.ndarray, temperature: float, *rngs):
         z = np.log(p)
     if temperature != 1.0:
         z /= temperature
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    cdf = z.cumsum(axis=1)
+    cdf = softmax_rows(z, out=z).cumsum(axis=1)
     m = p.shape[0] // len(rngs)
-    u = np.concatenate([rng.random(m) for rng in rngs]) * cdf[:, -1]
-    tokens = np.minimum((cdf <= u[:, None]).sum(axis=1), p.shape[1] - 1)
+    tokens = _draw_rows(cdf, np.concatenate([rng.random(m) for rng in rngs]))
     return tokens, p[rows, tokens]
 
 

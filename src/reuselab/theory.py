@@ -286,7 +286,7 @@ def _softmax_gaps(logits: np.ndarray):
     z, z_prime = logits
     linf = np.abs(np.subtract(z, z_prime, out=np.zeros_like(z),
                               where=z != z_prime)).max(axis=1)
-    p = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+    p = softmax_rows(logits)
     gap = np.subtract(p[0], p[1], out=p[0])
     return np.abs(gap, out=gap).sum(axis=1), linf
 

@@ -243,6 +243,12 @@ def test_histogram_input_validation():
     trace = synthetic_trace([[], []], q_step_arrays=None)
     with pytest.raises(DimensionError):
         drift_scores_for_layer(trace, 3)
+    # A one-step block has no pair, and zero rows have no finite score.
+    zero_rows = [[np.zeros((4, 2))]] * 2
+    for trace in (synthetic_trace([[]]),
+                  synthetic_trace([[], []], q_step_arrays=zero_rows)):
+        with pytest.raises(DegenerateInputError):
+            drift_scores_for_layer(trace, 0)
 
 
 # ---------------------------------------------------------------------------

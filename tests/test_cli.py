@@ -19,12 +19,21 @@ import pytest
 
 import reuselab
 from reuselab import cli, drift, theory
+from reuselab.analysis import CostModel
 from reuselab.cli import RunConfig, main
-from reuselab.drift import DriftProfile, allocate_quantiles, quantile_threshold
+from reuselab.drift import (
+    DriftProfile,
+    allocate_quantiles,
+    quantile_threshold,
+    trajectory_drifts,
+)
 from reuselab.errors import ConfigError
 from reuselab.model import ModelConfig, init_weights, load_weights, save_weights
+from reuselab.reuse import replay_reuse
+from reuselab.sampler import diffusion_generate
 
 from csv_metadata import read_csv_with_metadata
+from test_golden import L2_GELU
 from test_model import rewrite_header
 from test_theory import direct_tau_tilde
 
@@ -469,6 +478,62 @@ class TestBench:
         assert run("bench", "--weights", "m.dare", "--output-dir", "out",
                    "--mode", "kv", "--phi-grid", ",") == 2
 
+    @pytest.mark.parametrize("mode", ["kv", "o"])
+    @pytest.mark.parametrize("run_file", [None, L2_GELU],
+                             ids=["default", "L2-GELU"])
+    def test_columns_are_the_ledger_of_the_replay(self, workdir, monkeypatch,
+                                                  run_file, mode):
+        # Each row's reuse_fraction and saved_flop_fraction, recomputed
+        # here from a replay of the reference decode's drift scores at the
+        # thresholds bench ran with and the closed-form per-token savings.
+        args = ()
+        if run_file is not None:
+            pytest.importorskip("scipy")
+            Path("run.json").write_text(json.dumps(run_file), encoding="utf-8")
+            args = ("--config", "run.json")
+        profiles = []
+        coupled = cli.coupled_generate
+
+        def recording(weights, run_mode, trials, *rest, **kw):
+            profiles.extend(p for _, p in trials)
+            return coupled(weights, run_mode, trials, *rest, **kw)
+
+        monkeypatch.setattr(cli, "coupled_generate", recording)
+        bench = ("bench", *args, "--mode", mode, "--phi-grid",
+                 "0,0.2,0.5,0.8,1")
+        assert run("init-model", *args) == 0
+        assert run(*bench) == 0
+        config = parse(*bench)
+        metadata, _, rows = read_csv_with_metadata(
+            Path(config.paths.output_dir) / "bench.csv")
+
+        weights = load_weights(config.paths.weights)
+        _, reference = diffusion_generate(weights, config.sampler, None,
+                                          "full")
+        trajectories = reference.q_trajectories()
+        layer_steps = sum(len(t) for t in trajectories) * weights.config.L
+        cost = CostModel.from_config(weights.config)
+        per_token = {"kv": cost.kv_saving_per_token(),
+                     "o": cost.o_saving_per_token()}[mode]
+        assert metadata["layer_steps"] == layer_steps
+        assert len(profiles) == len(rows) == 5
+        any_reused = False
+        for row, profile in zip(rows, profiles):
+            reused = eligible = 0
+            for trajectory in trajectories:
+                r, e = replay_reuse(
+                    [None] + trajectory_drifts(trajectory),
+                    profile.tau_layer, config.reuse.skip_first_layers,
+                    config.reuse.refresh_interval)
+                reused += r
+                eligible += e
+            assert eligible > 0
+            any_reused |= reused > 0
+            assert row[1] == repr(reused / (eligible * weights.config.B))
+            assert row[2] == repr(per_token * reused
+                                  / (layer_steps * cost.layer_step_flops()))
+        assert any_reused
+
     @pytest.mark.parametrize("flag, value, words", [
         ("--refresh-interval", "0", "refresh_interval must be >= 1"),
         ("--skip-layers", "-1", "skip_first_layers must be >= 0"),
@@ -663,6 +728,10 @@ class TestConfigPlumbing:
         capsys.readouterr()
         assert run("generate", "--config", "cfg.json") == 2
         assert "error: weight file ends inside its preamble" \
+            in capsys.readouterr().err
+        Path("model.dare").write_bytes(raw + bytes(64))
+        assert run("generate", "--config", "cfg.json") == 2
+        assert "error: payload runs 64 bytes past its last tensor" \
             in capsys.readouterr().err
 
     def test_malformed_profile_exits_2(self, workdir, capsys):

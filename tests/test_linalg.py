@@ -111,6 +111,24 @@ def test_row_softmax_rows_are_distributions(a):
     assert np.array_equal(a.view(np.int64), before.view(np.int64))
 
 
+@pytest.mark.parametrize("shape", [(6, 5), (3, 4, 5), (2, 3, 2, 5)])
+def test_row_softmax_out_writes_its_own_bits_into_the_buffer(shape):
+    # One row in three holds -inf entries (never all of them), as masked
+    # or padded logits do.
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(scale=10.0, size=shape)
+    rows = a.reshape(-1, shape[-1])
+    rows[::3, rng.integers(0, shape[-1], size=2)] = -np.inf
+    before = a.copy()
+    want = softmax_rows(a)
+    assert np.array_equal(a.view(np.int64), before.view(np.int64))
+    # The last axis holds the rows, with the bits of the 2-D form.
+    flat = softmax_rows(before.reshape(-1, shape[-1])).reshape(shape)
+    assert np.array_equal(want.view(np.int64), flat.view(np.int64))
+    assert softmax_rows(a, out=a) is a
+    assert np.array_equal(a.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # row_normalize_sqrt_d
 # ---------------------------------------------------------------------------

@@ -562,6 +562,36 @@ def test_weight_file_tensor_shape_must_match_config(tmp_path):
         load_weights(path)
 
 
+def point_w_k_at_w_q(header):
+    """W_K's entry takes W_Q's offset, so W_K would be read from its bytes."""
+    entries = {e["name"]: e for e in header["tensors"]}
+    entries["layers.0.w_k"]["offset"] = entries["layers.0.w_q"]["offset"]
+
+
+def list_emb_twice(header):
+    header["tensors"].append(
+        next(dict(e) for e in header["tensors"] if e["name"] == "emb"))
+
+
+@pytest.mark.parametrize("damage, words", [
+    (lambda path: path.write_bytes(path.read_bytes() + bytes(64)),
+     "64 bytes past its last tensor"),
+    (lambda path: rewrite_header(path, point_w_k_at_w_q),
+     "'layers.0.w_k' has offset"),
+    (lambda path: rewrite_header(path, list_emb_twice),
+     "'emb' is listed twice"),
+], ids=["trailing-bytes", "aliased-offset", "repeated-name"])
+def test_weight_file_payload_holds_the_tensors_in_manifest_order(
+        tmp_path, damage, words):
+    # Each tensor starts where the one before it ends, each is listed
+    # once, and the payload ends with the last one.
+    path = saved_weights(tmp_path)
+    load_weights(path)
+    damage(path)
+    with pytest.raises(FormatError, match=words):
+        load_weights(path)
+
+
 def test_weight_file_nan_weight(tmp_path):
     w = init_weights(small_config())
     emb = w.emb.copy()
